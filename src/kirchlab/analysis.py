@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energies import EnergySeries, hamiltonian
+from .energies import EnergySeries
 from .integrate import CorrectorTrajectory, Trajectory
 from .model import (
     Dissipation,
@@ -27,7 +27,7 @@ from .model import (
     Regime,
     classify_regime,
 )
-from .spectral import Spectrum
+from .spectral import Spectrum, modal_sums
 
 __all__ = [
     "RateFit",
@@ -457,7 +457,6 @@ def perturbation_errors(
         and np.array_equal(traj_eps.times, corr.times)
     ):
         raise ValueError("trajectories and corrector must share one output grid")
-    lam = traj_eps.spectrum.eigenvalues
     t = traj_eps.times
     p = dis.p if isinstance(dis, PowerLawDissipation) else 0.0
 
@@ -465,16 +464,14 @@ def perturbation_errors(
     r = rho - corr.theta
     r_prime = traj_eps.uprime - traj_par.uprime - corr.theta_prime
 
-    def norms(mat, weights):
-        return (mat * mat) @ weights
-
-    ones = np.ones_like(lam)
+    rho_sums = modal_sums(traj_eps.spectrum, rho, [0.0, 0.5, 1.0])
+    r_prime_sums = modal_sums(traj_eps.spectrum, r_prime, [0.0, 0.5])
     ch = {
-        "rho_sq": norms(rho, ones),
-        "half_rho_sq": norms(rho, lam),
-        "one_rho_sq": norms(rho, lam**2),
-        "r_prime_sq": norms(r_prime, ones),
-        "half_r_prime_sq": norms(r_prime, lam),
+        "rho_sq": rho_sums[:, 0],
+        "half_rho_sq": rho_sums[:, 1],
+        "one_rho_sq": rho_sums[:, 2],
+        "r_prime_sq": r_prime_sums[:, 0],
+        "half_r_prime_sq": r_prime_sums[:, 1],
     }
     w1 = (1.0 + t) ** (p + 1.0)
     ch["half_rho_sq_weighted"] = w1 * ch["half_rho_sq"]
@@ -511,8 +508,8 @@ def hamiltonian_floor(
     limit, which is exactly why nonzero solutions cannot decay there.
     """
     t = traj.times
-    H = np.array(
-        [hamiltonian(spec, nl, eps, traj.u[i], traj.uprime[i]) for i in range(t.size)]
-    )
+    sigma = modal_sums(spec, traj.u, [0.5])[:, 0]
+    v = modal_sums(spec, traj.uprime, [0.0])[:, 0]
+    H = eps * v + np.array([nl.integral(s) for s in sigma.tolist()])
     floor = H[0] * np.array([math.exp(-2.0 * dis.primitive(ti) / eps) for ti in t])
     return FloorSeries(t.copy(), H, floor, H - floor)

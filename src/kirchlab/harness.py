@@ -37,7 +37,14 @@ from .model import (
     nonlinearity_from_config,
     p_gamma,
 )
-from .spectral import ConfigurationError, Spectrum, coercivity, spectrum_from_config
+from .spectral import (
+    ConfigurationError,
+    Spectrum,
+    _reject_unknown,
+    as_modal,
+    coercivity,
+    spectrum_from_config,
+)
 
 __all__ = [
     "AnalysisOptions",
@@ -120,19 +127,11 @@ def _require(cfg: dict, key: str, context: str = "config"):
     return cfg[key]
 
 
-def _reject_unknown(cfg: dict, allowed: set, context: str) -> None:
-    extra = sorted(set(cfg) - allowed)
-    if extra:
-        raise ConfigurationError(f"unknown key {extra[0]!r} in {context}")
-
-
-def _parse_vector(cfg, key, spec: Spectrum) -> np.ndarray:
-    vec = np.asarray(cfg[key], dtype=float)
-    if vec.ndim != 1 or vec.size != spec.size:
-        raise ConfigurationError(
-            f"{key} has length {vec.size}, spectrum has {spec.size} modes"
-        )
-    return vec
+def _parse_eps(value, context: str) -> float:
+    eps = float(value)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigurationError(f"{context} must be finite and positive")
+    return eps
 
 
 def _parse_grid(cfg: dict) -> ig.OutputGrid:
@@ -239,30 +238,28 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
     spec = spectrum_from_config(_require(cfg, "spectrum"))
     nl = nonlinearity_from_config(_require(cfg, "m"))
     dis = dissipation_from_config(_require(cfg, "b"))
-    u0 = _parse_vector(cfg, "u0", spec) if "u0" in cfg else None
-    u1 = _parse_vector(cfg, "u1", spec) if "u1" in cfg else None
+    u0 = as_modal(spec, cfg["u0"], "u0") if "u0" in cfg else None
+    u1 = as_modal(spec, cfg["u1"], "u1") if "u1" in cfg else None
     if u0 is None:
         raise ConfigurationError("config.u0 is required")
 
     eps = None
     eps_list = None
     if kind in ("simulate", "corrector"):
-        eps = float(_require(cfg, "eps"))
+        eps = _parse_eps(_require(cfg, "eps"), "config.eps")
         if u1 is None:
             raise ConfigurationError("config.u1 is required")
     elif kind == "sweep_eps":
-        eps_list = tuple(float(e) for e in _require(cfg, "eps_list"))
+        eps_list = tuple(_parse_eps(e, "eps_list values") for e in _require(cfg, "eps_list"))
         if len(eps_list) < 2:
             raise ConfigurationError("eps_list needs at least two values")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigurationError("eps_list must be strictly decreasing")
-        if any(e <= 0.0 for e in eps_list):
-            raise ConfigurationError("eps_list values must be positive")
         if u1 is None:
             raise ConfigurationError("config.u1 is required")
     elif kind == "verify":
         if "eps" in cfg:
-            eps = float(cfg["eps"])
+            eps = _parse_eps(cfg["eps"], "config.eps")
             if u1 is None:
                 raise ConfigurationError("config.u1 is required for a verify run with eps")
 
@@ -300,14 +297,10 @@ def write_trajectory_csv(path: Path, traj: ig.Trajectory) -> None:
     _write_rows(path, header, cols)
 
 
-def write_energy_csv(path: Path, series: en.EnergySeries) -> None:
+def write_series_csv(path: Path, series) -> None:
+    """One column per channel of an energy or error series, after ``t``."""
     names = list(series.channels)
     _write_rows(path, ["t"] + names, [series.times] + [series.channels[k] for k in names])
-
-
-def write_error_csv(path: Path, es: ana.ErrorSeries) -> None:
-    names = list(es.channels)
-    _write_rows(path, ["t"] + names, [es.times] + [es.channels[k] for k in names])
 
 
 def write_corrector_csv(path: Path, corr: ig.CorrectorTrajectory) -> None:
@@ -347,7 +340,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path) -> tuple:
     floor = ana.hamiltonian_floor(traj, plan.spectrum, plan.nl, plan.dis, plan.eps)
 
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    write_energy_csv(outdir / "energies.csv", series)
+    write_series_csv(outdir / "energies.csv", series)
     _write_rows(
         outdir / "apriori.csv",
         ["t", "lhs_basic", "lhs_basic_plus", "b"],
@@ -398,7 +391,7 @@ def _run_limit(plan: ExperimentPlan, outdir: Path) -> tuple:
     write_trajectory_csv(outdir / "parabolic_reparam.csv", t_r)
     write_trajectory_csv(outdir / "parabolic_direct.csv", t_d)
     series = en.energy_suite(t_r, plan.spectrum, plan.nl, 0.0, plan.analysis.ks)
-    write_energy_csv(outdir / "energies.csv", series)
+    write_series_csv(outdir / "energies.csv", series)
 
     scale = math.sqrt(float(plan.u0 @ plan.u0))
     shared = min(t_r.times.size, t_d.times.size)
@@ -475,7 +468,7 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         if traj.status != ig.COMPLETED:
             continue
         errors = ana.perturbation_errors(traj, par, corr, plan.dis)
-        write_error_csv(outdir / f"errors_{i}.csv", errors)
+        write_series_csv(outdir / f"errors_{i}.csv", errors)
         sup_rho.append(errors.sup("rho_sq"))
         sup_rp.append(errors.sup("r_prime_sq"))
         sup_w.append(errors.sup("half_rho_sq_weighted"))
@@ -582,7 +575,7 @@ def _run_verify(plan: ExperimentPlan, outdir: Path) -> tuple:
         series, bounds, plan.analysis.tol_exponent, plan.analysis.window
     )
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    write_energy_csv(outdir / "energies.csv", series)
+    write_series_csv(outdir / "energies.csv", series)
     payload = {"config": plan.raw, **report.to_dict()}
     _write_json(outdir / "verify_report.json", payload)
 

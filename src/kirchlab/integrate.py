@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import ConstantDissipation, Dissipation, Nonlinearity, compute_w0
-from .spectral import ConfigurationError, Spectrum, as_modal
+from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums
 
 __all__ = [
     "OutputGrid",
@@ -434,23 +434,24 @@ def residual_norm(
     ts = traj.times
     if ts.size < 3:
         raise ValueError("residual needs at least 3 samples")
-    lam = spec.eigenvalues
-    worst = 0.0
-    for i in range(1, ts.size - 1):
-        h1 = ts[i] - ts[i - 1]
-        h2 = ts[i + 1] - ts[i]
-        w_m = -h2 / (h1 * (h1 + h2))
-        w_0 = (h2 - h1) / (h1 * h2)
-        w_p = h1 / (h2 * (h1 + h2))
-        u = traj.u[i]
-        up = traj.uprime[i]
-        mval = nl.value(sigma_half(lam, u))
-        if eps == 0.0:
-            du = w_m * traj.u[i - 1] + w_0 * u + w_p * traj.u[i + 1]
-            res = dis.b(ts[i]) * du + mval * (lam * u)
-        else:
-            dup = w_m * traj.uprime[i - 1] + w_0 * up + w_p * traj.uprime[i + 1]
-            res = eps * dup + dis.b(ts[i]) * up + mval * (lam * u)
-        scale = 1.0 + math.sqrt(float(u @ u)) + math.sqrt(float(up @ up))
-        worst = max(worst, math.sqrt(float(res @ res)) / scale)
-    return worst
+    # Divided difference of u (first order) or u' (second order) at every
+    # interior sample, then the defect of the equation in place.
+    h = np.diff(ts)[:, None]
+    h1, h2 = h[:-1], h[1:]
+    x = traj.u if eps == 0.0 else traj.uprime
+    res = -h2 / (h1 * (h1 + h2)) * x[:-2]
+    res += (h2 - h1) / (h1 * h2) * x[1:-1]
+    res += h1 / (h2 * (h1 + h2)) * x[2:]
+    u, up = traj.u[1:-1], traj.uprime[1:-1]
+    sigma, u_sq = modal_sums(spec, u, [0.5, 0.0]).T
+    mval = np.array([nl.value(s) for s in sigma.tolist()])[:, None]
+    b = np.array([dis.b(t) for t in ts[1:-1].tolist()])[:, None]
+    if eps == 0.0:
+        res *= b
+    else:
+        res *= eps
+        res += b * up
+    res += mval * (spec.eigenvalues * u)
+    scale = 1.0 + np.sqrt(u_sq) + np.sqrt(modal_sums(spec, up, [0.0])[:, 0])
+    defect = np.sqrt(modal_sums(spec, res, [0.0])[:, 0])
+    return float(np.max(defect / scale))

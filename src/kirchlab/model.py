@@ -19,7 +19,14 @@ from typing import Union
 
 import numpy as np
 
-from .spectral import ConfigurationError, Spectrum, apply_A, as_modal, sobolev_norm_sq
+from .spectral import (
+    ConfigurationError,
+    Spectrum,
+    _reject_unknown,
+    apply_A,
+    as_modal,
+    sobolev_norm_sq,
+)
 
 __all__ = [
     "PowerNonlinearity",
@@ -29,9 +36,6 @@ __all__ = [
     "ConstantDissipation",
     "Dissipation",
     "Regime",
-    "eval_nonlinearity",
-    "eval_dissipation",
-    "dissipation_integrable",
     "p_gamma",
     "classify_regime",
     "compute_w0",
@@ -147,10 +151,6 @@ class PowerLawDissipation:
             raise ConfigurationError("p must be a nonnegative finite real")
 
     @property
-    def delta(self) -> float:
-        return 1.0 if self.p == 0.0 else 0.0
-
-    @property
     def b0(self) -> float:
         return 1.0
 
@@ -194,31 +194,6 @@ class Regime:
 
     tag: str
     threshold: float | None = None
-
-
-def eval_nonlinearity(nl: Nonlinearity, sigma: float):
-    """Return (m(sigma), M(sigma), m'(sigma)) with M the primitive of m.
-
-    m' is the one-sided right derivative for tables, and a +inf sentinel
-    at the non-Lipschitz kink sigma = 0 of powers with gamma < 1.
-    """
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    return nl.value(sigma), nl.integral(sigma), nl.derivative(sigma)
-
-
-def eval_dissipation(dis: Dissipation, t: float):
-    """Return (b(t), B(t)) where B is the exact primitive of b from 0."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return dis.b(t), dis.primitive(t)
-
-
-def dissipation_integrable(dis: Dissipation) -> bool:
-    """Whether the total dissipation over the half line is finite."""
-    if isinstance(dis, ConstantDissipation):
-        return False
-    return dis.p > 1.0
 
 
 def p_gamma(gamma: float) -> float:
@@ -315,9 +290,3 @@ def dissipation_from_config(cfg: dict) -> Dissipation:
             raise ConfigurationError("b.delta is required")
         return ConstantDissipation(float(cfg["delta"]))
     raise ConfigurationError(f"b.kind must be 'power' or 'constant', got {kind!r}")
-
-
-def _reject_unknown(cfg: dict, allowed: set, context: str) -> None:
-    extra = sorted(set(cfg) - allowed)
-    if extra:
-        raise ConfigurationError(f"unknown key {extra[0]!r} in {context}")

@@ -19,6 +19,7 @@ __all__ = [
     "Spectrum",
     "as_modal",
     "sobolev_norm_sq",
+    "modal_sums",
     "apply_A",
     "coercivity",
     "spectrum_from_config",
@@ -87,6 +88,19 @@ def sobolev_norm_sq(spec: Spectrum, x, order: float) -> float:
     # IEEE pow gives 0.0**0.0 == 1.0, which is exactly the convention needed.
     weights = spec.eigenvalues ** (2.0 * order)
     return math.fsum(weights * xv * xv)
+
+
+def modal_sums(spec: Spectrum, x: np.ndarray, orders) -> np.ndarray:
+    """Weighted row sums of a (samples x modes) array of modal vectors.
+
+    Column j holds sum_k lambda_k^(2*orders[j]) x[i, k]^2 for every row
+    i, with the 0^0 = 1 convention of ``sobolev_norm_sq``. These are
+    plain floating-point sums, not compensated ones. The contraction
+    runs without a (samples x modes) temporary, so large spectra cost no
+    extra copy of the trajectory.
+    """
+    weights = spec.eigenvalues[:, None] ** (2.0 * np.asarray(orders, dtype=float))
+    return np.einsum("ij,ij,jk->ik", x, x, weights)
 
 
 def apply_A(spec: Spectrum, x) -> np.ndarray:

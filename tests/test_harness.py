@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -20,6 +21,25 @@ def simulate_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def sweep_config(eps_list):
+    cfg = simulate_config(kind="sweep_eps", eps_list=eps_list)
+    del cfg["eps"]
+    return cfg
+
+
+# Plans that are well formed JSON but carry data no solver can run:
+# (CLI subcommand, plan). Each must fail in load_config, before solving.
+INVALID_PLANS = {
+    "nan_u0": ("simulate", simulate_config(u0=[math.nan, 0.5])),
+    "infinite_u1": ("simulate", simulate_config(u1=[math.inf, 0.0])),
+    "eps_zero": ("simulate", simulate_config(eps=0.0)),
+    "eps_negative": ("simulate", simulate_config(eps=-1.0)),
+    "corrector_eps_nan": ("corrector", simulate_config(kind="corrector", eps=math.nan)),
+    "verify_eps_zero": ("verify", simulate_config(kind="verify", eps=0.0)),
+    "eps_list_nan": ("sweep", sweep_config([math.nan, 1e-2, 1e-3])),
+}
 
 
 class TestLoadConfig:
@@ -60,6 +80,12 @@ class TestLoadConfig:
         cfg = simulate_config(kind="sweep_eps", eps_list=[1e-3, 1e-2])
         del cfg["eps"]
         with pytest.raises(ConfigurationError, match="decreasing"):
+            load_config(json.dumps(cfg))
+
+    @pytest.mark.parametrize("name", sorted(INVALID_PLANS))
+    def test_invalid_data_rejected(self, name):
+        _, cfg = INVALID_PLANS[name]
+        with pytest.raises(ConfigurationError, match="u0|u1|eps"):
             load_config(json.dumps(cfg))
 
     def test_not_json(self):
@@ -252,6 +278,16 @@ class TestCli:
         cfg_path.write_text(json.dumps(simulate_config(bogus=1)))
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(INVALID_PLANS))
+    def test_invalid_data_exit_3_without_bundle(self, tmp_path, capsys, name):
+        command, cfg = INVALID_PLANS[name]
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "runs"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["grid", "--config", str(tmp_path / "nope.json")]) == 3

@@ -14,9 +14,6 @@ from kirchlab import (
     classify_regime,
     compute_w0,
     dissipation_from_config,
-    dissipation_integrable,
-    eval_dissipation,
-    eval_nonlinearity,
     nonlinearity_from_config,
     p_gamma,
 )
@@ -24,31 +21,26 @@ from kirchlab import (
 
 class TestNonlinearity:
     def test_power_linear(self):
-        m, M, mp = eval_nonlinearity(PowerNonlinearity(1.0), 4.0)
-        assert (m, M, mp) == (4.0, 8.0, 1.0)
+        nl = PowerNonlinearity(1.0)
+        assert (nl.value(4.0), nl.integral(4.0), nl.derivative(4.0)) == (4.0, 8.0, 1.0)
 
     def test_power_sqrt_kink_sentinel(self):
-        m, M, mp = eval_nonlinearity(PowerNonlinearity(0.5), 0.0)
-        assert m == 0.0 and M == 0.0 and mp == math.inf
+        nl = PowerNonlinearity(0.5)
+        assert nl.value(0.0) == 0.0 and nl.integral(0.0) == 0.0
+        assert nl.derivative(0.0) == math.inf
 
     def test_table_by_hand_integral(self):
         # m(s) = 1 + s on [0, 1]; integral over [0, 0.5] done by hand.
         nl = LipschitzTable(((0.0, 1.0), (1.0, 2.0)), mu=1.0)
-        m, M, mp = eval_nonlinearity(nl, 0.5)
-        assert m == pytest.approx(1.5)
-        assert M == pytest.approx(0.625)
-        assert mp == pytest.approx(1.0)
+        assert nl.value(0.5) == pytest.approx(1.5)
+        assert nl.integral(0.5) == pytest.approx(0.625)
+        assert nl.derivative(0.5) == pytest.approx(1.0)
 
     def test_table_constant_extension(self):
         nl = LipschitzTable(((0.0, 1.0), (1.0, 2.0)))
-        m, M, mp = eval_nonlinearity(nl, 3.0)
-        assert m == 2.0
-        assert M == pytest.approx(1.5 + 2.0 * 2.0)
-        assert mp == 0.0
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            eval_nonlinearity(PowerNonlinearity(1.0), -1.0)
+        assert nl.value(3.0) == 2.0
+        assert nl.integral(3.0) == pytest.approx(1.5 + 2.0 * 2.0)
+        assert nl.derivative(3.0) == 0.0
 
     def test_table_validation(self):
         with pytest.raises(ConfigurationError):
@@ -69,7 +61,7 @@ class TestNonlinearity:
     )
     def test_primitive_nondecreasing_from_zero(self, nl):
         grid = np.linspace(0.0, 5.0, 100)
-        vals = [eval_nonlinearity(nl, s)[1] for s in grid]
+        vals = [nl.integral(s) for s in grid]
         assert vals[0] == 0.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -78,33 +70,33 @@ class TestNonlinearity:
         kinks = [0.7, 2.0]
         for s in (0.3, 0.7, 1.5, 4.2):
             ref, _ = quad(
-                lambda x: eval_nonlinearity(nl, x)[0],
+                nl.value,
                 0.0,
                 s,
                 points=[k for k in kinks if k < s],
                 epsabs=1e-13,
                 epsrel=1e-13,
             )
-            assert eval_nonlinearity(nl, s)[1] == pytest.approx(ref, rel=1e-10)
+            assert nl.integral(s) == pytest.approx(ref, rel=1e-10)
 
 
 class TestDissipation:
     def test_log_case(self):
-        b, B = eval_dissipation(PowerLawDissipation(1.0), math.e - 1.0)
-        assert b == pytest.approx(1.0 / math.e)
-        assert B == pytest.approx(1.0)
+        dis = PowerLawDissipation(1.0)
+        assert dis.b(math.e - 1.0) == pytest.approx(1.0 / math.e)
+        assert dis.primitive(math.e - 1.0) == pytest.approx(1.0)
 
     def test_constant_case_p0(self):
-        assert eval_dissipation(PowerLawDissipation(0.0), 3.0) == (1.0, 3.0)
+        dis = PowerLawDissipation(0.0)
+        assert (dis.b(3.0), dis.primitive(3.0)) == (1.0, 3.0)
 
     def test_integrable_tail(self):
         # total dissipation of (1+t)^-2 is 1
-        _, B = eval_dissipation(PowerLawDissipation(2.0), 1e12)
-        assert B == pytest.approx(1.0, abs=1e-11)
+        assert PowerLawDissipation(2.0).primitive(1e12) == pytest.approx(1.0, abs=1e-11)
 
     def test_constant_delta(self):
-        b, B = eval_dissipation(ConstantDissipation(0.3), 10.0)
-        assert b == 0.3 and B == pytest.approx(3.0)
+        dis = ConstantDissipation(0.3)
+        assert dis.b(10.0) == 0.3 and dis.primitive(10.0) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0, 1.7, 2.5])
     @pytest.mark.parametrize("t", [0.5, 2.0, 37.0])
@@ -114,9 +106,13 @@ class TestDissipation:
         assert dis.primitive(t) == pytest.approx(ref, rel=1e-10)
 
     def test_integrability_classification(self):
-        assert dissipation_integrable(PowerLawDissipation(2.0))
-        assert not dissipation_integrable(PowerLawDissipation(1.0))
-        assert not dissipation_integrable(ConstantDissipation(1.0))
+        # Integrable dissipation (p > 1) is exactly the hyperbolic regime.
+        def hyperbolic(dis):
+            return classify_regime(PowerNonlinearity(1.0), dis, True).tag == "hyperbolic"
+
+        assert hyperbolic(PowerLawDissipation(2.0))
+        assert not hyperbolic(PowerLawDissipation(1.0))
+        assert not hyperbolic(ConstantDissipation(1.0))
 
 
 class TestThreshold:

@@ -13,6 +13,7 @@ from kirchlab import (
     sobolev_norm_sq,
     spectrum_from_config,
 )
+from kirchlab.spectral import modal_sums
 
 
 def test_norm_single_mode():
@@ -30,6 +31,15 @@ def test_norm_kernel_mode_only():
 def test_norm_order_zero_counts_kernel():
     # 0^0 = 1 convention: kernel coefficients contribute at order 0.
     assert sobolev_norm_sq(Spectrum([0.0, 2.0]), [3.0, 1.0], 0.0) == 10.0
+
+
+def test_modal_sums_rows_match_sobolev_norm():
+    spec = Spectrum([0.0, 2.0])
+    rows = np.array([[3.0, 1.0], [0.0, 2.0]])
+    orders = [0.0, 0.5, 1.0]
+    expected = [[sobolev_norm_sq(spec, row, s) for s in orders] for row in rows]
+    np.testing.assert_array_equal(modal_sums(spec, rows, orders), expected)
+    np.testing.assert_array_equal(expected, [[10.0, 2.0, 4.0], [4.0, 8.0, 16.0]])
 
 
 def test_apply_A_examples():
