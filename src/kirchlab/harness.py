@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,11 @@ from .model import (
 from .spectral import (
     ConfigurationError,
     Spectrum,
+    _as_flag,
+    _as_integer,
+    _as_list,
+    _as_number,
+    _as_numbers,
     _reject_unknown,
     as_modal,
     coercivity,
@@ -128,7 +133,7 @@ def _require(cfg: dict, key: str, context: str = "config"):
 
 
 def _parse_eps(value, context: str) -> float:
-    eps = float(value)
+    eps = _as_number(value, context)
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigurationError(f"{context} must be finite and positive")
     return eps
@@ -136,10 +141,10 @@ def _parse_eps(value, context: str) -> float:
 
 def _parse_grid(cfg: dict) -> ig.OutputGrid:
     _reject_unknown(cfg, {"kind", "count", "t_end"}, "settings.grid")
-    t_end = float(_require(cfg, "t_end", "settings.grid"))
+    t_end = _as_number(_require(cfg, "t_end", "settings.grid"), "settings.grid.t_end")
     kind = cfg.get("kind", "log")
     if "count" in cfg:
-        count = int(cfg["count"])
+        count = _as_integer(cfg["count"], "settings.grid.count")
     else:
         # Default density: about 400 samples per decade of (1+t).
         count = max(2, int(round(400.0 * math.log10(1.0 + t_end))) + 1)
@@ -155,7 +160,7 @@ def _parse_settings(cfg: dict) -> ig.IntegratorSettings:
     kwargs = {}
     for key in ("rel_tol", "abs_tol", "max_step_factor", "blowup_threshold"):
         if key in cfg:
-            kwargs[key] = float(cfg[key])
+            kwargs[key] = _as_number(cfg[key], f"settings.{key}")
     if "grid" in cfg:
         kwargs["grid"] = _parse_grid(cfg["grid"])
     return ig.IntegratorSettings(**kwargs)
@@ -169,17 +174,17 @@ def _parse_analysis(cfg: dict) -> AnalysisOptions:
     )
     kwargs = {}
     if "ks" in cfg:
-        kwargs["ks"] = tuple(float(k) for k in cfg["ks"])
+        kwargs["ks"] = _as_numbers(cfg["ks"], "analysis.ks")
     if "window" in cfg:
-        lo, hi = cfg["window"]
-        if not float(lo) < float(hi):
+        lo, hi = _as_numbers(cfg["window"], "analysis.window", 2)
+        if not lo < hi:
             raise ConfigurationError("analysis.window must satisfy lo < hi")
-        kwargs["window"] = (float(lo), float(hi))
+        kwargs["window"] = (lo, hi)
     for key in ("tol_exponent", "slope_target", "slope_tol", "ratio_bound"):
         if key in cfg:
-            kwargs[key] = float(cfg[key])
+            kwargs[key] = _as_number(cfg[key], f"analysis.{key}")
     if "coercive" in cfg:
-        kwargs["coercive"] = bool(cfg["coercive"])
+        kwargs["coercive"] = _as_flag(cfg["coercive"], "analysis.coercive")
     return AnalysisOptions(**kwargs)
 
 
@@ -211,7 +216,7 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
 
     settings = _parse_settings(cfg.get("settings", {}))
     options = _parse_analysis(cfg.get("analysis", {}))
-    jobs = int(cfg["jobs"]) if "jobs" in cfg else None
+    jobs = _as_integer(cfg["jobs"], "config.jobs") if "jobs" in cfg else None
     if jobs is not None and jobs < 1:
         raise ConfigurationError("config.jobs must be at least 1")
 
@@ -220,8 +225,8 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
     )
 
     if kind == "regime_grid":
-        gammas = tuple(float(g) for g in _require(cfg, "grid_gammas"))
-        ps = tuple(float(p) for p in _require(cfg, "grid_ps"))
+        gammas = _as_numbers(_require(cfg, "grid_gammas"), "config.grid_gammas")
+        ps = _as_numbers(_require(cfg, "grid_ps"), "config.grid_ps")
         if not gammas or not ps:
             raise ConfigurationError("grid_gammas and grid_ps must be nonempty")
         if any(g <= 0.0 for g in gammas):
@@ -231,7 +236,7 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
         return ExperimentPlan(
             grid_gammas=gammas,
             grid_ps=ps,
-            grid_coercive=bool(cfg.get("coercive", False)),
+            grid_coercive=_as_flag(cfg.get("coercive", False), "config.coercive"),
             **plan_kwargs,
         )
 
@@ -250,7 +255,10 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
         if u1 is None:
             raise ConfigurationError("config.u1 is required")
     elif kind == "sweep_eps":
-        eps_list = tuple(_parse_eps(e, "eps_list values") for e in _require(cfg, "eps_list"))
+        eps_list = tuple(
+            _parse_eps(e, f"config.eps_list[{i}]")
+            for i, e in enumerate(_as_list(_require(cfg, "eps_list"), "config.eps_list"))
+        )
         if len(eps_list) < 2:
             raise ConfigurationError("eps_list needs at least two values")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -382,7 +390,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path) -> tuple:
     chart.write(outdir / "simulate.svg")
 
     verdicts = {"hamiltonian_monotone": "pass" if monotone else "fail"}
-    return verdicts, {"hyperbolic": traj.status}, report
+    return verdicts, {"hyperbolic": traj}, report
 
 
 def _run_limit(plan: ExperimentPlan, outdir: Path) -> tuple:
@@ -413,11 +421,7 @@ def _run_limit(plan: ExperimentPlan, outdir: Path) -> tuple:
     if "E_1" in series:
         chart.add_line(1.0 + t_r.times, series["E_1"], "reparametrized")
     chart.write(outdir / "limit.svg")
-    return (
-        {"oracle_equivalence": report["verdict"]},
-        {"reparam": t_r.status, "direct": t_d.status},
-        report,
-    )
+    return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}, report
 
 
 def _run_corrector(plan: ExperimentPlan, outdir: Path) -> tuple:
@@ -458,11 +462,11 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     else:
         members = [_sweep_member(a) for a in member_args]
 
-    statuses = {}
+    trajectories = {}
     sup_rho, sup_rp, sup_w = [], [], []
     per_eps = []
     for i, (eps, (traj, corr)) in enumerate(zip(plan.eps_list, members)):
-        statuses[f"hyperbolic_{i}"] = traj.status
+        trajectories[f"hyperbolic_{i}"] = traj
         write_trajectory_csv(outdir / f"hyperbolic_{i}.csv", traj)
         write_corrector_csv(outdir / f"corrector_{i}.csv", corr)
         if traj.status != ig.COMPLETED:
@@ -480,7 +484,7 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
                 "sup_half_rho_sq_weighted": sup_w[-1],
             }
         )
-    statuses["parabolic"] = par.status
+    trajectories["parabolic"] = par
 
     opts = plan.analysis
     verdicts = {}
@@ -517,7 +521,7 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         chart.add_line(eps_arr, sup_rp, "sup |r'|^2")
         chart.write(outdir / "sweep.svg")
     _write_json(outdir / "sweep_report.json", report)
-    return verdicts, statuses, report
+    return verdicts, trajectories, report
 
 
 def _run_grid(plan: ExperimentPlan, outdir: Path) -> tuple:
@@ -591,7 +595,7 @@ def _run_verify(plan: ExperimentPlan, outdir: Path) -> tuple:
         f"{e.quantity}:{e.kind}": e.verdict for e in report.entries
     }
     verdicts["overall"] = report.worst
-    return verdicts, {status_key: traj.status}, payload
+    return verdicts, {status_key: traj}, payload
 
 
 def run_plan(
@@ -614,19 +618,22 @@ def run_plan(
 
     n_jobs = jobs or plan.jobs or os.cpu_count() or 1
     if plan.kind == "simulate":
-        verdicts, statuses, summary = _run_simulate(plan, outdir)
+        verdicts, trajectories, summary = _run_simulate(plan, outdir)
     elif plan.kind == "limit":
-        verdicts, statuses, summary = _run_limit(plan, outdir)
+        verdicts, trajectories, summary = _run_limit(plan, outdir)
     elif plan.kind == "corrector":
-        verdicts, statuses, summary = _run_corrector(plan, outdir)
+        verdicts, trajectories, summary = _run_corrector(plan, outdir)
     elif plan.kind == "sweep_eps":
-        verdicts, statuses, summary = _run_sweep(plan, outdir, n_jobs)
+        verdicts, trajectories, summary = _run_sweep(plan, outdir, n_jobs)
     elif plan.kind == "regime_grid":
-        verdicts, statuses, summary = _run_grid(plan, outdir)
+        verdicts, trajectories, summary = _run_grid(plan, outdir)
     elif plan.kind == "verify":
-        verdicts, statuses, summary = _run_verify(plan, outdir)
+        verdicts, trajectories, summary = _run_verify(plan, outdir)
     else:  # pragma: no cover - load_config rejects unknown kinds
         raise ConfigurationError(f"unknown plan kind {plan.kind!r}")
+    statuses = {key: tr.status for key, tr in trajectories.items()}
+    stats = {key: asdict(tr.stats) for key, tr in trajectories.items()}
+    del trajectories  # free the samples before the payload files are hashed
 
     files = {}
     for path in sorted(outdir.iterdir()):
@@ -653,6 +660,7 @@ def run_plan(
         "elapsed_seconds": time.perf_counter() - start,
         "verdicts": verdicts,
         "solver_status": statuses,
+        "solver_stats": stats,
         "summary": summary,
         "files": files,
     }

@@ -4,8 +4,10 @@ and the boundary-layer corrector.
 All solvers share one adaptive embedded Dormand-Prince 5(4) driver. The
 driver is deliberately self-contained: steps are clamped so that every
 requested output time is hit exactly (samples are integration nodes, not
-interpolants), the step size is capped by an oscillation-aware rule for
-second-order runs, and identical inputs give bit-identical outputs.
+interpolants), second-order steps are capped at a fixed fraction of the
+fastest oscillation period of the current state, and identical inputs
+give bit-identical outputs. Every run reports how much work it took and
+which bound set the size of each accepted step (``SolverStats``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums
 __all__ = [
     "OutputGrid",
     "IntegratorSettings",
+    "SolverStats",
     "Trajectory",
     "CorrectorTrajectory",
     "COMPLETED",
@@ -72,9 +75,11 @@ class IntegratorSettings:
     """Tolerances and guards for the adaptive driver.
 
     max_step_factor caps second-order steps at
-    c * sqrt(eps / (lambda_max * m_ref + eps)), a fixed fraction of the
-    fastest oscillation period at launch; m_ref is the stiffness
-    coefficient evaluated at the initial datum.
+    c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of the
+    fastest oscillation period; m is the stiffness coefficient
+    m(|A^(1/2)u|^2) of the latest accepted state (of the initial datum
+    for the first step), so the cap loosens as the solution decays and
+    tightens as it grows.
     """
 
     rel_tol: float = 1e-10
@@ -90,6 +95,24 @@ class IntegratorSettings:
                 raise ConfigurationError(f"settings.{name} must be positive")
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Work done by one run of the adaptive driver.
+
+    Each accepted step is counted once under the bound that set its
+    size: the step cap, the error control, or the clamp onto the next
+    output time, so ``accepted == cap_limited + error_limited +
+    clamp_limited``.
+    """
+
+    rhs_evals: int
+    accepted: int
+    rejected: int
+    cap_limited: int
+    error_limited: int
+    clamp_limited: int
+
+
 @dataclass
 class Trajectory:
     """Sampled solution of one run.
@@ -98,7 +121,8 @@ class Trajectory:
     ``uprime`` are (len(times), N) coefficient arrays. If the run did
     not complete, ``times`` ends at ``t_stop`` before the grid end.
     ``alpha`` is populated only by the reparametrized first-order
-    solver and is nondecreasing with alpha(0) = 0.
+    solver and is nondecreasing with alpha(0) = 0. ``stats`` describes
+    the driver run that produced the samples.
     """
 
     spectrum: Spectrum
@@ -108,6 +132,7 @@ class Trajectory:
     status: str
     t_stop: float | None = None
     alpha: np.ndarray | None = None
+    stats: SolverStats | None = None
 
 
 @dataclass
@@ -184,11 +209,19 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, h_max):
     return h if math.isfinite(h) and h > 0.0 else min(1e-6, h_max)
 
 
-def _integrate(rhs, y0, out_times, rel_tol, abs_tol, h_max, blowup_threshold=None):
+def _integrate(
+    rhs, y0, out_times, rel_tol, abs_tol, step_cap=lambda: math.inf, blowup_threshold=None
+):
     """Advance y' = rhs(t, y) through every time in ``out_times``.
 
-    Returns (times, samples, status, t_stop). On failure the returned
-    lists end with the state at the stopping time.
+    ``step_cap()`` is the largest step allowed from the state of the
+    latest ``rhs`` call. It is read once at launch and again after each
+    accepted step, whose last ``rhs`` call (the FSAL stage) is at the
+    new state, so a cap built from values the right-hand side already
+    computes costs no extra evaluation.
+
+    Returns (times, samples, status, t_stop, stats). On failure the
+    returned lists end with the state at the stopping time.
     """
     t = float(out_times[0])
     y = np.array(y0, dtype=float)
@@ -197,14 +230,19 @@ def _integrate(rhs, y0, out_times, rel_tol, abs_tol, h_max, blowup_threshold=Non
     samples = [y.copy()]
     k = np.empty((7, n))
     k[0] = rhs(t, y)
-    h = _initial_step(rhs, t, y, k[0], rel_tol, abs_tol, h_max)
+    cap = step_cap()
+    h = _initial_step(rhs, t, y, k[0], rel_tol, abs_tol, cap)
 
     status = COMPLETED
     t_stop = None
+    rejected = 0
+    limited = {"cap": 0, "error": 0, "clamp": 0}
     i_out = 1
     while i_out < len(out_times):
         t_target = float(out_times[i_out])
-        h = min(h, h_max)
+        capped = h >= cap
+        if capped:
+            h = cap
         if math.isnan(h) or h < _UNDERFLOW_FACTOR * (1.0 + abs(t)):
             status, t_stop = STEP_UNDERFLOW, t
             break
@@ -220,6 +258,7 @@ def _integrate(rhs, y0, out_times, rel_tol, abs_tol, h_max, blowup_threshold=Non
         err = _rms(err_vec / sc)
 
         if err <= 1.0:
+            limited["clamp" if clamped else "cap" if capped else "error"] += 1
             t = t_target if clamped else t + h_try
             y = y_new
             k[0] = k[6]
@@ -230,20 +269,33 @@ def _integrate(rhs, y0, out_times, rel_tol, abs_tol, h_max, blowup_threshold=Non
             if blowup_threshold is not None and float(y @ y) > blowup_threshold:
                 status, t_stop = BLEW_UP, t
                 break
+            cap = step_cap()
             if clamped:
                 times.append(t)
                 samples.append(y.copy())
                 i_out += 1
-        elif math.isfinite(err):
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
         else:
-            # NaN/inf error estimate (wild state): back off hard.
-            h = h_try * _MIN_FACTOR
+            rejected += 1
+            if math.isfinite(err):
+                h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            else:
+                # NaN/inf error estimate (wild state): back off hard.
+                h = h_try * _MIN_FACTOR
 
     if status != COMPLETED and (not times or times[-1] != t_stop):
         times.append(t_stop)
         samples.append(y.copy())
-    return np.array(times), np.array(samples), status, t_stop
+    accepted = sum(limited.values())
+    stats = SolverStats(
+        # One launch evaluation, one initial-step probe, six per attempt.
+        rhs_evals=2 + 6 * (accepted + rejected),
+        accepted=accepted,
+        rejected=rejected,
+        cap_limited=limited["cap"],
+        error_limited=limited["error"],
+        clamp_limited=limited["clamp"],
+    )
+    return np.array(times), np.array(samples), status, t_stop, stats
 
 
 def solve_hyperbolic(
@@ -269,35 +321,44 @@ def solve_hyperbolic(
     lam = spec.eigenvalues
     n = spec.size
 
-    m_ref = nl.value(sigma_half(lam, u0v))
-    if m_ref == 0.0:
+    m_now = nl.value(sigma_half(lam, u0v))
+    if m_now == 0.0:
         warnings.warn(
             "initial stiffness coefficient vanishes (really degenerate data); "
             "no existence theory applies",
             stacklevel=2,
         )
-    h_max = settings.max_step_factor * math.sqrt(eps / (spec.lambda_max * m_ref + eps))
 
     def rhs(t, y):
+        nonlocal m_now
         u = y[:n]
         w = y[n:]
-        mval = nl.value(sigma_half(lam, u))
+        m_now = nl.value(sigma_half(lam, u))
         out = np.empty(2 * n)
         out[:n] = w
-        out[n:] = -(dis.b(t) * w + mval * (lam * u)) / eps
+        out[n:] = -(dis.b(t) * w + m_now * (lam * u)) / eps
         return out
 
+    # m_now is m at the state of the latest rhs call; _integrate reads the
+    # cap right after the FSAL stage, i.e. at the newly accepted state.
+    factor, lam_max = settings.max_step_factor, spec.lambda_max
+
+    def step_cap():
+        return factor * math.sqrt(eps / (lam_max * m_now + eps))
+
     y0 = np.concatenate([u0v, u1v])
-    times, samples, status, t_stop = _integrate(
+    times, samples, status, t_stop, stats = _integrate(
         rhs,
         y0,
         settings.grid.times(),
         settings.rel_tol,
         settings.abs_tol,
-        h_max,
+        step_cap,
         blowup_threshold=settings.blowup_threshold,
     )
-    return Trajectory(spec, times, samples[:, :n], samples[:, n:], status, t_stop)
+    return Trajectory(
+        spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
+    )
 
 
 def solve_parabolic_reparam(
@@ -326,13 +387,8 @@ def solve_parabolic_reparam(
     def rhs(t, y):
         return np.array([nl.value(sigma_of_alpha(y[0])) / dis.b(t)])
 
-    times, samples, status, t_stop = _integrate(
-        rhs,
-        np.array([0.0]),
-        settings.grid.times(),
-        settings.rel_tol,
-        settings.abs_tol,
-        math.inf,
+    times, samples, status, t_stop, stats = _integrate(
+        rhs, np.array([0.0]), settings.grid.times(), settings.rel_tol, settings.abs_tol
     )
     alpha = samples[:, 0]
     u = u0v[None, :] * np.exp(-np.outer(alpha, lam))
@@ -340,7 +396,7 @@ def solve_parabolic_reparam(
         [nl.value(sigma_of_alpha(a)) / dis.b(t) for a, t in zip(alpha, times)]
     )
     uprime = -aprime[:, None] * lam[None, :] * u
-    return Trajectory(spec, times, u, uprime, status, t_stop, alpha=alpha)
+    return Trajectory(spec, times, u, uprime, status, t_stop, alpha=alpha, stats=stats)
 
 
 def solve_parabolic_direct(
@@ -362,16 +418,11 @@ def solve_parabolic_direct(
         mval = nl.value(sigma_half(lam, y))
         return -(mval / dis.b(t)) * (lam * y)
 
-    times, samples, status, t_stop = _integrate(
-        rhs,
-        u0v,
-        settings.grid.times(),
-        settings.rel_tol,
-        settings.abs_tol,
-        math.inf,
+    times, samples, status, t_stop, stats = _integrate(
+        rhs, u0v, settings.grid.times(), settings.rel_tol, settings.abs_tol
     )
     uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])
-    return Trajectory(spec, times, samples, uprime, status, t_stop)
+    return Trajectory(spec, times, samples, uprime, status, t_stop, stats=stats)
 
 
 def corrector(
@@ -428,8 +479,13 @@ def residual_norm(
     Time derivatives are formed with centered three-point divided
     differences on the (generally nonuniform) sample grid; eps = 0
     selects the first-order equation. The defect at each interior
-    sample is divided by 1 + |u| + |u'|. A sanity gate: expect at most
-    about 1e-4 on default log grids when the grid resolves the run.
+    sample is divided by 1 + |u| + |u'|.
+
+    The figure measures how well the sample grid resolves the run, not
+    the solver defect: on log grids it is dominated by the error of the
+    divided differences. On the hyperbolic-decay benchmark plans (N=8,
+    lambda_k=k^2, m(s)=s, 801 log samples to t=100) it reads 0.0137 at
+    eps=1e-1 and 0.0442 at eps=1e-2 for solutions accurate to 1e-12.
     """
     ts = traj.times
     if ts.size < 3:

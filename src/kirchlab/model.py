@@ -22,6 +22,9 @@ import numpy as np
 from .spectral import (
     ConfigurationError,
     Spectrum,
+    _as_list,
+    _as_number,
+    _as_numbers,
     _reject_unknown,
     apply_A,
     as_modal,
@@ -88,11 +91,11 @@ class LipschitzTable:
     The grid starts at sigma = 0, is strictly increasing, and the table
     extends constantly past the last breakpoint so m stays bounded and
     Lipschitz on the whole half line. ``mu`` is the certified lower
-    bound inf m; it defaults to the smallest tabulated value.
+    bound inf m; ``None`` selects the smallest tabulated value.
     """
 
     points: tuple
-    mu: float = -1.0  # sentinel: resolved to min(m) in __post_init__
+    mu: float | None = None
 
     def __post_init__(self):
         pts = tuple((float(s), float(m)) for s, m in self.points)
@@ -106,8 +109,8 @@ class LipschitzTable:
             raise ConfigurationError("table grid must be strictly increasing")
         if any(m < 0.0 or not math.isfinite(m) for m in values):
             raise ConfigurationError("table values must be finite and nonnegative")
-        mu = min(values) if self.mu == -1.0 else float(self.mu)
-        if mu < 0.0 or any(m < mu for m in values):
+        mu = min(values) if self.mu is None else float(self.mu)
+        if not mu >= 0.0 or any(m < mu for m in values):
             raise ConfigurationError("table values must dominate mu >= 0")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "mu", mu)
@@ -261,15 +264,16 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         _reject_unknown(cfg, {"kind", "gamma"}, "m")
         if "gamma" not in cfg:
             raise ConfigurationError("m.gamma is required")
-        return PowerNonlinearity(float(cfg["gamma"]))
+        return PowerNonlinearity(_as_number(cfg["gamma"], "m.gamma"))
     if kind == "table":
         _reject_unknown(cfg, {"kind", "points", "mu"}, "m")
         if "points" not in cfg:
             raise ConfigurationError("m.points is required")
-        pts = tuple((float(s), float(m)) for s, m in cfg["points"])
-        if "mu" in cfg:
-            return LipschitzTable(pts, float(cfg["mu"]))
-        return LipschitzTable(pts)
+        pts = tuple(
+            _as_numbers(pt, f"m.points[{i}]", 2)
+            for i, pt in enumerate(_as_list(cfg["points"], "m.points"))
+        )
+        return LipschitzTable(pts, _as_number(cfg["mu"], "m.mu") if "mu" in cfg else None)
     raise ConfigurationError(f"m.kind must be 'power' or 'table', got {kind!r}")
 
 
@@ -283,10 +287,10 @@ def dissipation_from_config(cfg: dict) -> Dissipation:
         _reject_unknown(cfg, {"kind", "p"}, "b")
         if "p" not in cfg:
             raise ConfigurationError("b.p is required")
-        return PowerLawDissipation(float(cfg["p"]))
+        return PowerLawDissipation(_as_number(cfg["p"], "b.p"))
     if kind == "constant":
         _reject_unknown(cfg, {"kind", "delta"}, "b")
         if "delta" not in cfg:
             raise ConfigurationError("b.delta is required")
-        return ConstantDissipation(float(cfg["delta"]))
+        return ConstantDissipation(_as_number(cfg["delta"], "b.delta"))
     raise ConfigurationError(f"b.kind must be 'power' or 'constant', got {kind!r}")

@@ -65,8 +65,14 @@ class Spectrum:
 
 def as_modal(spec: Spectrum, x, name: str = "vector") -> np.ndarray:
     """Validate and return ``x`` as a modal coefficient vector of ``spec``."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size != spec.size:
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} must be a flat list of numbers")
+    arr = arr.astype(float, copy=False)
+    if arr.size != spec.size:
         raise ConfigurationError(
             f"{name} has length {arr.size}, spectrum has {spec.size} modes"
         )
@@ -128,15 +134,15 @@ def spectrum_from_config(cfg: dict) -> Spectrum:
         _reject_unknown(cfg, {"kind", "values"}, "spectrum")
         if "values" not in cfg:
             raise ConfigurationError("spectrum.values is required")
-        return Spectrum(np.asarray(cfg["values"], dtype=float))
+        return Spectrum(np.array(_as_numbers(cfg["values"], "spectrum.values")))
     if kind == "power":
         _reject_unknown(cfg, {"kind", "a", "q", "n"}, "spectrum")
-        try:
-            a = float(cfg["a"])
-            q = float(cfg["q"])
-            n = int(cfg["n"])
-        except KeyError as exc:
-            raise ConfigurationError(f"spectrum.{exc.args[0]} is required") from None
+        missing = sorted({"a", "q", "n"} - set(cfg))
+        if missing:
+            raise ConfigurationError(f"spectrum.{missing[0]} is required")
+        a = _as_number(cfg["a"], "spectrum.a")
+        q = _as_number(cfg["q"], "spectrum.q")
+        n = _as_integer(cfg["n"], "spectrum.n")
         if n < 1:
             raise ConfigurationError("spectrum.n must be at least 1")
         if a < 0.0:
@@ -147,6 +153,47 @@ def spectrum_from_config(cfg: dict) -> Spectrum:
 
 
 def _reject_unknown(cfg: dict, allowed: set, context: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{context} must be a mapping")
     extra = sorted(set(cfg) - allowed)
     if extra:
         raise ConfigurationError(f"unknown key {extra[0]!r} in {context}")
+
+
+# Plan field readers. JSON gives numbers as int or float; strings,
+# booleans, null and containers where a number belongs are errors that
+# name the field, never a silent conversion.
+
+def _as_number(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def _as_integer(value, name: str) -> int:
+    x = _as_number(value, name)
+    if not x.is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _as_flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _as_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list")
+    return list(value)
+
+
+def _as_numbers(value, name: str, length: int | None = None) -> tuple:
+    items = _as_list(value, name)
+    if length is not None and len(items) != length:
+        raise ConfigurationError(f"{name} must hold exactly {length} numbers")
+    return tuple(_as_number(v, f"{name}[{i}]") for i, v in enumerate(items))

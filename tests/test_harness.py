@@ -29,16 +29,40 @@ def sweep_config(eps_list):
     return cfg
 
 
+def grid_config(**grid):
+    return simulate_config(settings={"grid": {"kind": "log", "count": 201, "t_end": 5.0, **grid}})
+
+
 # Plans that are well formed JSON but carry data no solver can run:
-# (CLI subcommand, plan). Each must fail in load_config, before solving.
+# (CLI subcommand, plan, field the error must name). Each must fail in
+# load_config, before solving.
 INVALID_PLANS = {
-    "nan_u0": ("simulate", simulate_config(u0=[math.nan, 0.5])),
-    "infinite_u1": ("simulate", simulate_config(u1=[math.inf, 0.0])),
-    "eps_zero": ("simulate", simulate_config(eps=0.0)),
-    "eps_negative": ("simulate", simulate_config(eps=-1.0)),
-    "corrector_eps_nan": ("corrector", simulate_config(kind="corrector", eps=math.nan)),
-    "verify_eps_zero": ("verify", simulate_config(kind="verify", eps=0.0)),
-    "eps_list_nan": ("sweep", sweep_config([math.nan, 1e-2, 1e-3])),
+    "nan_u0": ("simulate", simulate_config(u0=[math.nan, 0.5]), "u0"),
+    "infinite_u1": ("simulate", simulate_config(u1=[math.inf, 0.0]), "u1"),
+    "eps_zero": ("simulate", simulate_config(eps=0.0), "eps"),
+    "eps_negative": ("simulate", simulate_config(eps=-1.0), "eps"),
+    "corrector_eps_nan": ("corrector", simulate_config(kind="corrector", eps=math.nan), "eps"),
+    "verify_eps_zero": ("verify", simulate_config(kind="verify", eps=0.0), "eps"),
+    "eps_list_nan": ("sweep", sweep_config([math.nan, 1e-2, 1e-3]), "eps_list"),
+    # Values of the wrong type are named errors, not tracebacks.
+    "eps_string": ("simulate", simulate_config(eps="abc"), "config.eps"),
+    "eps_null": ("simulate", simulate_config(eps=None), "config.eps"),
+    "u0_non_numeric": ("simulate", simulate_config(u0=["a", 1]), "u0"),
+    "u0_nested": ("simulate", simulate_config(u0=[[1.0], [0.5]]), "u0 must be a flat list"),
+    "jobs_string": ("simulate", simulate_config(jobs="x"), "config.jobs"),
+    "gamma_string": ("simulate", simulate_config(m={"kind": "power", "gamma": "2"}), "m.gamma"),
+    "eps_list_not_list": ("sweep", sweep_config(0.1), "config.eps_list"),
+    "coercive_string": (
+        "simulate", simulate_config(analysis={"coercive": "false"}), "analysis.coercive"
+    ),
+    # No silent coercion: fractional counts and a negative mu.
+    "count_fractional": ("simulate", grid_config(count=2.7), "settings.grid.count"),
+    "jobs_fractional": ("simulate", simulate_config(jobs=2.5), "config.jobs"),
+    "mu_negative": (
+        "simulate",
+        simulate_config(m={"kind": "table", "points": [[0.0, 1.0]], "mu": -1}),
+        "mu",
+    ),
 }
 
 
@@ -84,8 +108,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("name", sorted(INVALID_PLANS))
     def test_invalid_data_rejected(self, name):
-        _, cfg = INVALID_PLANS[name]
-        with pytest.raises(ConfigurationError, match="u0|u1|eps"):
+        _, cfg, field = INVALID_PLANS[name]
+        with pytest.raises(ConfigurationError, match=field):
             load_config(json.dumps(cfg))
 
     def test_not_json(self):
@@ -139,6 +163,17 @@ class TestRunPlan:
         assert report["verdict"] == "pass"
         assert report["max_deviation"] <= 1e-6
 
+    def test_solver_stats_in_manifest(self, tmp_path):
+        bundle = run_plan(load_config(json.dumps(simulate_config())), tmp_path)
+        manifest = json.loads((bundle.directory / "manifest.json").read_text())
+        assert set(manifest["solver_stats"]) == set(manifest["solver_status"]) == {"hyperbolic"}
+        stats = manifest["solver_stats"]["hyperbolic"]
+        assert stats["accepted"] == (
+            stats["cap_limited"] + stats["error_limited"] + stats["clamp_limited"]
+        )
+        assert stats["clamp_limited"] == 200  # one per output sample after t = 0
+        assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+
     def test_verify_plan(self, tmp_path):
         cfg = {
             "kind": "verify",
@@ -169,6 +204,8 @@ class TestRunPlan:
         serial = run_plan(plan, tmp_path / "serial", jobs=1)
         parallel = run_plan(plan, tmp_path / "parallel", jobs=2)
         assert serial.manifest["files"] == parallel.manifest["files"]
+        assert serial.manifest["solver_stats"] == parallel.manifest["solver_stats"]
+        assert set(serial.manifest["solver_stats"]) == {"hyperbolic_0", "hyperbolic_1", "parabolic"}
 
     def test_regime_grid_plan(self, tmp_path):
         cfg = {
@@ -281,7 +318,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name", sorted(INVALID_PLANS))
     def test_invalid_data_exit_3_without_bundle(self, tmp_path, capsys, name):
-        command, cfg = INVALID_PLANS[name]
+        command, cfg, _ = INVALID_PLANS[name]
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "runs"

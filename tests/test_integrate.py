@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import kirchlab as kl
 from kirchlab import (
@@ -153,6 +154,94 @@ class TestHyperbolic:
         a = solve_hyperbolic(*kwargs, 1e-2, [1.0, 0.5], [0.0, 0.1], settings(t_end=10.0))
         b = solve_hyperbolic(*kwargs, 1e-2, [1.0, 0.5], [0.0, 0.1], settings(t_end=10.0))
         assert np.array_equal(a.u, b.u) and np.array_equal(a.uprime, b.uprime)
+
+
+def dop853_reference(spec, nl, dis, eps, u0, u1, times):
+    """Independent tight reference: scipy's DOP853 on the same system,
+    as a (samples, 2N) array of (u, u') at ``times``."""
+    lam = spec.eigenvalues
+    n = spec.size
+
+    def f(t, y):
+        u, w = y[:n], y[n:]
+        m = nl.value(math.fsum(lam * u * u))
+        return np.concatenate([w, -(dis.b(t) * w + m * lam * u) / eps])
+
+    sol = solve_ivp(
+        f, (0.0, times[-1]), np.concatenate([u0, u1]), method="DOP853",
+        rtol=1e-12, atol=1e-14, t_eval=times,
+    )
+    assert sol.success
+    return sol.y.T
+
+
+class CountingNonlinearity:
+    """Delegates to a nonlinearity and counts the m evaluations."""
+
+    def __init__(self, nl):
+        self.nl = nl
+        self.calls = 0
+
+    def value(self, sigma):
+        self.calls += 1
+        return self.nl.value(sigma)
+
+
+class TestStepCap:
+    """The cap follows m at the current state: a fixed fraction of the
+    fastest oscillation period, which shortens as |A^(1/2)u|^2 grows and
+    lengthens as it decays."""
+
+    N = 64
+    LAM = np.arange(1, N + 1, dtype=float) ** 2
+
+    def run_against_reference(self, u0, u1, t_end):
+        spec = Spectrum(self.LAM)
+        nl = PowerNonlinearity(1.0)
+        dis = PowerLawDissipation(0.5)
+        traj = solve_hyperbolic(spec, nl, dis, 1e-2, u0, u1, settings(count=201, t_end=t_end))
+        assert traj.status == COMPLETED
+        ref = dop853_reference(spec, nl, dis, 1e-2, u0, u1, traj.times)
+        dev = np.abs(np.hstack([traj.u, traj.uprime]) - ref)
+        assert np.max(dev) <= 1e-8 * math.sqrt(u0 @ u0 + u1 @ u1)
+        return traj, ref
+
+    def test_barely_excited_top_mode_resolved(self):
+        # Energy in mode 1; the top mode (period ~ 1e-2) carries 1e-8.
+        u0 = np.zeros(self.N)
+        u0[0], u0[-1] = 1.0, 1e-8
+        traj, ref = self.run_against_reference(u0, np.zeros(self.N), 1.0)
+        assert np.max(np.abs(traj.u[:, -1] - ref[:, self.N - 1])) <= 1e-4 * 1e-8
+
+    def test_cap_tightens_as_sigma_grows(self):
+        # Near-zero launch data give a launch cap of about max_step_factor
+        # whatever lambda_max is; the velocity then drives sigma up by
+        # more than ten orders of magnitude and the cap must follow.
+        u0 = np.full(self.N, 1e-8)
+        u1 = np.zeros(self.N)
+        u1[0] = 300.0
+        traj, _ = self.run_against_reference(u0, u1, 1.0)
+        sigma = traj.u**2 @ self.LAM
+        assert sigma[0] < 1e-10 and sigma.max() > 1.0
+        assert traj.stats.cap_limited > traj.stats.accepted / 2
+
+    def test_decay_run_not_cap_dominated(self):
+        # The hyperbolic-decay benchmark shape: m = s, b = (1+t)^-1/2.
+        spec = Spectrum(np.arange(1, 9, dtype=float) ** 2)
+        nl = CountingNonlinearity(PowerNonlinearity(1.0))
+        u0 = 1.0 / np.arange(1, 9) ** 2
+        u1 = 0.5 * np.ones(8) / math.sqrt(8.0)
+        traj = solve_hyperbolic(
+            spec, nl, PowerLawDissipation(0.5), 1e-1, u0, u1, settings(count=801)
+        )
+        stats = traj.stats
+        assert traj.status == COMPLETED
+        assert stats.accepted == stats.cap_limited + stats.error_limited + stats.clamp_limited
+        assert stats.clamp_limited == 800
+        assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+        # The cap adds no m evaluation: one launch value, one per rhs call.
+        assert nl.calls == 1 + stats.rhs_evals
+        assert stats.cap_limited < 0.1 * stats.accepted
 
 
 class TestParabolicReparam:

@@ -223,3 +223,37 @@ def test_config_parsers():
         nonlinearity_from_config({"kind": "power"})
     with pytest.raises(ConfigurationError):
         dissipation_from_config({"kind": "power", "p": 0.5, "q": 1})
+
+
+def test_table_mu_defaults_to_min_and_rejects_negative():
+    assert LipschitzTable(((0.0, 2.0), (1.0, 3.0))).mu == 2.0
+    for mu in (-1.0, -0.5, math.nan):
+        with pytest.raises(ConfigurationError, match="mu"):
+            LipschitzTable(((0.0, 2.0),), mu)
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"kind": "power", "gamma": "2"}, "m.gamma"),
+        ({"kind": "power", "gamma": None}, "m.gamma"),
+        ({"kind": "power", "gamma": True}, "m.gamma"),
+        ({"kind": "table", "points": [[0.0, "a"]]}, r"m.points\[0\]\[1\]"),
+        ({"kind": "table", "points": [[0.0, 1.0, 2.0]]}, r"m.points\[0\]"),
+        ({"kind": "table", "points": 1.0}, "m.points"),
+        ({"kind": "table", "points": [[0.0, 1.0]], "mu": "1"}, "m.mu"),
+        ({"kind": "table", "points": [[0.0, 1.0]], "mu": -1}, "mu"),
+    ],
+)
+def test_nonlinearity_config_bad_values_named(cfg, field):
+    with pytest.raises(ConfigurationError, match=field):
+        nonlinearity_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [({"kind": "power", "p": "0.5"}, "b.p"), ({"kind": "constant", "delta": [1.0]}, "b.delta")],
+)
+def test_dissipation_config_bad_values_named(cfg, field):
+    with pytest.raises(ConfigurationError, match=field):
+        dissipation_from_config(cfg)

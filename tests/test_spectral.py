@@ -13,7 +13,7 @@ from kirchlab import (
     sobolev_norm_sq,
     spectrum_from_config,
 )
-from kirchlab.spectral import modal_sums
+from kirchlab.spectral import as_modal, modal_sums
 
 
 def test_norm_single_mode():
@@ -59,6 +59,12 @@ def test_length_mismatch_rejected():
         sobolev_norm_sq(Spectrum([1.0, 2.0]), [1.0], 0.5)
     with pytest.raises(ConfigurationError):
         apply_A(Spectrum([1.0]), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("x", [[[1.0], [0.5]], ["a", 1.0], [1.0, None], [1.0, [2.0]], 3.0])
+def test_non_vector_rejected_as_flat_list(x):
+    with pytest.raises(ConfigurationError, match="u0 must be a flat list of numbers"):
+        as_modal(Spectrum([1.0, 2.0]), x, "u0")
 
 
 def test_negative_order_rejected():
@@ -131,3 +137,18 @@ def test_config_power_rule():
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigurationError, match="extra"):
         spectrum_from_config({"kind": "explicit", "values": [1], "extra": 1})
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"kind": "power", "a": 1.0, "q": 1.0, "n": 2.5}, "spectrum.n"),
+        ({"kind": "power", "a": "1", "q": 1.0, "n": 2}, "spectrum.a"),
+        ({"kind": "power", "a": 1.0, "n": 2}, "spectrum.q"),
+        ({"kind": "explicit", "values": [1.0, "x"]}, r"spectrum.values\[1\]"),
+        ({"kind": "explicit", "values": 4.0}, "spectrum.values"),
+    ],
+)
+def test_config_bad_values_named(cfg, field):
+    with pytest.raises(ConfigurationError, match=field):
+        spectrum_from_config(cfg)
