@@ -176,13 +176,24 @@ def _parse_analysis(cfg: dict) -> AnalysisOptions:
     if "ks" in cfg:
         kwargs["ks"] = _as_numbers(cfg["ks"], "analysis.ks")
     if "window" in cfg:
-        lo, hi = _as_numbers(cfg["window"], "analysis.window", 2)
-        if not lo < hi:
-            raise ConfigurationError("analysis.window must satisfy lo < hi")
-        kwargs["window"] = (lo, hi)
+        kwargs["window"] = _as_numbers(cfg["window"], "analysis.window", 2)
     for key in ("tol_exponent", "slope_target", "slope_tol", "ratio_bound"):
         if key in cfg:
             kwargs[key] = _as_number(cfg[key], f"analysis.{key}")
+    for key, value in kwargs.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"analysis.{key} must be finite")
+    if "window" in kwargs:
+        lo, hi = kwargs["window"]
+        if lo < 0.0:
+            raise ConfigurationError("analysis.window must be nonnegative")
+        if not lo < hi:
+            raise ConfigurationError("analysis.window must satisfy lo < hi")
+    for key in ("tol_exponent", "slope_tol"):
+        if kwargs.get(key, 0.0) < 0.0:
+            raise ConfigurationError(f"analysis.{key} must be nonnegative")
+    if kwargs.get("ratio_bound", 1.0) <= 0.0:
+        raise ConfigurationError("analysis.ratio_bound must be positive")
     if "coercive" in cfg:
         kwargs["coercive"] = _as_flag(cfg["coercive"], "analysis.coercive")
     return AnalysisOptions(**kwargs)
@@ -287,10 +298,21 @@ def _cell(x: float) -> str:
 
 
 def _write_rows(path: Path, header: list, columns: list) -> None:
+    # One template per table; "%.17g" formats a float exactly as _cell
+    # does, so only rows with a NaN need _cell's empty cells. Rows are
+    # converted one at a time: a whole-table list costs far more memory
+    # than the array.
+    table = np.column_stack(columns).astype(float, copy=False)
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    has_nan = np.isnan(table).any(axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+        for row, nan in zip(table, has_nan.tolist()):
+            values = row.tolist()
+            if nan:
+                fh.write(",".join(_cell(x) for x in values) + "\n")
+            else:
+                fh.write(template % tuple(values))
 
 
 def write_trajectory_csv(path: Path, traj: ig.Trajectory) -> None:

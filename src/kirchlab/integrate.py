@@ -1,13 +1,24 @@
 """Time integration for the second-order problem, its first-order limit,
 and the boundary-layer corrector.
 
-All solvers share one adaptive embedded Dormand-Prince 5(4) driver. The
-driver is deliberately self-contained: steps are clamped so that every
-requested output time is hit exactly (samples are integration nodes, not
-interpolants), second-order steps are capped at a fixed fraction of the
-fastest oscillation period of the current state, and identical inputs
-give bit-identical outputs. Every run reports how much work it took and
-which bound set the size of each accepted step (``SolverStats``).
+Two steppers serve the solvers, and identical inputs give bit-identical
+outputs on both. Every run reports which stepper it used, how much work
+it took and, for DP5, which bound set the size of each accepted step
+(``SolverStats``).
+
+- An adaptive embedded Dormand-Prince 5(4) driver, self-contained, for
+  every first-order solve and for every second-order run that is not
+  stiff. Steps are clamped so that every requested output time is hit
+  exactly: DP5 samples are integration nodes, not interpolants.
+  Second-order steps are capped at a fixed fraction of the fastest
+  oscillation period of the current state.
+- scipy's Radau IIA of order 5 (Hairer-Wanner, Solving ODEs II, IV.8)
+  with an analytic Jacobian, for overdamped second-order runs whose
+  explicit steps would be stability-bound (small eps). Steps follow
+  error control alone and are not clamped to the grid: each output time
+  inside a step is read from that step's collocation polynomial (dense
+  output), so stiff samples are collocation interpolants; an output
+  time that is also a step end takes the state itself.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import Radau, quad
 
 from .model import ConstantDissipation, Dissipation, Nonlinearity, compute_w0
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums
@@ -72,14 +83,14 @@ class OutputGrid:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and guards for the adaptive driver.
+    """Tolerances and guards for both steppers.
 
-    max_step_factor caps second-order steps at
-    c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of the
-    fastest oscillation period; m is the stiffness coefficient
+    max_step_factor applies to the DP5 driver only: it caps second-order
+    steps at c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of
+    the fastest oscillation period; m is the stiffness coefficient
     m(|A^(1/2)u|^2) of the latest accepted state (of the initial datum
     for the first step), so the cap loosens as the solution decays and
-    tightens as it grows.
+    tightens as it grows. Radau steps are not capped.
     """
 
     rel_tol: float = 1e-10
@@ -97,20 +108,28 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Work done by one run of the adaptive driver.
+    """Work done by one run of a stepper.
 
-    Each accepted step is counted once under the bound that set its
-    size: the step cap, the error control, or the clamp onto the next
-    output time, so ``accepted == cap_limited + error_limited +
-    clamp_limited``.
+    ``method`` is ``"dp5"`` or ``"radau"``. Both count right-hand side
+    evaluations and accepted steps. DP5 also counts rejected steps and
+    files each accepted step under the bound that set its size: the
+    step cap, the error control, or the clamp onto the next output
+    time, so ``accepted == cap_limited + error_limited +
+    clamp_limited``. Radau counts its Jacobian evaluations and the LU
+    factorisations of its Newton matrices; scipy's stepper does not
+    report rejected steps, so the four DP5 step counts are ``None``
+    there, and DP5 evaluates no Jacobian.
     """
 
+    method: str
     rhs_evals: int
     accepted: int
-    rejected: int
-    cap_limited: int
-    error_limited: int
-    clamp_limited: int
+    rejected: int | None
+    cap_limited: int | None
+    error_limited: int | None
+    clamp_limited: int | None
+    jac_evals: int = 0
+    lu_decompositions: int = 0
 
 
 @dataclass
@@ -122,7 +141,7 @@ class Trajectory:
     not complete, ``times`` ends at ``t_stop`` before the grid end.
     ``alpha`` is populated only by the reparametrized first-order
     solver and is nondecreasing with alpha(0) = 0. ``stats`` describes
-    the driver run that produced the samples.
+    the stepper run that produced the samples.
     """
 
     spectrum: Spectrum
@@ -287,6 +306,7 @@ def _integrate(
         samples.append(y.copy())
     accepted = sum(limited.values())
     stats = SolverStats(
+        method="dp5",
         # One launch evaluation, one initial-step probe, six per attempt.
         rhs_evals=2 + 6 * (accepted + rejected),
         accepted=accepted,
@@ -296,6 +316,83 @@ def _integrate(
         clamp_limited=limited["clamp"],
     )
     return np.array(times), np.array(samples), status, t_stop, stats
+
+
+def _integrate_radau(rhs, jac, y0, out_times, rel_tol, abs_tol, blowup_threshold):
+    """Advance y' = rhs(t, y) through every time in ``out_times`` with
+    scipy's Radau IIA, Jacobian ``jac(t, y)``.
+
+    Steps follow error control alone. Output times inside an accepted
+    step are read from its dense output; one that is the step end takes
+    the state. Returns what ``_integrate`` returns; a solver failure is
+    a ``STEP_UNDERFLOW`` status, not an exception.
+    """
+    solver = Radau(
+        rhs, float(out_times[0]), y0, float(out_times[-1]),
+        rtol=rel_tol, atol=abs_tol, jac=jac,
+    )
+    samples = np.empty((out_times.size, y0.size))
+    samples[0] = y0
+    status = COMPLETED
+    t_stop = None
+    accepted = 0
+    i_out = 1
+    while i_out < out_times.size:
+        solver.step()
+        if solver.status == "failed":
+            status, t_stop = STEP_UNDERFLOW, solver.t
+            break
+        accepted += 1
+        t, y = solver.t, solver.y
+        if float(y @ y) > blowup_threshold:
+            status, t_stop = BLEW_UP, t
+            break
+        j = int(np.searchsorted(out_times, t, side="right"))
+        if j > i_out:
+            samples[i_out:j] = solver.dense_output()(out_times[i_out:j]).T
+            if out_times[j - 1] == t:
+                samples[j - 1] = y
+            i_out = j
+
+    times = out_times[:i_out]
+    samples = samples[:i_out]
+    if status != COMPLETED and times[-1] != t_stop:
+        times = np.append(times, t_stop)
+        samples = np.vstack([samples, solver.y])
+    stats = SolverStats(
+        method="radau",
+        rhs_evals=solver.nfev,
+        accepted=accepted,
+        rejected=None,
+        cap_limited=None,
+        error_limited=None,
+        clamp_limited=None,
+        jac_evals=solver.njev,
+        lu_decompositions=solver.nlu,
+    )
+    return times, samples, status, t_stop, stats
+
+
+# A run goes to Radau when explicit DP5 would need more stability-bound
+# steps than this. DP5's stable step under damping b/eps is a few eps/b,
+# so B(t_end)/eps (B the primitive of b) counts its steps up to a
+# constant. Radau takes ~10^4 rhs evaluations whatever eps is; below
+# this count DP5 is cheaper and stays the oracle.
+_STIFF_STEPS = 2000.0
+
+
+def _stepper(eps: float, lam_max: float, m0: float, dis: Dissipation, t_end: float) -> str:
+    """``"radau"`` for a stiff second-order run, else ``"dp5"``.
+
+    Stiff means overdamped at the horizon, b(t_end)^2 >= 4 eps
+    lambda_max m0 with m0 the launch stiffness coefficient (every mode
+    then relaxes without oscillating, so explicit steps are limited by
+    stability, not accuracy), and more than ``_STIFF_STEPS`` such
+    steps, B(t_end)/eps. A pure function of the plan's data.
+    """
+    b_end = dis.b(t_end)
+    overdamped = b_end * b_end >= 4.0 * eps * lam_max * m0
+    return "radau" if overdamped and dis.primitive(t_end) / eps > _STIFF_STEPS else "dp5"
 
 
 def solve_hyperbolic(
@@ -309,10 +406,12 @@ def solve_hyperbolic(
 ) -> Trajectory:
     """Integrate eps u'' + b(t) u' + m(|A^(1/2)u|^2) A u = 0.
 
-    The state is the first-order pair (u, u'). Blow-up (squared state
-    norm above the threshold) and step underflow are reported through
-    the trajectory status, not raised. Coefficients whose initial data
-    vanish stay exactly zero because the right-hand side is diagonal.
+    The state is the first-order pair (u, u'). Stiff runs (see
+    ``_stepper``) use Radau IIA, all others the DP5 driver. Blow-up
+    (squared state norm above the threshold) and step underflow are
+    reported through the trajectory status, not raised. Coefficients
+    whose initial data vanish stay exactly zero: the right-hand side is
+    diagonal, and the Radau Jacobian couples such a mode to no other.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigurationError("eps must be positive")
@@ -346,16 +445,43 @@ def solve_hyperbolic(
     def step_cap():
         return factor * math.sqrt(eps / (lam_max * m_now + eps))
 
+    eye = np.eye(n)
+
+    def jac(t, y):
+        # [[0, I], [-(m Lambda + m'(sigma) (Lambda u)(2 Lambda u)^T) / eps,
+        # -(b/eps) I]]. The rank-one m' term keeps Newton converging when
+        # m varies; it is left out only where m' is infinite (the
+        # gamma < 1 kink at sigma = 0).
+        u = y[:n]
+        sigma = sigma_half(lam, u)
+        out = np.zeros((2 * n, 2 * n))
+        out[:n, n:] = eye
+        out[n:, n:] = (-dis.b(t) / eps) * eye
+        block = np.diag((-nl.value(sigma) / eps) * lam)
+        dm = nl.derivative(sigma)
+        if math.isfinite(dm):
+            lam_u = lam * u
+            block -= (2.0 * dm / eps) * np.outer(lam_u, lam_u)
+        out[n:, :n] = block
+        return out
+
     y0 = np.concatenate([u0v, u1v])
-    times, samples, status, t_stop, stats = _integrate(
-        rhs,
-        y0,
-        settings.grid.times(),
-        settings.rel_tol,
-        settings.abs_tol,
-        step_cap,
-        blowup_threshold=settings.blowup_threshold,
-    )
+    out_times = settings.grid.times()
+    if _stepper(eps, lam_max, m_now, dis, settings.grid.t_end) == "radau":
+        times, samples, status, t_stop, stats = _integrate_radau(
+            rhs, jac, y0, out_times, settings.rel_tol, settings.abs_tol,
+            settings.blowup_threshold,
+        )
+    else:
+        times, samples, status, t_stop, stats = _integrate(
+            rhs,
+            y0,
+            out_times,
+            settings.rel_tol,
+            settings.abs_tol,
+            step_cap,
+            blowup_threshold=settings.blowup_threshold,
+        )
     return Trajectory(
         spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
     )

@@ -320,6 +320,49 @@ def test_criterion_6_weighted_decay_error_bounded(book):
     )
 
 
+_DECADES_EPS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+
+
+@pytest.mark.parametrize(
+    "shape, radau_from",
+    [
+        # Criterion 5: b = 1, t_end 1, so B(t_end)/eps = 1/eps; eps 1e-3
+        # (1000 stability-bound DP5 steps) stays below the stiff threshold.
+        ({"m": {"kind": "power", "gamma": 1.0}, "b": {"kind": "power", "p": 0.0},
+          "settings": {"grid": _grid(401, 1.0)}}, 1e-4),
+        # Criterion 6: B(10)/eps = 4.63/eps.
+        ({"m": {"kind": "table", "points": [[0.0, 1.0]], "mu": 1.0},
+          "b": {"kind": "power", "p": 0.5}, "settings": {"grid": _grid(401, 10.0)}}, 1e-3),
+    ],
+    ids=["criterion5_shape", "criterion6_shape"],
+)
+def test_sweep_over_seven_decades(tmp_path, shape, radau_from):
+    # The eps^2 order holds from eps 1e-2 down to 1e-8, which only the
+    # stiff path makes affordable (DP5 would take ~1e8 steps at 1e-8).
+    cfg = {
+        "kind": "sweep_eps",
+        "spectrum": _spectrum([1.0, 4.0]),
+        "eps_list": _DECADES_EPS,
+        "u0": _SWEEP_U0,
+        "u1": _SWEEP_U1,
+        **shape,
+    }
+    bundle = run_plan(load_config(json.dumps(cfg)), tmp_path)
+    report = json.loads((bundle.directory / "sweep_report.json").read_text())
+    assert bundle.exit_code == 0
+    assert set(bundle.manifest["verdicts"].values()) == {"pass"}
+    assert abs(report["slope_rho_sq"] - 2.0) <= 0.3
+    assert abs(report["slope_r_prime_sq"] - 2.0) <= 0.3
+    methods = [bundle.manifest["solver_stats"][f"hyperbolic_{i}"]["method"]
+               for i in range(len(_DECADES_EPS))]
+    assert methods == ["radau" if eps <= radau_from else "dp5" for eps in _DECADES_EPS]
+    for stats in bundle.manifest["solver_stats"].values():
+        if stats["method"] == "radau":
+            assert stats["jac_evals"] > 0 and stats["lu_decompositions"] > 0
+            assert stats["rejected"] is None
+    assert bundle.manifest["solver_stats"]["parabolic"]["method"] == "dp5"
+
+
 def test_criterion_7_regime_map(book):
     cfg = {
         "kind": "regime_grid",

@@ -23,8 +23,8 @@ def simulate_config(**overrides):
     return cfg
 
 
-def sweep_config(eps_list):
-    cfg = simulate_config(kind="sweep_eps", eps_list=eps_list)
+def sweep_config(eps_list, **overrides):
+    cfg = simulate_config(kind="sweep_eps", eps_list=eps_list, **overrides)
     del cfg["eps"]
     return cfg
 
@@ -62,6 +62,44 @@ INVALID_PLANS = {
         "simulate",
         simulate_config(m={"kind": "table", "points": [[0.0, 1.0]], "mu": -1}),
         "mu",
+    ),
+    # Analysis options: finite, and inside the range their use needs.
+    "ks_nan": ("simulate", simulate_config(analysis={"ks": [math.nan]}), "analysis.ks"),
+    "window_infinite": (
+        "verify", simulate_config(kind="verify", analysis={"window": [1.0, math.inf]}),
+        "analysis.window",
+    ),
+    "window_negative": (
+        "verify", simulate_config(kind="verify", analysis={"window": [-5.0, 10.0]}),
+        "analysis.window",
+    ),
+    "tol_exponent_nan": (
+        "verify", simulate_config(kind="verify", analysis={"tol_exponent": math.nan}),
+        "analysis.tol_exponent",
+    ),
+    "tol_exponent_negative": (
+        "verify", simulate_config(kind="verify", analysis={"tol_exponent": -0.1}),
+        "analysis.tol_exponent",
+    ),
+    "slope_target_infinite": (
+        "sweep", sweep_config([1e-2, 1e-3], analysis={"slope_target": -math.inf}),
+        "analysis.slope_target",
+    ),
+    "slope_tol_nan": (
+        "sweep", sweep_config([1e-2, 1e-3], analysis={"slope_tol": math.nan}),
+        "analysis.slope_tol",
+    ),
+    "slope_tol_negative": (
+        "sweep", sweep_config([1e-2, 1e-3], analysis={"slope_tol": -1}),
+        "analysis.slope_tol",
+    ),
+    "ratio_bound_infinite": (
+        "sweep", sweep_config([1e-2, 1e-3], analysis={"ratio_bound": math.inf}),
+        "analysis.ratio_bound",
+    ),
+    "ratio_bound_zero": (
+        "sweep", sweep_config([1e-2, 1e-3], analysis={"ratio_bound": 0}),
+        "analysis.ratio_bound",
     ),
 }
 
@@ -168,6 +206,8 @@ class TestRunPlan:
         manifest = json.loads((bundle.directory / "manifest.json").read_text())
         assert set(manifest["solver_stats"]) == set(manifest["solver_status"]) == {"hyperbolic"}
         stats = manifest["solver_stats"]["hyperbolic"]
+        assert stats["method"] == "dp5"
+        assert stats["jac_evals"] == stats["lu_decompositions"] == 0
         assert stats["accepted"] == (
             stats["cap_limited"] + stats["error_limited"] + stats["clamp_limited"]
         )

@@ -417,3 +417,147 @@ class TestResidual:
         )
         with pytest.raises(ValueError):
             residual_norm(traj, Spectrum([1.0]), PowerNonlinearity(1.0), P0, 1.0)
+
+
+def force_stepper(monkeypatch, method):
+    monkeypatch.setattr(kl.integrate, "_stepper", lambda *args: method)
+
+
+# Stiff-path shapes, all with b = (1+t)^-1/2 and |A^(1/2)u0|^2 = 0.18, so
+# the overdamped condition holds from eps 1e-3 on at t_end 10: the
+# eps-sweep benchmark shape (lambda 1, 4; m = 1) and a nonlinear one
+# (m = s, N = 8, lambda = k^2).
+SWEEP_SHAPE = (
+    Spectrum([1.0, 4.0]), M_ONE, PowerLawDissipation(0.5),
+    np.array([0.3, 0.15]), np.array([0.05, -0.08]),
+)
+_LAM8 = np.arange(1, 9, dtype=float) ** 2
+_U8 = 1.0 / np.arange(1, 9) ** 2
+NONLINEAR_SHAPE = (
+    Spectrum(_LAM8), PowerNonlinearity(1.0), PowerLawDissipation(0.5),
+    _U8 * math.sqrt(0.18 / (_LAM8 @ (_U8 * _U8))), np.full(8, 0.1 / math.sqrt(8.0)),
+)
+# Two modes with m = s: Newton needs the rank-one m' term of the
+# Jacobian here (about 360 LU factorisations with it at eps 1e-5, 7700
+# without).
+KIRCHHOFF2_SHAPE = (
+    Spectrum([1.0, 4.0]), PowerNonlinearity(1.0), PowerLawDissipation(0.5),
+    np.array([0.3, 0.15]), np.array([0.05, -0.08]),
+)
+SHAPES = {"sweep": SWEEP_SHAPE, "nonlinear": NONLINEAR_SHAPE, "kirchhoff2": KIRCHHOFF2_SHAPE}
+
+
+class HoledNonlinearity:
+    """m = 1 for sigma >= 0.05 and NaN below: a right-hand side that
+    turns non-finite once the solution has decayed far enough."""
+
+    mu = 0.0
+
+    def value(self, sigma):
+        return 1.0 if sigma >= 0.05 else math.nan
+
+    def derivative(self, sigma):
+        return 0.0
+
+
+class TestStiffPath:
+    """Radau IIA for overdamped small-eps runs, checked against the DP5
+    driver and scipy's DOP853 at rtol 1e-12."""
+
+    @pytest.mark.parametrize("shape", ["sweep", "nonlinear"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_agrees_with_dp5_and_dop853(self, monkeypatch, shape, eps):
+        spec, nl, dis, u0, u1 = SHAPES[shape]
+        s = settings(count=201, t_end=2.0)
+        force_stepper(monkeypatch, "radau")
+        stiff = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
+        force_stepper(monkeypatch, "dp5")
+        dp5 = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
+        assert stiff.status == dp5.status == COMPLETED
+        assert (stiff.stats.method, dp5.stats.method) == ("radau", "dp5")
+        np.testing.assert_array_equal(stiff.times, dp5.times)
+        ref = dop853_reference(spec, nl, dis, eps, u0, u1, stiff.times)
+        got = np.hstack([stiff.u, stiff.uprime])
+        scale = math.sqrt(u0 @ u0 + u1 @ u1)
+        assert np.max(np.abs(got - np.hstack([dp5.u, dp5.uprime]))) <= 1e-9 * scale
+        assert np.max(np.abs(got - ref)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_cost_independent_of_eps(self, shape, eps):
+        # DP5 would need ~B(10)/eps = 4.6e6 / 4.6e8 stability-bound steps.
+        spec, nl, dis, u0, u1 = SHAPES[shape]
+        traj = solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings(count=401, t_end=10.0))
+        assert traj.status == COMPLETED
+        assert traj.stats.method == "radau"
+        assert traj.stats.rhs_evals < 30000
+        assert traj.stats.lu_decompositions < 2000
+
+    def test_blowup_reported_as_data(self):
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        traj = solve_hyperbolic(
+            spec, nl, dis, 1e-4, u0, u1, settings(t_end=10.0, blowup_threshold=0.01)
+        )
+        assert traj.stats.method == "radau"
+        assert traj.status == BLEW_UP
+        assert traj.t_stop is not None and 0.0 < traj.t_stop < 10.0
+        assert traj.times[-1] == traj.t_stop
+        assert traj.u[-1] @ traj.u[-1] + traj.uprime[-1] @ traj.uprime[-1] > 0.01
+
+    def test_step_underflow_reported(self):
+        spec, _, dis, u0, u1 = SWEEP_SHAPE
+        traj = solve_hyperbolic(
+            spec, HoledNonlinearity(), dis, 1e-4, 2.0 * u0, u1, settings(t_end=10.0)
+        )
+        assert traj.stats.method == "radau"
+        assert traj.status == STEP_UNDERFLOW
+        assert 0.0 < traj.t_stop < 10.0
+        assert traj.times[-1] == traj.t_stop
+        assert np.all(np.diff(traj.times) > 0.0)
+
+    def test_deterministic_outputs(self):
+        spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
+        a = solve_hyperbolic(spec, nl, dis, 1e-5, u0, u1, settings(count=201, t_end=10.0))
+        b = solve_hyperbolic(spec, nl, dis, 1e-5, u0, u1, settings(count=201, t_end=10.0))
+        assert a.stats.method == "radau"
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.uprime, b.uprime)
+        assert a.stats == b.stats
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_zero_mode_preserved_exactly(self, gamma):
+        traj = solve_hyperbolic(
+            Spectrum([1.0, 4.0, 9.0]), PowerNonlinearity(gamma), P0, 1e-4,
+            [0.5, 0.0, 0.2], [0.0, 0.0, 0.1], settings(count=101, t_end=5.0),
+        )
+        assert traj.status == COMPLETED and traj.stats.method == "radau"
+        assert np.all(traj.u[:, 1] == 0.0) and np.all(traj.uprime[:, 1] == 0.0)
+
+    def test_hamiltonian_monotone_along_samples(self):
+        spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
+        eps = 1e-4
+        traj = solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings(count=801, t_end=10.0))
+        assert traj.status == COMPLETED and traj.stats.method == "radau"
+        H = np.array(
+            [kl.hamiltonian(spec, nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
+        )
+        assert np.all(H[1:] <= H[:-1] * (1.0 + 10.0 * 1e-10))
+
+    @pytest.mark.parametrize(
+        "lam_max, m0, t_end, eps, method",
+        [
+            # hyperbolic-decay benchmark plans: underdamped, B/eps 181 and 1810.
+            (64.0, 1.0, 100.0, 1e-1, "dp5"),
+            (64.0, 1.0, 100.0, 1e-2, "dp5"),
+            # eps-sweep benchmark members: B/eps 463, 1543, 4633, 15433, 46330.
+            (4.0, 1.0, 10.0, 1e-2, "dp5"),
+            (4.0, 1.0, 10.0, 3e-3, "dp5"),
+            (4.0, 1.0, 10.0, 1e-3, "radau"),
+            (4.0, 1.0, 10.0, 3e-4, "radau"),
+            (4.0, 1.0, 10.0, 1e-4, "radau"),
+            # Underdamped at the horizon although B/eps = 18100: oscillation,
+            # not stability, bounds the explicit steps.
+            (64.0, 1.0, 100.0, 1e-3, "dp5"),
+        ],
+    )
+    def test_selector_routing(self, lam_max, m0, t_end, eps, method):
+        assert kl.integrate._stepper(eps, lam_max, m0, PowerLawDissipation(0.5), t_end) == method
