@@ -159,6 +159,14 @@ def _masked(times, values, window):
     return t[mask], v[mask]
 
 
+def _log_fit(x, v, window) -> RateFit:
+    """Least-squares line through (x, log v) and the rms of its residuals."""
+    y = np.log(v)
+    slope, intercept = np.polyfit(x, y, 1)
+    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return RateFit(float(slope), float(intercept), window, rms)
+
+
 def fit_power_rate(times, values, window) -> RateFit | None:
     """Fit values ~ C (1+t)^beta over the window; exponent is beta.
 
@@ -168,11 +176,7 @@ def fit_power_rate(times, values, window) -> RateFit | None:
     t, v = _masked(times, values, window)
     if t.size < 8:
         return None
-    x = np.log1p(t)
-    y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), tuple(window), rms)
+    return _log_fit(np.log1p(t), v, tuple(window))
 
 
 def fit_exponential_rate(times, values, p, window) -> RateFit | None:
@@ -184,11 +188,7 @@ def fit_exponential_rate(times, values, p, window) -> RateFit | None:
     t, v = _masked(times, values, window)
     if t.size < 8:
         return None
-    x = (1.0 + t) ** (p + 1.0)
-    y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), tuple(window), rms)
+    return _log_fit((1.0 + t) ** (p + 1.0), v, tuple(window))
 
 
 def fit_eps_order(eps_list, sup_values) -> RateFit | None:
@@ -205,11 +205,7 @@ def fit_eps_order(eps_list, sup_values) -> RateFit | None:
         raise ValueError("eps values must span at least two decades")
     if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
         return None
-    x = np.log(e)
-    y = np.log(s)
-    slope, intercept = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), (float(e.min()), float(e.max())), rms)
+    return _log_fit(np.log(e), s, (float(e.min()), float(e.max())))
 
 
 def predicted_bounds(

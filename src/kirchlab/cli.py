@@ -43,12 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON plan")
         p.add_argument("--out", default="runs", help="parent directory for bundles")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="recorded for randomized test fixtures; solvers ignore it",
-        )
     return parser
 
 
@@ -66,7 +60,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    bundle = run_plan(plan, args.out, jobs=args.jobs, seed=args.seed)
+    bundle = run_plan(plan, args.out, jobs=args.jobs)
     for key, status in bundle.manifest["solver_status"].items():
         print(f"{key}: {status}")
     for key, verdict in bundle.manifest["verdicts"].items():

@@ -240,10 +240,10 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
         ps = _as_numbers(_require(cfg, "grid_ps"), "config.grid_ps")
         if not gammas or not ps:
             raise ConfigurationError("grid_gammas and grid_ps must be nonempty")
-        if any(g <= 0.0 for g in gammas):
-            raise ConfigurationError("grid_gammas must be positive")
-        if any(p < 0.0 for p in ps):
-            raise ConfigurationError("grid_ps must be nonnegative")
+        if not all(math.isfinite(g) and g > 0.0 for g in gammas):
+            raise ConfigurationError("grid_gammas must be finite and positive")
+        if not all(math.isfinite(p) and p >= 0.0 for p in ps):
+            raise ConfigurationError("grid_ps must be finite and nonnegative")
         return ExperimentPlan(
             grid_gammas=gammas,
             grid_ps=ps,
@@ -624,13 +624,8 @@ def run_plan(
     plan: ExperimentPlan,
     out_dir,
     jobs: int | None = None,
-    seed: int | None = None,
 ) -> ArtifactBundle:
-    """Execute a plan into out_dir/<config hash>/ and write the manifest.
-
-    The seed is recorded for provenance only; solvers are deterministic
-    and never consume randomness.
-    """
+    """Execute a plan into out_dir/<config hash>/ and write the manifest."""
     start = time.perf_counter()
     outdir = Path(out_dir) / plan_hash(plan)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -677,7 +672,6 @@ def run_plan(
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "seed": seed,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - start,
         "verdicts": verdicts,

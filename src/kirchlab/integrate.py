@@ -1,24 +1,23 @@
 """Time integration for the second-order problem, its first-order limit,
 and the boundary-layer corrector.
 
-Two steppers serve the solvers, and identical inputs give bit-identical
-outputs on both. Every run reports which stepper it used, how much work
-it took and, for DP5, which bound set the size of each accepted step
-(``SolverStats``).
+Every solve steps a scipy integrator through one loop, ``_integrate``,
+and identical inputs give bit-identical outputs. Steps follow the
+integrator's own control and are not clamped to the output grid: each
+output time inside an accepted step is read from that step's dense
+output, and an output time that is also a step end takes the state
+itself. Every run reports which stepper it used and how much work it
+took (``SolverStats``).
 
-- An adaptive embedded Dormand-Prince 5(4) driver, self-contained, for
+- scipy's RK45, the Dormand-Prince 5(4) pair (Hairer-Norsett-Wanner,
+  Solving ODEs I, II.4; samples are its quartic interpolants), for
   every first-order solve and for every second-order run that is not
-  stiff. Steps are clamped so that every requested output time is hit
-  exactly: DP5 samples are integration nodes, not interpolants.
-  Second-order steps are capped at a fixed fraction of the fastest
-  oscillation period of the current state.
+  stiff. Second-order steps are capped at a fixed fraction of the
+  fastest oscillation period of the current state.
 - scipy's Radau IIA of order 5 (Hairer-Wanner, Solving ODEs II, IV.8)
   with an analytic Jacobian, for overdamped second-order runs whose
-  explicit steps would be stability-bound (small eps). Steps follow
-  error control alone and are not clamped to the grid: each output time
-  inside a step is read from that step's collocation polynomial (dense
-  output), so stiff samples are collocation interpolants; an output
-  time that is also a step end takes the state itself.
+  explicit steps would be stability-bound (small eps); samples are
+  collocation interpolants.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import Radau, quad
+from scipy.integrate import RK45, Radau, quad
 
 from .model import ConstantDissipation, Dissipation, Nonlinearity, compute_w0
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums
@@ -52,6 +51,8 @@ __all__ = [
 COMPLETED = "completed"
 BLEW_UP = "blew_up"
 STEP_UNDERFLOW = "step_underflow"
+
+_MIN_REL_TOL = 100.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,11 @@ class OutputGrid:
 class IntegratorSettings:
     """Tolerances and guards for both steppers.
 
-    max_step_factor applies to the DP5 driver only: it caps second-order
-    steps at c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of
-    the fastest oscillation period; m is the stiffness coefficient
+    rel_tol must be at least 100 machine epsilons, the floor below which
+    scipy's steppers would silently raise it. max_step_factor applies to
+    second-order DP5 runs only: it caps their steps at
+    c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of the
+    fastest oscillation period; m is the stiffness coefficient
     m(|A^(1/2)u|^2) of the latest accepted state (of the initial datum
     for the first step), so the cap loosens as the solution decays and
     tightens as it grows. Radau steps are not capped.
@@ -104,6 +107,8 @@ class IntegratorSettings:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigurationError(f"settings.{name} must be positive")
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ConfigurationError(f"settings.rel_tol must be at least {_MIN_REL_TOL!r}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,11 @@ class SolverStats:
 
     ``method`` is ``"dp5"`` or ``"radau"``. Both count right-hand side
     evaluations and accepted steps. DP5 also counts rejected steps and
-    files each accepted step under the bound that set its size: the
-    step cap, the error control, or the clamp onto the next output
-    time, so ``accepted == cap_limited + error_limited +
-    clamp_limited``. Radau counts its Jacobian evaluations and the LU
+    files each accepted step under the bound that set its size, the
+    step cap or the error control, so ``accepted == cap_limited +
+    error_limited``. Radau counts its Jacobian evaluations and the LU
     factorisations of its Newton matrices; scipy's stepper does not
-    report rejected steps, so the four DP5 step counts are ``None``
+    report rejected steps, so the three DP5 step counts are ``None``
     there, and DP5 evaluates no Jacobian.
     """
 
@@ -127,7 +131,6 @@ class SolverStats:
     rejected: int | None
     cap_limited: int | None
     error_limited: int | None
-    clamp_limited: int | None
     jac_evals: int = 0
     lu_decompositions: int = 0
 
@@ -172,181 +175,49 @@ def sigma_half(lam: np.ndarray, u: np.ndarray) -> float:
     return math.fsum(lam * u * u)
 
 
-# Dormand-Prince 5(4) tableau. The propagated solution is fifth order;
-# the embedded difference gives the local error estimate. Stage 7 is the
-# derivative at the accepted point (FSAL).
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_E = np.array(
-    [71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0]
-)
-_A_PAD = np.zeros((7, 6))
-for _s, _row in enumerate(_A):
-    _A_PAD[_s, : len(_row)] = _row
+def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
+    """Step a scipy ``OdeSolver`` through every time in ``out_times``.
 
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-_UNDERFLOW_FACTOR = 1e-14
-
-
-def _rms(v: np.ndarray) -> float:
-    # Scaled to survive components near the overflow threshold (tiny
-    # tolerance scales produce huge ratios).
-    m = float(np.max(np.abs(v)))
-    if m == 0.0 or not math.isfinite(m):
-        return m
-    w = v / m
-    return m * float(np.sqrt(np.mean(w * w)))
-
-
-def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, h_max):
-    # Classic two-probe heuristic: balance the solution scale against the
-    # derivative scale, then correct with a crude second-derivative probe.
-    sc = abs_tol + rel_tol * np.abs(y0)
-    d0 = _rms(y0 / sc)
-    d1 = _rms(f0 / sc)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    if not math.isfinite(h0) or h0 <= 0.0:
-        h0 = 1e-6
-    h0 = min(h0, h_max)
-    f1 = rhs(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / sc) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, h_max)
-    return h if math.isfinite(h) and h > 0.0 else min(1e-6, h_max)
-
-
-def _integrate(
-    rhs, y0, out_times, rel_tol, abs_tol, step_cap=lambda: math.inf, blowup_threshold=None
-):
-    """Advance y' = rhs(t, y) through every time in ``out_times``.
-
-    ``step_cap()`` is the largest step allowed from the state of the
-    latest ``rhs`` call. It is read once at launch and again after each
-    accepted step, whose last ``rhs`` call (the FSAL stage) is at the
-    new state, so a cap built from values the right-hand side already
+    Output times inside an accepted step are read from the step's dense
+    output; one that is the step end takes the state. ``step_cap()``, if
+    given, becomes the solver's ``max_step`` after each accepted step.
+    RK45's last ``rhs`` call in a step is the FSAL stage at the accepted
+    state, so a cap built from values the right-hand side already
     computes costs no extra evaluation.
 
-    Returns (times, samples, status, t_stop, stats). On failure the
-    returned lists end with the state at the stopping time.
+    Returns (times, samples, status, t_stop, stats). Blow-up (squared
+    state norm above the threshold) and a solver failure end the run
+    with a status, not an exception; the returned arrays then end with
+    the state at the stopping time.
     """
-    t = float(out_times[0])
-    y = np.array(y0, dtype=float)
-    n = y.size
-    times = [t]
-    samples = [y.copy()]
-    k = np.empty((7, n))
-    k[0] = rhs(t, y)
-    cap = step_cap()
-    h = _initial_step(rhs, t, y, k[0], rel_tol, abs_tol, cap)
-
+    samples = np.empty((out_times.size, solver.n))
+    samples[0] = solver.y
     status = COMPLETED
     t_stop = None
-    rejected = 0
-    limited = {"cap": 0, "error": 0, "clamp": 0}
+    accepted = cap_limited = 0
     i_out = 1
-    while i_out < len(out_times):
-        t_target = float(out_times[i_out])
-        capped = h >= cap
-        if capped:
-            h = cap
-        if math.isnan(h) or h < _UNDERFLOW_FACTOR * (1.0 + abs(t)):
-            status, t_stop = STEP_UNDERFLOW, t
-            break
-        clamped = h >= t_target - t
-        h_try = t_target - t if clamped else h
-
-        for s in range(1, 7):
-            ys = y + h_try * (_A_PAD[s, :s] @ k[:s])
-            k[s] = rhs(t + _C[s] * h_try, ys)
-        y_new = ys  # stage 7 is evaluated at the fifth-order solution
-        err_vec = h_try * (_E @ k)
-        sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / sc)
-
-        if err <= 1.0:
-            limited["clamp" if clamped else "cap" if capped else "error"] += 1
-            t = t_target if clamped else t + h_try
-            y = y_new
-            k[0] = k[6]
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            )
-            h = h_try * factor
-            if blowup_threshold is not None and float(y @ y) > blowup_threshold:
-                status, t_stop = BLEW_UP, t
-                break
-            cap = step_cap()
-            if clamped:
-                times.append(t)
-                samples.append(y.copy())
-                i_out += 1
-        else:
-            rejected += 1
-            if math.isfinite(err):
-                h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            else:
-                # NaN/inf error estimate (wild state): back off hard.
-                h = h_try * _MIN_FACTOR
-
-    if status != COMPLETED and (not times or times[-1] != t_stop):
-        times.append(t_stop)
-        samples.append(y.copy())
-    accepted = sum(limited.values())
-    stats = SolverStats(
-        method="dp5",
-        # One launch evaluation, one initial-step probe, six per attempt.
-        rhs_evals=2 + 6 * (accepted + rejected),
-        accepted=accepted,
-        rejected=rejected,
-        cap_limited=limited["cap"],
-        error_limited=limited["error"],
-        clamp_limited=limited["clamp"],
-    )
-    return np.array(times), np.array(samples), status, t_stop, stats
-
-
-def _integrate_radau(rhs, jac, y0, out_times, rel_tol, abs_tol, blowup_threshold):
-    """Advance y' = rhs(t, y) through every time in ``out_times`` with
-    scipy's Radau IIA, Jacobian ``jac(t, y)``.
-
-    Steps follow error control alone. Output times inside an accepted
-    step are read from its dense output; one that is the step end takes
-    the state. Returns what ``_integrate`` returns; a solver failure is
-    a ``STEP_UNDERFLOW`` status, not an exception.
-    """
-    solver = Radau(
-        rhs, float(out_times[0]), y0, float(out_times[-1]),
-        rtol=rel_tol, atol=abs_tol, jac=jac,
-    )
-    samples = np.empty((out_times.size, y0.size))
-    samples[0] = y0
-    status = COMPLETED
-    t_stop = None
-    accepted = 0
-    i_out = 1
-    while i_out < out_times.size:
+    if math.isnan(solver.h_abs):
+        # scipy takes a NaN first step from a non-finite launch derivative
+        # and would retry it forever.
+        status, t_stop = STEP_UNDERFLOW, solver.t
+    while status == COMPLETED and i_out < out_times.size:
+        cap = solver.max_step
         solver.step()
         if solver.status == "failed":
             status, t_stop = STEP_UNDERFLOW, solver.t
             break
         accepted += 1
         t, y = solver.t, solver.y
-        if float(y @ y) > blowup_threshold:
+        # The tolerance absorbs the rounding of t_new - t.
+        if t - solver.t_old >= cap * (1.0 - 1e-12):
+            cap_limited += 1
+        if blowup_threshold is not None and float(y @ y) > blowup_threshold:
             status, t_stop = BLEW_UP, t
             break
+        if step_cap is not None:
+            # An undocumented attribute that scipy's RungeKutta reads on
+            # every step; TestStepCap fails if that ever stops.
+            solver.max_step = step_cap()
         j = int(np.searchsorted(out_times, t, side="right"))
         if j > i_out:
             samples[i_out:j] = solver.dense_output()(out_times[i_out:j]).T
@@ -359,17 +230,17 @@ def _integrate_radau(rhs, jac, y0, out_times, rel_tol, abs_tol, blowup_threshold
     if status != COMPLETED and times[-1] != t_stop:
         times = np.append(times, t_stop)
         samples = np.vstack([samples, solver.y])
-    stats = SolverStats(
-        method="radau",
-        rhs_evals=solver.nfev,
-        accepted=accepted,
-        rejected=None,
-        cap_limited=None,
-        error_limited=None,
-        clamp_limited=None,
-        jac_evals=solver.njev,
-        lu_decompositions=solver.nlu,
-    )
+    if isinstance(solver, Radau):
+        stats = SolverStats(
+            "radau", solver.nfev, accepted, None, None, None, solver.njev, solver.nlu
+        )
+    else:
+        # RK45 reuses the last stage (FSAL): one launch evaluation, one
+        # initial-step probe, six per attempted step.
+        rejected = (solver.nfev - 2) // 6 - accepted
+        stats = SolverStats(
+            "dp5", solver.nfev, accepted, rejected, cap_limited, accepted - cap_limited
+        )
     return times, samples, status, t_stop, stats
 
 
@@ -407,7 +278,7 @@ def solve_hyperbolic(
     """Integrate eps u'' + b(t) u' + m(|A^(1/2)u|^2) A u = 0.
 
     The state is the first-order pair (u, u'). Stiff runs (see
-    ``_stepper``) use Radau IIA, all others the DP5 driver. Blow-up
+    ``_stepper``) use Radau IIA, all others RK45 (DP5). Blow-up
     (squared state norm above the threshold) and step underflow are
     reported through the trajectory status, not raised. Coefficients
     whose initial data vanish stay exactly zero: the right-hand side is
@@ -466,22 +337,20 @@ def solve_hyperbolic(
         return out
 
     y0 = np.concatenate([u0v, u1v])
-    out_times = settings.grid.times()
-    if _stepper(eps, lam_max, m_now, dis, settings.grid.t_end) == "radau":
-        times, samples, status, t_stop, stats = _integrate_radau(
-            rhs, jac, y0, out_times, settings.rel_tol, settings.abs_tol,
-            settings.blowup_threshold,
-        )
+    t_end = settings.grid.t_end
+    tols = {"rtol": settings.rel_tol, "atol": settings.abs_tol}
+    if _stepper(eps, lam_max, m_now, dis, t_end) == "radau":
+        solver, cap = Radau(rhs, 0.0, y0, t_end, jac=jac, **tols), None
     else:
-        times, samples, status, t_stop, stats = _integrate(
-            rhs,
-            y0,
-            out_times,
-            settings.rel_tol,
-            settings.abs_tol,
-            step_cap,
-            blowup_threshold=settings.blowup_threshold,
-        )
+        # The cap at the launch state: RK45's set-up moves m_now off it.
+        # Assigned, not passed, because scipy rejects the 0.0 that an
+        # overflowing m gives; that run then fails its first step.
+        launch_cap = step_cap()
+        solver, cap = RK45(rhs, 0.0, y0, t_end, **tols), step_cap
+        solver.max_step = launch_cap
+    times, samples, status, t_stop, stats = _integrate(
+        solver, settings.grid.times(), settings.blowup_threshold, cap
+    )
     return Trajectory(
         spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
     )
@@ -513,9 +382,11 @@ def solve_parabolic_reparam(
     def rhs(t, y):
         return np.array([nl.value(sigma_of_alpha(y[0])) / dis.b(t)])
 
-    times, samples, status, t_stop, stats = _integrate(
-        rhs, np.array([0.0]), settings.grid.times(), settings.rel_tol, settings.abs_tol
+    solver = RK45(
+        rhs, 0.0, np.array([0.0]), settings.grid.t_end,
+        rtol=settings.rel_tol, atol=settings.abs_tol,
     )
+    times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     alpha = samples[:, 0]
     u = u0v[None, :] * np.exp(-np.outer(alpha, lam))
     aprime = np.array(
@@ -544,9 +415,10 @@ def solve_parabolic_direct(
         mval = nl.value(sigma_half(lam, y))
         return -(mval / dis.b(t)) * (lam * y)
 
-    times, samples, status, t_stop, stats = _integrate(
-        rhs, u0v, settings.grid.times(), settings.rel_tol, settings.abs_tol
+    solver = RK45(
+        rhs, 0.0, u0v, settings.grid.t_end, rtol=settings.rel_tol, atol=settings.abs_tol
     )
+    times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])
     return Trajectory(spec, times, samples, uprime, status, t_stop, stats=stats)
 

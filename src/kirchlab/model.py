@@ -52,6 +52,14 @@ NO_MANS_LAND = "no_mans_land"
 NO_THEORY = "no_theory"
 
 
+def _power(x: float, y: float) -> float:
+    # A float power raises on overflow; m, M and m' saturate at inf.
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PowerNonlinearity:
     """m(s) = s^gamma with gamma > 0. Degenerate: m(0) = 0, so mu = 0."""
@@ -67,10 +75,10 @@ class PowerNonlinearity:
         return 0.0
 
     def value(self, sigma: float) -> float:
-        return sigma**self.gamma
+        return _power(sigma, self.gamma)
 
     def integral(self, sigma: float) -> float:
-        return sigma ** (self.gamma + 1.0) / (self.gamma + 1.0)
+        return _power(sigma, self.gamma + 1.0) / (self.gamma + 1.0)
 
     def derivative(self, sigma: float) -> float:
         # At sigma = 0 the derivative is 0, 1 or +inf depending on gamma;
@@ -81,7 +89,7 @@ class PowerNonlinearity:
             if self.gamma == 1.0:
                 return 1.0
             return math.inf
-        return self.gamma * sigma ** (self.gamma - 1.0)
+        return self.gamma * _power(sigma, self.gamma - 1.0)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,17 @@ def _ticks(lo, hi, log):
     return ticks
 
 
+def _span(values, log):
+    """Axis range of the visible values. An empty or one-point range is
+    widened to one that a log axis can show too."""
+    if not values:
+        return (1.0, 10.0) if log else (0.0, 1.0)
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return (lo / 2.0, hi * 2.0) if log else (lo - 0.5, hi + 0.5)
+    return lo, hi
+
+
 class LineChart:
     """Collect labeled series, then render once to an SVG file."""
 
@@ -86,14 +97,8 @@ class LineChart:
                 if self._visible(x, y):
                     xs_all.append(x)
                     ys_all.append(y)
-        if not xs_all:
-            xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-        x_lo, x_hi = min(xs_all), max(xs_all)
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        if x_lo == x_hi:
-            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-        if y_lo == y_hi:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        x_lo, x_hi = _span(xs_all, self.logx)
+        y_lo, y_hi = _span(ys_all, self.logy)
 
         px = lambda x: _transform(x, x_lo, x_hi, _ML, _W - _MR, self.logx)
         py = lambda y: _transform(y, y_lo, y_hi, _H - _MB, _MT, self.logy)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 import kirchlab as kl
 from kirchlab import (
@@ -124,18 +124,35 @@ class TestHyperbolic:
         state_sq = traj.u[-1] @ traj.u[-1] + traj.uprime[-1] @ traj.uprime[-1]
         assert state_sq > 20.0
 
-    def test_step_underflow_reported(self):
+    def test_step_underflow_reported(self, monkeypatch):
+        # The right-hand side turns NaN once the solution has decayed into
+        # the hole, so no step from there is accepted.
+        spec, _, dis, u0, u1 = SWEEP_SHAPE
+        force_stepper(monkeypatch, "dp5")
         traj = solve_hyperbolic(
-            Spectrum([1.0]),
-            M_ONE,
-            P0,
-            1.0,
-            [1.0],
-            [0.0],
-            settings(t_end=10.0, rel_tol=1e-300, abs_tol=1e-300),
+            spec, HoledNonlinearity(), dis, 1e-2, 2.0 * u0, u1, settings(t_end=10.0)
         )
+        assert traj.stats.method == "dp5"
         assert traj.status == STEP_UNDERFLOW
+        assert 0.0 < traj.t_stop < 10.0
         assert traj.times[-1] == traj.t_stop
+        assert np.all(np.diff(traj.times) > 0.0)
+
+    @pytest.mark.parametrize("solver", ["hyperbolic", "reparam", "direct"])
+    def test_overflowing_m_at_launch_reported(self, solver):
+        # m(2) = 2^1e6 overflows: the launch derivative is not finite
+        # (inf * 0 on the zero mode), so no step can be taken.
+        args = (Spectrum([0.0, 2.0]), PowerNonlinearity(1e6), P0)
+        s = settings(count=5, t_end=1.0)
+        with np.errstate(invalid="ignore"):
+            if solver == "hyperbolic":
+                traj = solve_hyperbolic(*args, 0.1, [0.0, 1.0], [0.0, 0.0], s)
+            elif solver == "reparam":
+                traj = solve_parabolic_reparam(*args, [0.0, 1.0], s)
+            else:
+                traj = solve_parabolic_direct(*args, [0.0, 1.0], s)
+        assert traj.status == STEP_UNDERFLOW
+        assert traj.t_stop == 0.0 and traj.times.tolist() == [0.0]
 
     def test_eps_consistency_monotone(self):
         # On a fixed horizon the gap to the first-order limit shrinks with eps.
@@ -156,7 +173,7 @@ class TestHyperbolic:
         assert np.array_equal(a.u, b.u) and np.array_equal(a.uprime, b.uprime)
 
 
-def dop853_reference(spec, nl, dis, eps, u0, u1, times):
+def dop853_reference(spec, nl, dis, eps, u0, u1, times, rtol=1e-12):
     """Independent tight reference: scipy's DOP853 on the same system,
     as a (samples, 2N) array of (u, u') at ``times``."""
     lam = spec.eigenvalues
@@ -169,7 +186,7 @@ def dop853_reference(spec, nl, dis, eps, u0, u1, times):
 
     sol = solve_ivp(
         f, (0.0, times[-1]), np.concatenate([u0, u1]), method="DOP853",
-        rtol=1e-12, atol=1e-14, t_eval=times,
+        rtol=rtol, atol=1e-14, t_eval=times,
     )
     assert sol.success
     return sol.y.T
@@ -228,20 +245,30 @@ class TestStepCap:
     def test_decay_run_not_cap_dominated(self):
         # The hyperbolic-decay benchmark shape: m = s, b = (1+t)^-1/2.
         spec = Spectrum(np.arange(1, 9, dtype=float) ** 2)
-        nl = CountingNonlinearity(PowerNonlinearity(1.0))
+        dis = PowerLawDissipation(0.5)
         u0 = 1.0 / np.arange(1, 9) ** 2
         u1 = 0.5 * np.ones(8) / math.sqrt(8.0)
-        traj = solve_hyperbolic(
-            spec, nl, PowerLawDissipation(0.5), 1e-1, u0, u1, settings(count=801)
-        )
-        stats = traj.stats
-        assert traj.status == COMPLETED
-        assert stats.accepted == stats.cap_limited + stats.error_limited + stats.clamp_limited
-        assert stats.clamp_limited == 800
-        assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
-        # The cap adds no m evaluation: one launch value, one per rhs call.
-        assert nl.calls == 1 + stats.rhs_evals
-        assert stats.cap_limited < 0.1 * stats.accepted
+        s = settings(count=801)
+        for eps in (1e-1, 1e-2):
+            nl = CountingNonlinearity(PowerNonlinearity(1.0))
+            traj = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
+            stats = traj.stats
+            assert traj.status == COMPLETED
+            assert stats.accepted == stats.cap_limited + stats.error_limited
+            assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+            # The cap adds no m evaluation: one launch value, one per rhs call.
+            assert nl.calls == 1 + stats.rhs_evals
+            # 14% at eps 1e-1 and 0% at eps 1e-2; a cap frozen at launch
+            # sets more than 90% of the steps.
+            assert stats.cap_limited < 0.2 * stats.accepted
+            # Samples are read from dense output between integration nodes.
+            ref = dop853_reference(spec, nl.nl, dis, eps, u0, u1, traj.times, rtol=1e-13)
+            dev = np.abs(np.hstack([traj.u, traj.uprime]) - ref)
+            assert np.max(dev) <= 1e-9 * math.sqrt(u0 @ u0 + u1 @ u1)
+            H = np.array(
+                [kl.hamiltonian(spec, nl.nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
+            )
+            assert np.all(H[1:] <= H[:-1] * (1.0 + 10.0 * s.rel_tol))
 
 
 class TestParabolicReparam:
@@ -305,6 +332,21 @@ class TestParabolicDirect:
             Spectrum([2.0]), M_ONE, P0, [1.0], settings(count=201, t_end=10.0)
         )
         assert np.max(np.abs(traj.u[:, 0] - np.exp(-2.0 * traj.times))) < 1e-9
+
+    def test_step_end_sample_is_the_state(self):
+        # t_end ends the last step, so its sample is RK45's state itself,
+        # not the dense-output polynomial evaluated there.
+        spec, dis = Spectrum([0.3, 1.0, 4.0, 9.7]), PowerLawDissipation(0.5)
+        u0, s = np.array([2.0, 1.0, -0.5, 0.3]), settings("linear", 3, 5.0)
+        traj = solve_parabolic_direct(spec, M_ONE, dis, u0, s)
+        lam = spec.eigenvalues
+        ref = RK45(
+            lambda t, y: -(1.0 / dis.b(t)) * (lam * y), 0.0, u0, 5.0,
+            rtol=s.rel_tol, atol=s.abs_tol,
+        )
+        while ref.status == "running":
+            ref.step()
+        np.testing.assert_array_equal(traj.u[-1], ref.y)
 
     def test_zero_data(self):
         traj = solve_parabolic_direct(

@@ -24,6 +24,10 @@ class TestNonlinearity:
         nl = PowerNonlinearity(1.0)
         assert (nl.value(4.0), nl.integral(4.0), nl.derivative(4.0)) == (4.0, 8.0, 1.0)
 
+    def test_power_overflow_saturates(self):
+        nl = PowerNonlinearity(1e6)
+        assert nl.value(2.0) == nl.integral(2.0) == nl.derivative(2.0) == math.inf
+
     def test_power_sqrt_kink_sentinel(self):
         nl = PowerNonlinearity(0.5)
         assert nl.value(0.0) == 0.0 and nl.integral(0.0) == 0.0

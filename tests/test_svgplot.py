@@ -29,3 +29,11 @@ def test_log_axes_drop_nonpositive_points():
 
 def test_empty_chart_renders():
     ET.fromstring(LineChart(title="empty").render())
+
+
+def test_log_axes_without_a_range_render():
+    # No visible point, and a single point below 0.5, on log axes.
+    ET.fromstring(LineChart(logx=True, logy=True).render())
+    c = LineChart(logx=True, logy=True)
+    c.add_line([0.2, 0.2], [0.0, 0.3])
+    ET.fromstring(c.render())
