@@ -191,6 +191,14 @@ def fit_exponential_rate(times, values, p, window) -> RateFit | None:
     return _log_fit((1.0 + t) ** (p + 1.0), v, tuple(window))
 
 
+# The error is of order eps^2: a sweep passes when the fitted orders of
+# sup |rho|^2 and sup |r'|^2 are SLOPE_TARGET +- SLOPE_TOL, and the
+# weighted sup over eps^2 varies by at most a factor RATIO_BOUND.
+SLOPE_TARGET = 2.0
+SLOPE_TOL = 0.3
+RATIO_BOUND = 10.0
+
+
 def fit_eps_order(eps_list, sup_values) -> RateFit | None:
     """Slope of log(sup) against log(eps) across a perturbation sweep.
 
@@ -298,23 +306,23 @@ def _weighted_nonincreasing(t, v, exponent) -> bool:
     return bool(np.all(w <= peak * (1.0 + 1e-9)) and w[-1] <= w[0] * (1.0 + 1e-9))
 
 
+TOL_EXPONENT = 0.07  # slack of a fitted decay exponent against a predicted one
+
+
 def verify_bounds(
-    series: EnergySeries,
-    bounds: BoundSet,
-    tol_exponent: float = 0.07,
-    window: tuple | None = None,
+    series: EnergySeries, bounds: BoundSet, window: tuple | None = None
 ) -> VerificationReport:
     """Compare fitted decay exponents against a bound set.
 
     Sandwiches require the fitted exponent to land inside
-    [lower - tol, upper + tol]. A lone upper bound passes when the
-    fitted exponent is at most bound + tol, or as a fallback when the
-    bound-weighted channel is nonincreasing over the window. Exponential
-    bounds are checked by residual dominance: the exponential model must
-    fit at least as well as the polynomial one. Integral bounds pass
-    when the weighted integrand decays strictly faster than 1/(1+t) or
-    the cumulative integral has visibly converged. Quantities undefined
-    over the window are skipped.
+    [lower - tol, upper + tol], tol = TOL_EXPONENT. A lone upper bound
+    passes when the fitted exponent is at most bound + tol, or as a
+    fallback when the bound-weighted channel is nonincreasing over the
+    window. Exponential bounds are checked by residual dominance: the
+    exponential model must fit at least as well as the polynomial one.
+    Integral bounds pass when the weighted integrand decays strictly
+    faster than 1/(1+t) or the cumulative integral has visibly
+    converged. Quantities undefined over the window are skipped.
     """
     if window is None:
         window = default_window(series.times)
@@ -348,10 +356,10 @@ def verify_bounds(
                     continue
                 beta = poly_fit.exponent
                 if e.kind == "poly_lower":
-                    margin = beta - (e.exponent - tol_exponent)
+                    margin = beta - (e.exponent - TOL_EXPONENT)
                     ok = margin >= 0.0
                 else:
-                    margin = (e.exponent + tol_exponent) - beta
+                    margin = (e.exponent + TOL_EXPONENT) - beta
                     ok = margin >= 0.0
                     if not ok and not sandwich:
                         t, v = _masked(series.times, values, window)
@@ -395,7 +403,7 @@ def verify_bounds(
                         VerificationEntry(quantity, e.kind, e.exponent, None, SKIPPED, math.nan)
                     )
                     continue
-                margin = (-1.0 - tol_exponent) - fit.exponent
+                margin = (-1.0 - TOL_EXPONENT) - fit.exponent
                 ok = margin >= 0.0
                 if not ok:
                     t, v = _masked(series.times, weighted, window)

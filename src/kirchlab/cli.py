@@ -1,16 +1,10 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto plan kinds:
-
-    simulate   second-order run with energies and floor diagnostics
-    limit      both first-order solvers plus the equivalence report
-    corrector  boundary-layer corrector samples
-    sweep      eps sweep with error series and order fits
-    grid       regime classification over a (gamma, p) lattice
-    verify     decay-rate verification against predicted bounds
+There is one subcommand per plan kind, named by the kind's entry in
+``harness.PLAN_KINDS``; ``kirchlab --help`` lists them.
 
 Exit codes: 0 all pass, 1 verification failures, 2 solver failure,
-3 configuration error.
+3 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -19,17 +13,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import load_config, run_plan
+from .harness import PLAN_KINDS, load_config, run_plan
 from .spectral import ConfigurationError
 
-_SUBCOMMAND_KIND = {
-    "simulate": "simulate",
-    "limit": "limit",
-    "corrector": "corrector",
-    "sweep": "sweep_eps",
-    "grid": "regime_grid",
-    "verify": "verify",
-}
+
+def workers(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,24 +30,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral laboratory for weakly dissipated Kirchhoff dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in _SUBCOMMAND_KIND.items():
-        p = sub.add_parser(name, help=f"run a {kind} plan")
+    for kind, entry in PLAN_KINDS.items():
+        p = sub.add_parser(entry.subcommand, help=entry.help)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", required=True, help="path to the JSON plan")
         p.add_argument("--out", default="runs", help="parent directory for bundles")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        p.add_argument("--jobs", type=workers, default=None, help="parallel workers")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    kind = _SUBCOMMAND_KIND[args.command]
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, but 2
+        # means a solver failure here.
+        return 3 if exc.code else 0
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     try:
-        plan = load_config(text, expected_kind=kind)
+        plan = load_config(text, expected_kind=args.kind)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -17,11 +17,13 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import analysis as ana
 from . import energies as en
@@ -55,35 +57,21 @@ __all__ = [
     "AnalysisOptions",
     "ExperimentPlan",
     "ArtifactBundle",
+    "PlanKind",
     "load_config",
     "run_plan",
     "plan_hash",
     "PLAN_KINDS",
 ]
 
-PLAN_KINDS = ("simulate", "limit", "sweep_eps", "regime_grid", "verify", "corrector")
-
-_TOP_KEYS = {
-    "simulate": {"spectrum", "m", "b", "eps", "u0", "u1"},
-    "limit": {"spectrum", "m", "b", "u0"},
-    "sweep_eps": {"spectrum", "m", "b", "eps_list", "u0", "u1"},
-    "regime_grid": {"grid_gammas", "grid_ps", "coercive"},
-    "verify": {"spectrum", "m", "b", "u0", "u1", "eps"},
-    "corrector": {"spectrum", "m", "b", "eps", "u0", "u1"},
-}
-
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Fit windows and pass thresholds used by verification and sweeps."""
+    """Energy orders, fit window and coercivity flag read by the runners."""
 
     ks: tuple = (0.0, 1.0)
     window: tuple | None = None
-    tol_exponent: float = 0.07
     coercive: bool | None = None
-    slope_target: float = 2.0
-    slope_tol: float = 0.3
-    ratio_bound: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -101,13 +89,26 @@ class ExperimentPlan:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     grid_gammas: tuple | None = None
     grid_ps: tuple | None = None
-    grid_coercive: bool = False
-    jobs: int | None = None
 
     def coercive_flag(self) -> bool:
         if self.analysis.coercive is not None:
             return self.analysis.coercive
-        return coercivity(self.spectrum) > 0.0
+        return self.spectrum is not None and coercivity(self.spectrum) > 0.0
+
+
+@dataclass(frozen=True)
+class PlanKind:
+    """A plan kind: its subcommand, the top-level keys besides ``kind``
+    and the analysis keys it reads, and ``runner(plan, outdir, jobs)``,
+    which writes the payload files and returns (verdicts, trajectories,
+    summary); ``jobs`` bounds the worker processes of a sweep."""
+
+    subcommand: str
+    help: str
+    runner: Callable
+    required: frozenset
+    optional: frozenset = frozenset()
+    analysis: frozenset = frozenset()
 
 
 @dataclass
@@ -126,12 +127,6 @@ class ArtifactBundle:
         return 0
 
 
-def _require(cfg: dict, key: str, context: str = "config"):
-    if key not in cfg:
-        raise ConfigurationError(f"{context}.{key} is required")
-    return cfg[key]
-
-
 def _parse_eps(value, context: str) -> float:
     eps = _as_number(value, context)
     if not (math.isfinite(eps) and eps > 0.0):
@@ -141,7 +136,9 @@ def _parse_eps(value, context: str) -> float:
 
 def _parse_grid(cfg: dict) -> ig.OutputGrid:
     _reject_unknown(cfg, {"kind", "count", "t_end"}, "settings.grid")
-    t_end = _as_number(_require(cfg, "t_end", "settings.grid"), "settings.grid.t_end")
+    if "t_end" not in cfg:
+        raise ConfigurationError("settings.grid.t_end is required")
+    t_end = _as_number(cfg["t_end"], "settings.grid.t_end")
     kind = cfg.get("kind", "log")
     if "count" in cfg:
         count = _as_integer(cfg["count"], "settings.grid.count")
@@ -166,20 +163,13 @@ def _parse_settings(cfg: dict) -> ig.IntegratorSettings:
     return ig.IntegratorSettings(**kwargs)
 
 
-def _parse_analysis(cfg: dict) -> AnalysisOptions:
-    _reject_unknown(
-        cfg,
-        {"ks", "window", "tol_exponent", "coercive", "slope_target", "slope_tol", "ratio_bound"},
-        "analysis",
-    )
+def _parse_analysis(cfg: dict, allowed: frozenset) -> AnalysisOptions:
+    _reject_unknown(cfg, allowed, "analysis")
     kwargs = {}
     if "ks" in cfg:
         kwargs["ks"] = _as_numbers(cfg["ks"], "analysis.ks")
     if "window" in cfg:
         kwargs["window"] = _as_numbers(cfg["window"], "analysis.window", 2)
-    for key in ("tol_exponent", "slope_target", "slope_tol", "ratio_bound"):
-        if key in cfg:
-            kwargs[key] = _as_number(cfg[key], f"analysis.{key}")
     for key, value in kwargs.items():
         if not np.all(np.isfinite(value)):
             raise ConfigurationError(f"analysis.{key} must be finite")
@@ -189,11 +179,6 @@ def _parse_analysis(cfg: dict) -> AnalysisOptions:
             raise ConfigurationError("analysis.window must be nonnegative")
         if not lo < hi:
             raise ConfigurationError("analysis.window must satisfy lo < hi")
-    for key in ("tol_exponent", "slope_tol"):
-        if kwargs.get(key, 0.0) < 0.0:
-            raise ConfigurationError(f"analysis.{key} must be nonnegative")
-    if kwargs.get("ratio_bound", 1.0) <= 0.0:
-        raise ConfigurationError("analysis.ratio_bound must be positive")
     if "coercive" in cfg:
         kwargs["coercive"] = _as_flag(cfg["coercive"], "analysis.coercive")
     return AnalysisOptions(**kwargs)
@@ -202,8 +187,9 @@ def _parse_analysis(cfg: dict) -> AnalysisOptions:
 def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
     """Parse and fully validate a JSON plan document.
 
-    Defaults are filled, unknown keys are rejected with the offending
-    key named, and vector lengths are checked against the spectrum.
+    Each kind accepts the keys its ``PLAN_KINDS`` entry names; defaults
+    are filled, any other key is rejected by name, and vector lengths
+    are checked against the spectrum.
     """
     try:
         cfg = json.loads(text)
@@ -213,74 +199,52 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
         raise ConfigurationError("config must be a JSON object")
 
     kind = cfg.get("kind", expected_kind)
-    if kind is None:
-        raise ConfigurationError("config.kind is required")
-    if kind not in PLAN_KINDS:
-        raise ConfigurationError(f"config.kind must be one of {PLAN_KINDS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in PLAN_KINDS:
+        raise ConfigurationError(f"config.kind must be one of {tuple(PLAN_KINDS)}, got {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ConfigurationError(
             f"config.kind is {kind!r} but the subcommand expects {expected_kind!r}"
         )
-    _reject_unknown(
-        cfg, _TOP_KEYS[kind] | {"kind", "settings", "analysis", "jobs"}, "config"
-    )
+    entry = PLAN_KINDS[kind]
+    _reject_unknown(cfg, entry.required | entry.optional | {"kind"}, "config")
+    missing = sorted(entry.required - set(cfg))
+    if missing:
+        raise ConfigurationError(f"config.{missing[0]} is required")
 
     settings = _parse_settings(cfg.get("settings", {}))
-    options = _parse_analysis(cfg.get("analysis", {}))
-    jobs = _as_integer(cfg["jobs"], "config.jobs") if "jobs" in cfg else None
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError("config.jobs must be at least 1")
-
-    plan_kwargs = dict(
-        kind=kind, raw=cfg, settings=settings, analysis=options, jobs=jobs
-    )
+    options = _parse_analysis(cfg.get("analysis", {}), entry.analysis)
+    plan_kwargs = dict(kind=kind, raw=cfg, settings=settings, analysis=options)
 
     if kind == "regime_grid":
-        gammas = _as_numbers(_require(cfg, "grid_gammas"), "config.grid_gammas")
-        ps = _as_numbers(_require(cfg, "grid_ps"), "config.grid_ps")
+        gammas = _as_numbers(cfg["grid_gammas"], "config.grid_gammas")
+        ps = _as_numbers(cfg["grid_ps"], "config.grid_ps")
         if not gammas or not ps:
             raise ConfigurationError("grid_gammas and grid_ps must be nonempty")
         if not all(math.isfinite(g) and g > 0.0 for g in gammas):
             raise ConfigurationError("grid_gammas must be finite and positive")
         if not all(math.isfinite(p) and p >= 0.0 for p in ps):
             raise ConfigurationError("grid_ps must be finite and nonnegative")
-        return ExperimentPlan(
-            grid_gammas=gammas,
-            grid_ps=ps,
-            grid_coercive=_as_flag(cfg.get("coercive", False), "config.coercive"),
-            **plan_kwargs,
-        )
+        return ExperimentPlan(grid_gammas=gammas, grid_ps=ps, **plan_kwargs)
 
-    spec = spectrum_from_config(_require(cfg, "spectrum"))
-    nl = nonlinearity_from_config(_require(cfg, "m"))
-    dis = dissipation_from_config(_require(cfg, "b"))
-    u0 = as_modal(spec, cfg["u0"], "u0") if "u0" in cfg else None
+    spec = spectrum_from_config(cfg["spectrum"])
+    nl = nonlinearity_from_config(cfg["m"])
+    dis = dissipation_from_config(cfg["b"])
+    u0 = as_modal(spec, cfg["u0"], "u0")
     u1 = as_modal(spec, cfg["u1"], "u1") if "u1" in cfg else None
-    if u0 is None:
-        raise ConfigurationError("config.u0 is required")
+    eps = _parse_eps(cfg["eps"], "config.eps") if "eps" in cfg else None
+    if kind == "verify" and ("eps" in cfg) != ("u1" in cfg):
+        raise ConfigurationError("config.eps and config.u1 go together in a verify plan")
 
-    eps = None
     eps_list = None
-    if kind in ("simulate", "corrector"):
-        eps = _parse_eps(_require(cfg, "eps"), "config.eps")
-        if u1 is None:
-            raise ConfigurationError("config.u1 is required")
-    elif kind == "sweep_eps":
+    if "eps_list" in cfg:
         eps_list = tuple(
             _parse_eps(e, f"config.eps_list[{i}]")
-            for i, e in enumerate(_as_list(_require(cfg, "eps_list"), "config.eps_list"))
+            for i, e in enumerate(_as_list(cfg["eps_list"], "config.eps_list"))
         )
         if len(eps_list) < 2:
             raise ConfigurationError("eps_list needs at least two values")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigurationError("eps_list must be strictly decreasing")
-        if u1 is None:
-            raise ConfigurationError("config.u1 is required")
-    elif kind == "verify":
-        if "eps" in cfg:
-            eps = _parse_eps(cfg["eps"], "config.eps")
-            if u1 is None:
-                raise ConfigurationError("config.u1 is required for a verify run with eps")
 
     return ExperimentPlan(
         spectrum=spec, nl=nl, dis=dis, eps=eps, eps_list=eps_list, u0=u0, u1=u1,
@@ -316,11 +280,9 @@ def _write_rows(path: Path, header: list, columns: list) -> None:
 
 
 def write_trajectory_csv(path: Path, traj: ig.Trajectory) -> None:
-    n = traj.spectrum.size
-    header = ["t"] + [f"u_{k+1}" for k in range(n)] + [f"up_{k+1}" for k in range(n)]
-    cols = [traj.times] + [traj.u[:, k] for k in range(n)] + [
-        traj.uprime[:, k] for k in range(n)
-    ]
+    k = range(1, traj.spectrum.size + 1)
+    header = ["t"] + [f"u_{i}" for i in k] + [f"up_{i}" for i in k]
+    cols = [traj.times, traj.u, traj.uprime]
     if traj.alpha is not None:
         header.append("alpha")
         cols.append(traj.alpha)
@@ -334,14 +296,9 @@ def write_series_csv(path: Path, series) -> None:
 
 
 def write_corrector_csv(path: Path, corr: ig.CorrectorTrajectory) -> None:
-    n = corr.theta.shape[1]
-    header = (
-        ["t"] + [f"theta_{k+1}" for k in range(n)] + [f"thetap_{k+1}" for k in range(n)]
-    )
-    cols = [corr.times] + [corr.theta[:, k] for k in range(n)] + [
-        corr.theta_prime[:, k] for k in range(n)
-    ]
-    _write_rows(path, header, cols)
+    k = range(1, corr.theta.shape[1] + 1)
+    header = ["t"] + [f"theta_{i}" for i in k] + [f"thetap_{i}" for i in k]
+    _write_rows(path, header, [corr.times, corr.theta, corr.theta_prime])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -351,17 +308,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
-    """Hash of the canonical configuration; 'jobs' is excluded so that
-    parallelism never changes where (or what) a plan writes."""
-    raw = {k: v for k, v in plan.raw.items() if k != "jobs"}
-    blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    """Hash of the canonical configuration."""
+    blob = json.dumps(plan.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
 # Plan runners
 
-def _run_simulate(plan: ExperimentPlan, outdir: Path) -> tuple:
+def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     traj = ig.solve_hyperbolic(
         plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
     )
@@ -415,7 +370,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path) -> tuple:
     return verdicts, {"hyperbolic": traj}, report
 
 
-def _run_limit(plan: ExperimentPlan, outdir: Path) -> tuple:
+def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     t_r = ig.solve_parabolic_reparam(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
     t_d = ig.solve_parabolic_direct(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
     write_trajectory_csv(outdir / "parabolic_reparam.csv", t_r)
@@ -446,7 +401,7 @@ def _run_limit(plan: ExperimentPlan, outdir: Path) -> tuple:
     return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}, report
 
 
-def _run_corrector(plan: ExperimentPlan, outdir: Path) -> tuple:
+def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     corr = ig.corrector(
         plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1,
         plan.settings.grid.times(),
@@ -458,7 +413,7 @@ def _run_corrector(plan: ExperimentPlan, outdir: Path) -> tuple:
     norm = np.sqrt(np.sum(corr.theta_prime**2, axis=1))
     chart.add_line(corr.times, norm, "|theta'|")
     chart.write(outdir / "corrector.svg")
-    return {}, {}, {"t_end": float(corr.times[-1])}
+    return {}, {"corrector": corr}, {"t_end": float(corr.times[-1]) if corr.times.size else None}
 
 
 def _sweep_member(args):
@@ -478,8 +433,10 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         (plan.spectrum, plan.nl, plan.dis, eps, plan.u0, plan.u1, plan.settings)
         for eps in plan.eps_list
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The fork start method launches every worker on the first submit.
+    workers = min(jobs, len(member_args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             members = list(pool.map(_sweep_member, member_args))
     else:
         members = [_sweep_member(a) for a in member_args]
@@ -491,7 +448,9 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         trajectories[f"hyperbolic_{i}"] = traj
         write_trajectory_csv(outdir / f"hyperbolic_{i}.csv", traj)
         write_corrector_csv(outdir / f"corrector_{i}.csv", corr)
-        if traj.status != ig.COMPLETED:
+        if corr.status != ig.COMPLETED:
+            trajectories[f"corrector_{i}"] = corr
+        if traj.status != ig.COMPLETED or corr.status != ig.COMPLETED:
             continue
         errors = ana.perturbation_errors(traj, par, corr, plan.dis)
         write_series_csv(outdir / f"errors_{i}.csv", errors)
@@ -508,7 +467,6 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         )
     trajectories["parabolic"] = par
 
-    opts = plan.analysis
     verdicts = {}
     report = {"eps_list": list(plan.eps_list), "per_eps": per_eps}
     complete = len(per_eps) == len(plan.eps_list)
@@ -526,14 +484,14 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
                 verdicts[f"slope_{name}"] = "skipped"
                 report[f"slope_{name}"] = None
             else:
-                ok = abs(fit.exponent - opts.slope_target) <= opts.slope_tol
+                ok = abs(fit.exponent - ana.SLOPE_TARGET) <= ana.SLOPE_TOL
                 verdicts[f"slope_{name}"] = "pass" if ok else "fail"
                 report[f"slope_{name}"] = fit.exponent
-        verdicts["weighted_ratio"] = "pass" if ratio <= opts.ratio_bound else "fail"
+        verdicts["weighted_ratio"] = "pass" if ratio <= ana.RATIO_BOUND else "fail"
         report["weighted_sup_over_eps_sq_ratio"] = ratio
-        report["slope_target"] = opts.slope_target
-        report["slope_tol"] = opts.slope_tol
-        report["ratio_bound"] = opts.ratio_bound
+        report["slope_target"] = ana.SLOPE_TARGET
+        report["slope_tol"] = ana.SLOPE_TOL
+        report["ratio_bound"] = ana.RATIO_BOUND
 
         chart = svgplot.LineChart(
             title="perturbation sweep", xlabel="eps", ylabel="sup of squared norm",
@@ -546,12 +504,12 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     return verdicts, trajectories, report
 
 
-def _run_grid(plan: ExperimentPlan, outdir: Path) -> tuple:
+def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     rows = []
     for g in plan.grid_gammas:
         for p in plan.grid_ps:
             nl = PowerNonlinearity(g)
-            regime = classify_regime(nl, PowerLawDissipation(p), plan.grid_coercive)
+            regime = classify_regime(nl, PowerLawDissipation(p), plan.coercive_flag())
             rows.append((g, p, regime.tag, regime.threshold))
     with open(outdir / "regime_grid.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,p,tag,p_gamma\n")
@@ -579,7 +537,7 @@ def _run_grid(plan: ExperimentPlan, outdir: Path) -> tuple:
     return {}, {}, report
 
 
-def _run_verify(plan: ExperimentPlan, outdir: Path) -> tuple:
+def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     coercive = plan.coercive_flag()
     ks = tuple(sorted(set(plan.analysis.ks) | {1.0, 2.0}))
     if plan.eps is not None:
@@ -597,9 +555,7 @@ def _run_verify(plan: ExperimentPlan, outdir: Path) -> tuple:
         bounds = ana.predicted_bounds(plan.nl, plan.dis, coercive, hyperbolic_run=False)
         status_key = "parabolic"
 
-    report = ana.verify_bounds(
-        series, bounds, plan.analysis.tol_exponent, plan.analysis.window
-    )
+    report = ana.verify_bounds(series, bounds, plan.analysis.window)
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     write_series_csv(outdir / "energies.csv", series)
     payload = {"config": plan.raw, **report.to_dict()}
@@ -620,6 +576,27 @@ def _run_verify(plan: ExperimentPlan, outdir: Path) -> tuple:
     return verdicts, {status_key: traj}, payload
 
 
+_MODEL = frozenset({"spectrum", "m", "b", "u0"})
+_RUN = frozenset({"settings", "analysis"})
+# kind -> subcommand, help, runner, required keys, optional keys, analysis keys
+PLAN_KINDS = {
+    "simulate": PlanKind("simulate", "second-order run with energies and floor diagnostics",
+                         _run_simulate, _MODEL | {"eps", "u1"}, _RUN, frozenset({"ks"})),
+    "limit": PlanKind("limit", "both first-order solvers plus the equivalence report",
+                      _run_limit, _MODEL, _RUN, frozenset({"ks"})),
+    "corrector": PlanKind("corrector", "boundary-layer corrector samples",
+                          _run_corrector, _MODEL | {"eps", "u1"}, frozenset({"settings"})),
+    "sweep_eps": PlanKind("sweep", "eps sweep with error series and order fits",
+                          _run_sweep, _MODEL | {"eps_list", "u1"}, frozenset({"settings"})),
+    "regime_grid": PlanKind("grid", "regime classification over a (gamma, p) lattice",
+                            _run_grid, frozenset({"grid_gammas", "grid_ps"}),
+                            frozenset({"analysis"}), frozenset({"coercive"})),
+    "verify": PlanKind("verify", "decay-rate verification against predicted bounds",
+                       _run_verify, _MODEL, _RUN | {"eps", "u1"},
+                       frozenset({"ks", "window", "coercive"})),
+}
+
+
 def run_plan(
     plan: ExperimentPlan,
     out_dir,
@@ -633,32 +610,16 @@ def run_plan(
         if stale.is_file():
             stale.unlink()
 
-    n_jobs = jobs or plan.jobs or os.cpu_count() or 1
-    if plan.kind == "simulate":
-        verdicts, trajectories, summary = _run_simulate(plan, outdir)
-    elif plan.kind == "limit":
-        verdicts, trajectories, summary = _run_limit(plan, outdir)
-    elif plan.kind == "corrector":
-        verdicts, trajectories, summary = _run_corrector(plan, outdir)
-    elif plan.kind == "sweep_eps":
-        verdicts, trajectories, summary = _run_sweep(plan, outdir, n_jobs)
-    elif plan.kind == "regime_grid":
-        verdicts, trajectories, summary = _run_grid(plan, outdir)
-    elif plan.kind == "verify":
-        verdicts, trajectories, summary = _run_verify(plan, outdir)
-    else:  # pragma: no cover - load_config rejects unknown kinds
-        raise ConfigurationError(f"unknown plan kind {plan.kind!r}")
+    runner = PLAN_KINDS[plan.kind].runner
+    verdicts, trajectories, summary = runner(plan, outdir, jobs or os.cpu_count() or 1)
     statuses = {key: tr.status for key, tr in trajectories.items()}
-    stats = {key: asdict(tr.stats) for key, tr in trajectories.items()}
+    stats = {key: tr.stats and asdict(tr.stats) for key, tr in trajectories.items()}
     del trajectories  # free the samples before the payload files are hashed
 
     files = {}
     for path in sorted(outdir.iterdir()):
         if path.is_file() and path.name != "manifest.json":
             files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-
-    import numpy
-    import scipy
 
     from . import __version__
 
@@ -669,7 +630,7 @@ def run_plan(
         "versions": {
             "kirchlab": __version__,
             "python": sys.version.split()[0],
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -159,11 +159,14 @@ class Trajectory:
 
 @dataclass
 class CorrectorTrajectory:
-    """Boundary-layer corrector samples: theta(0) = 0, theta'(0) = w0."""
+    """Boundary-layer corrector samples: theta(0) = 0, theta'(0) = w0.
+    A w0 that is not finite gives no samples and ``step_underflow``."""
 
     times: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
+    status: str = COMPLETED
+    stats: None = None  # no stepper runs
 
 
 def sigma_half(lam: np.ndarray, u: np.ndarray) -> float:
@@ -446,6 +449,10 @@ def corrector(
     if ts.ndim != 1 or ts.size < 1 or ts[0] != 0.0:
         raise ConfigurationError("times must start at 0")
     w0 = compute_w0(spec, nl, dis, u0, u1)
+    if not np.all(np.isfinite(w0)):
+        # m(sigma0) A u0 / b0 overflows; the solvers stop on such data too.
+        empty = np.empty((0, w0.size))
+        return CorrectorTrajectory(ts[:0], empty, empty, STEP_UNDERFLOW)
 
     decay = np.array([math.exp(-dis.primitive(t) / eps) for t in ts])
     theta_prime = w0[None, :] * decay[:, None]

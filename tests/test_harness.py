@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
 import pytest
 
 import kirchlab.cli as cli
-from kirchlab import ConfigurationError, load_config, plan_hash, run_plan
+import kirchlab.harness as harness
+import kirchlab.integrate as ig
+from kirchlab import ConfigurationError, load_config, run_plan
 from kirchlab.harness import ArtifactBundle
 
 
@@ -33,6 +36,17 @@ def grid_config(**grid):
     return simulate_config(settings={"grid": {"kind": "log", "count": 201, "t_end": 5.0, **grid}})
 
 
+SWEEP_PLAN = {
+    "kind": "sweep_eps",
+    "spectrum": {"kind": "explicit", "values": [1.0, 4.0]},
+    "m": {"kind": "power", "gamma": 1.0},
+    "b": {"kind": "power", "p": 0.0},
+    "eps_list": [3e-2, 1e-2],
+    "u0": [0.4, 0.2],
+    "u1": [0.0, 0.1],
+    "settings": {"grid": {"kind": "log", "count": 101, "t_end": 1.0}},
+}
+
 # Plans that are well formed JSON but carry data no solver can run:
 # (CLI subcommand, plan, field the error must name). Each must fail in
 # load_config, before solving.
@@ -43,21 +57,29 @@ INVALID_PLANS = {
     "eps_negative": ("simulate", simulate_config(eps=-1.0), "eps"),
     "corrector_eps_nan": ("corrector", simulate_config(kind="corrector", eps=math.nan), "eps"),
     "verify_eps_zero": ("verify", simulate_config(kind="verify", eps=0.0), "eps"),
+    "verify_u1_without_eps": (
+        "verify", {k: v for k, v in simulate_config(kind="verify").items() if k != "eps"},
+        "config.eps and config.u1",
+    ),
+    "verify_eps_without_u1": (
+        "verify", {k: v for k, v in simulate_config(kind="verify").items() if k != "u1"},
+        "config.eps and config.u1",
+    ),
     "eps_list_nan": ("sweep", sweep_config([math.nan, 1e-2, 1e-3]), "eps_list"),
     # Values of the wrong type are named errors, not tracebacks.
     "eps_string": ("simulate", simulate_config(eps="abc"), "config.eps"),
     "eps_null": ("simulate", simulate_config(eps=None), "config.eps"),
     "u0_non_numeric": ("simulate", simulate_config(u0=["a", 1]), "u0"),
     "u0_nested": ("simulate", simulate_config(u0=[[1.0], [0.5]]), "u0 must be a flat list"),
-    "jobs_string": ("simulate", simulate_config(jobs="x"), "config.jobs"),
     "gamma_string": ("simulate", simulate_config(m={"kind": "power", "gamma": "2"}), "m.gamma"),
+    "kind_not_a_string": ("simulate", {"kind": ["simulate"]}, "config.kind"),
     "eps_list_not_list": ("sweep", sweep_config(0.1), "config.eps_list"),
     "coercive_string": (
-        "simulate", simulate_config(analysis={"coercive": "false"}), "analysis.coercive"
+        "verify", simulate_config(kind="verify", analysis={"coercive": "false"}),
+        "analysis.coercive",
     ),
     # No silent coercion: fractional counts and a negative mu.
     "count_fractional": ("simulate", grid_config(count=2.7), "settings.grid.count"),
-    "jobs_fractional": ("simulate", simulate_config(jobs=2.5), "config.jobs"),
     "mu_negative": (
         "simulate",
         simulate_config(m={"kind": "table", "points": [[0.0, 1.0]], "mu": -1}),
@@ -88,33 +110,62 @@ INVALID_PLANS = {
         "verify", simulate_config(kind="verify", analysis={"window": [-5.0, 10.0]}),
         "analysis.window",
     ),
+    # Keys a kind does not read are unknown keys, among them the removed
+    # plan-level worker count and verification thresholds.
+    "jobs_string": ("simulate", simulate_config(jobs="x"), "unknown key 'jobs'"),
+    "jobs_fractional": ("simulate", simulate_config(jobs=2.5), "unknown key 'jobs'"),
     "tol_exponent_nan": (
         "verify", simulate_config(kind="verify", analysis={"tol_exponent": math.nan}),
-        "analysis.tol_exponent",
+        "unknown key 'tol_exponent' in analysis",
     ),
     "tol_exponent_negative": (
         "verify", simulate_config(kind="verify", analysis={"tol_exponent": -0.1}),
-        "analysis.tol_exponent",
+        "unknown key 'tol_exponent' in analysis",
     ),
     "slope_target_infinite": (
         "sweep", sweep_config([1e-2, 1e-3], analysis={"slope_target": -math.inf}),
-        "analysis.slope_target",
+        "unknown key 'analysis'",
     ),
     "slope_tol_nan": (
         "sweep", sweep_config([1e-2, 1e-3], analysis={"slope_tol": math.nan}),
-        "analysis.slope_tol",
+        "unknown key 'analysis'",
     ),
     "slope_tol_negative": (
-        "sweep", sweep_config([1e-2, 1e-3], analysis={"slope_tol": -1}),
-        "analysis.slope_tol",
+        "verify", simulate_config(kind="verify", analysis={"slope_tol": -1}),
+        "unknown key 'slope_tol' in analysis",
     ),
     "ratio_bound_infinite": (
-        "sweep", sweep_config([1e-2, 1e-3], analysis={"ratio_bound": math.inf}),
-        "analysis.ratio_bound",
+        "verify", simulate_config(kind="verify", analysis={"ratio_bound": math.inf}),
+        "unknown key 'ratio_bound' in analysis",
     ),
     "ratio_bound_zero": (
         "sweep", sweep_config([1e-2, 1e-3], analysis={"ratio_bound": 0}),
-        "analysis.ratio_bound",
+        "unknown key 'analysis'",
+    ),
+    "grid_top_level_coercive": (
+        "grid",
+        {"kind": "regime_grid", "grid_gammas": [2.0], "grid_ps": [0.9], "coercive": True},
+        "unknown key 'coercive' in config",
+    ),
+    "coercive_on_simulate": (
+        "simulate", simulate_config(analysis={"coercive": True}),
+        "unknown key 'coercive' in analysis",
+    ),
+    "window_on_simulate": (
+        "simulate", simulate_config(analysis={"window": [1.0, 5.0]}),
+        "unknown key 'window' in analysis",
+    ),
+    "analysis_on_corrector": (
+        "corrector", simulate_config(kind="corrector", analysis={"ks": [0.0]}),
+        "unknown key 'analysis'",
+    ),
+    "analysis_on_sweep": (
+        "sweep", sweep_config([1e-2, 1e-3], analysis={}), "unknown key 'analysis'",
+    ),
+    "settings_on_grid": (
+        "grid",
+        {"kind": "regime_grid", "grid_gammas": [1.0], "grid_ps": [0.5], "settings": {}},
+        "unknown key 'settings'",
     ),
 }
 
@@ -242,22 +293,35 @@ class TestRunPlan:
         assert report["config"]["kind"] == "verify"
 
     def test_sweep_jobs_isolation(self, tmp_path):
-        cfg = {
-            "kind": "sweep_eps",
-            "spectrum": {"kind": "explicit", "values": [1.0, 4.0]},
-            "m": {"kind": "power", "gamma": 1.0},
-            "b": {"kind": "power", "p": 0.0},
-            "eps_list": [3e-2, 1e-2],
-            "u0": [0.4, 0.2],
-            "u1": [0.0, 0.1],
-            "settings": {"grid": {"kind": "log", "count": 101, "t_end": 1.0}},
-        }
-        plan = load_config(json.dumps(cfg))
+        plan = load_config(json.dumps(SWEEP_PLAN))
         serial = run_plan(plan, tmp_path / "serial", jobs=1)
         parallel = run_plan(plan, tmp_path / "parallel", jobs=2)
         assert serial.manifest["files"] == parallel.manifest["files"]
         assert serial.manifest["solver_stats"] == parallel.manifest["solver_stats"]
         assert set(serial.manifest["solver_stats"]) == {"hyperbolic_0", "hyperbolic_1", "parabolic"}
+
+    @pytest.mark.parametrize("jobs,pools", [(500, [2]), (2, [2]), (1, [])])
+    def test_sweep_workers_capped_at_members(self, tmp_path, monkeypatch, jobs, pools):
+        # The fork start method launches max_workers processes on the
+        # first submit, so the pool must be no larger than the sweep.
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        run_plan(load_config(json.dumps(SWEEP_PLAN)), tmp_path, jobs=jobs)
+        assert made == pools
 
     def test_regime_grid_plan(self, tmp_path):
         cfg = {
@@ -272,16 +336,33 @@ class TestRunPlan:
         assert tags[("1", "0.5")] == "parabolic"
         assert tags[("2", "1.5")] == "hyperbolic"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_corrector_overflow_reported(self, tmp_path):
+        # w0 = u1 + m A u0 / b0 overflows on b0 = 1e-310 while the
+        # second-order members still complete.
+        plan = load_config(json.dumps({**SWEEP_PLAN, "b": {"kind": "constant", "delta": 1e-310}}))
+        bundle = run_plan(plan, tmp_path, jobs=1)
+        statuses = bundle.manifest["solver_status"]
+        assert statuses["hyperbolic_0"] == ig.COMPLETED
+        assert statuses["corrector_0"] == statuses["corrector_1"] == ig.STEP_UNDERFLOW
+        assert bundle.exit_code == 2
+
+    @pytest.mark.parametrize("coercive,tag", [(True, "parabolic"), (False, "no_mans_land")])
+    def test_regime_grid_reads_analysis_coercive(self, tmp_path, coercive, tag):
+        cfg = {
+            "kind": "regime_grid",
+            "grid_gammas": [2.0],
+            "grid_ps": [0.9],
+            "analysis": {"coercive": coercive},
+        }
+        bundle = run_plan(load_config(json.dumps(cfg)), tmp_path)
+        assert bundle.manifest["summary"]["cells"] == [{"gamma": 2.0, "p": 0.9, "tag": tag}]
+
     def test_corrector_plan(self, tmp_path):
         cfg = simulate_config(kind="corrector")
         bundle = run_plan(load_config(json.dumps(cfg)), tmp_path)
         header = (bundle.directory / "corrector.csv").read_text().splitlines()[0]
         assert header == "t,theta_1,theta_2,thetap_1,thetap_2"
-
-    def test_hash_ignores_jobs(self):
-        a = load_config(json.dumps(simulate_config()))
-        b = load_config(json.dumps(simulate_config(jobs=4)))
-        assert plan_hash(a) == plan_hash(b)
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = simulate_config(eps=1.0)
@@ -365,13 +446,52 @@ class TestCli:
 
     @pytest.mark.parametrize("name", sorted(INVALID_PLANS))
     def test_invalid_data_exit_3_without_bundle(self, tmp_path, capsys, name):
-        command, cfg, _ = INVALID_PLANS[name]
+        command, cfg, field = INVALID_PLANS[name]
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "runs"
         assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert re.search(field, err)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["nope", "--config", "plan.json"],
+            ["grid", "--config", "plan.json", "--jobs", "abc"],
+            ["grid", "--config", "plan.json", "--jobs", "0"],
+            ["sweep", "--config", "plan.json", "--jobs", "-3"],
+        ],
+    )
+    def test_usage_error_exit_3(self, argv, capsys):
+        assert cli.main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(entry.subcommand in out for entry in harness.PLAN_KINDS.values())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_corrector_overflow_reported(self, tmp_path, capsys):
+        # m(sigma0) = 2^1e6 overflows, so w0 = u1 + m A u0 / b0 is not finite.
+        cfg = simulate_config(
+            kind="corrector",
+            spectrum={"kind": "explicit", "values": [0.0, 2.0]},
+            m={"kind": "power", "gamma": 1e6},
+            eps=0.1, u0=[0.0, 1.0], u1=[0.0, 1.0],
+        )
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["corrector", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
+        assert cli.main(argv) == 2
+        assert "corrector: step_underflow" in capsys.readouterr().out
+        (bundle,) = (tmp_path / "runs").iterdir()
+        rows = (bundle / "corrector.csv").read_text().splitlines()
+        assert rows == ["t,theta_1,theta_2,thetap_1,thetap_2"]
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["grid", "--config", str(tmp_path / "nope.json")]) == 3
