@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .model import (
     Regime,
     classify_regime,
 )
-from .spectral import Spectrum, modal_sums
+from .spectral import modal_sums
 
 __all__ = [
     "RateFit",
@@ -36,7 +35,6 @@ __all__ = [
     "VerificationEntry",
     "VerificationReport",
     "ErrorSeries",
-    "FloorSeries",
     "fit_power_rate",
     "fit_exponential_rate",
     "fit_eps_order",
@@ -289,14 +287,7 @@ def predicted_bounds(
         ]
 
     # Drop duplicates while preserving order.
-    seen = set()
-    unique = []
-    for e in entries:
-        key = (e.quantity, e.kind, e.exponent, e.weight_exponent)
-        if key not in seen:
-            seen.add(key)
-            unique.append(e)
-    return BoundSet(tuple(unique), regime)
+    return BoundSet(tuple(dict.fromkeys(entries)), regime)
 
 
 def _weighted_nonincreasing(t, v, exponent) -> bool:
@@ -491,29 +482,14 @@ def perturbation_errors(
     return ErrorSeries(t.copy(), rho, r, r_prime, ch)
 
 
-class FloorSeries(NamedTuple):
-    times: np.ndarray
-    H: np.ndarray
-    floor: np.ndarray
-    margin: np.ndarray
-
-
-def hamiltonian_floor(
-    traj: Trajectory,
-    spec: Spectrum,
-    nl: Nonlinearity,
-    dis: Dissipation,
-    eps: float,
-) -> FloorSeries:
+def hamiltonian_floor(series: EnergySeries, dis: Dissipation, eps: float) -> EnergySeries:
     """Hamiltonian against its exponential floor H(0) exp(-2B(t)/eps).
 
+    Reads H from the ``H_eps`` channel of a second-order energy suite.
     Whenever the initial Hamiltonian is positive the margin must stay
     nonnegative; with integrable dissipation the floor has a positive
     limit, which is exactly why nonzero solutions cannot decay there.
     """
-    t = traj.times
-    sigma = modal_sums(spec, traj.u, [0.5])[:, 0]
-    v = modal_sums(spec, traj.uprime, [0.0])[:, 0]
-    H = eps * v + np.array([nl.integral(s) for s in sigma.tolist()])
-    floor = H[0] * np.array([math.exp(-2.0 * dis.primitive(ti) / eps) for ti in t])
-    return FloorSeries(t.copy(), H, floor, H - floor)
+    H = series["H_eps"]
+    floor = H[0] * np.exp(-2.0 * dis.primitive(series.times) / eps)
+    return EnergySeries(series.times.copy(), {"H": H, "floor": floor, "margin": H - floor})

@@ -7,24 +7,25 @@ carry NaN sentinels at the affected samples instead of raising; the
 analysis layer needs to see where a run degenerates.
 
 The modal norms of a trajectory come from ``modal_sums`` tables, which
-are plain floating-point row sums. Compensated sums (math.fsum) remain
-where cancellation can occur: the solvers' sigma (``integrate.sigma_half``),
-the scalar ``hamiltonian``, and the Gram difference inside P_eps. On the
-benchmark plans the plain sums move the channels by at most 2.3e-15
-relative; the tests bound the difference at 1e-12.
+are plain floating-point row sums, and the coefficients m, M, m' and b
+are evaluated on whole columns of them. Compensated sums (math.fsum)
+remain where cancellation can occur: the solvers' sigma
+(``spectral.sigma_half``), the scalar ``hamiltonian``, and the Gram
+difference inside P_eps. On the benchmark plans the plain sums move the
+channels by at most 2.3e-15 relative; the tests bound the difference at
+1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import Trajectory, sigma_half
+from .integrate import Trajectory
 from .model import Dissipation, Nonlinearity
-from .spectral import Spectrum, as_modal, modal_sums
+from .spectral import Spectrum, as_modal, modal_sums, sigma_half
 
 __all__ = [
     "UNDEFINED",
@@ -32,7 +33,6 @@ __all__ = [
     "hamiltonian",
     "energy_suite",
     "apriori_margin",
-    "AprioriMargins",
     "apriori_satisfied",
 ]
 
@@ -90,12 +90,12 @@ def energy_suite(
     next_ks = [] if parabolic else [(k + 1.0) / 2.0 for k in ks]
     sigma, one_u, *norm_u = modal_sums(spec, traj.u, [0.5, 1.0, *half_ks, *next_ks]).T
     v, *norm_up = modal_sums(spec, traj.uprime, [0.0] + ([] if parabolic else half_ks)).T
-    c = np.array([nl.value(s) for s in sigma.tolist()])
 
     out = {}
     with np.errstate(all="ignore"):
+        c = nl.value(sigma)
         if not parabolic:
-            out["H_eps"] = eps * v + np.array([nl.integral(s) for s in sigma.tolist()])
+            out["H_eps"] = eps * v + nl.integral(sigma)
             for k, up_k, u_k1 in zip(ks, norm_up, norm_u[len(ks) :]):
                 out[f"E_eps_{k:g}"] = np.where(c > 0.0, eps * up_k / c + u_k1, UNDEFINED)
             # Guard the composed denominators too: they can underflow to 0.0
@@ -127,48 +127,40 @@ def _gram(lam: np.ndarray, u: np.ndarray, uprime: np.ndarray) -> float:
     return sigma_half(lam, u) * math.fsum(lam * uprime * uprime) - cross * cross
 
 
-class AprioriMargins(NamedTuple):
-    times: np.ndarray
-    lhs_basic: np.ndarray
-    lhs_basic_plus: np.ndarray
-    rhs: np.ndarray
-
-
 def apriori_margin(
     traj: Trajectory,
     spec: Spectrum,
     nl: Nonlinearity,
     dis: Dissipation,
     eps: float,
-) -> AprioriMargins:
+) -> EnergySeries:
     """Both sides of the a-priori dissipation inequalities per sample.
 
     lhs_basic   = eps |m'(sigma)| / m(sigma) * |Au| * |u'|
     lhs_basic_plus = eps |Au| |u'| / sigma          (sigma = |A^(1/2)u|^2)
-    rhs         = b(t)
+    b           = b(t), the right-hand side of both
 
     For powers, sigma m'(sigma)/m(sigma) = gamma so lhs_basic is exactly
     gamma times lhs_basic_plus. Vanishing denominators give NaN. A run
-    sits inside the tractable regime when lhs <= rhs at every sample
+    sits inside the tractable regime when lhs_basic <= b at every sample
     past the boundary layer (t >= 10 eps); see ``apriori_satisfied``.
     """
     sigma, au_sq = modal_sums(spec, traj.u, [0.5, 1.0]).T
     norm_au = np.sqrt(au_sq)
     norm_up = np.sqrt(modal_sums(spec, traj.uprime, [0.0])[:, 0])
-    mval = np.array([nl.value(s) for s in sigma.tolist()])
-    mprime = np.array([nl.derivative(s) for s in sigma.tolist()])
-    rhs = np.array([dis.b(t) for t in traj.times.tolist()])
     with np.errstate(all="ignore"):
+        mval = nl.value(sigma)
         plus = np.where(sigma > 0.0, eps * norm_au * norm_up / sigma, UNDEFINED)
-        basic = eps * np.abs(mprime) / mval * norm_au * norm_up
+        basic = eps * np.abs(nl.derivative(sigma)) / mval * norm_au * norm_up
         basic = np.where(mval > 0.0, basic, UNDEFINED)
-    return AprioriMargins(traj.times.copy(), basic, plus, rhs)
+    channels = {"lhs_basic": basic, "lhs_basic_plus": plus, "b": dis.b(traj.times)}
+    return EnergySeries(traj.times.copy(), channels)
 
 
-def apriori_satisfied(margins: AprioriMargins, eps: float) -> bool:
+def apriori_satisfied(margins: EnergySeries, eps: float) -> bool:
     """True when lhs_basic <= b(t) at every defined sample with t >= 10 eps."""
     mask = margins.times >= 10.0 * eps
-    lhs = margins.lhs_basic[mask]
-    rhs = margins.rhs[mask]
+    lhs = margins["lhs_basic"][mask]
+    rhs = margins["b"][mask]
     defined = np.isfinite(lhs)
     return bool(np.all(lhs[defined] <= rhs[defined]))

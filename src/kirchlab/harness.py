@@ -173,6 +173,8 @@ def _parse_analysis(cfg: dict, allowed: frozenset) -> AnalysisOptions:
     for key, value in kwargs.items():
         if not np.all(np.isfinite(value)):
             raise ConfigurationError(f"analysis.{key} must be finite")
+    if any(k < 0.0 for k in kwargs.get("ks", ())):
+        raise ConfigurationError("analysis.ks must be nonnegative")
     if "window" in kwargs:
         lo, hi = kwargs["window"]
         if lo < 0.0:
@@ -322,22 +324,14 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     )
     series = en.energy_suite(traj, plan.spectrum, plan.nl, plan.eps, plan.analysis.ks)
     margins = en.apriori_margin(traj, plan.spectrum, plan.nl, plan.dis, plan.eps)
-    floor = ana.hamiltonian_floor(traj, plan.spectrum, plan.nl, plan.dis, plan.eps)
+    floor = ana.hamiltonian_floor(series, plan.dis, plan.eps)
 
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     write_series_csv(outdir / "energies.csv", series)
-    _write_rows(
-        outdir / "apriori.csv",
-        ["t", "lhs_basic", "lhs_basic_plus", "b"],
-        [margins.times, margins.lhs_basic, margins.lhs_basic_plus, margins.rhs],
-    )
-    _write_rows(
-        outdir / "hamiltonian_floor.csv",
-        ["t", "H", "floor", "margin"],
-        [floor.times, floor.H, floor.floor, floor.margin],
-    )
+    write_series_csv(outdir / "apriori.csv", margins)
+    write_series_csv(outdir / "hamiltonian_floor.csv", floor)
 
-    H = floor.H
+    H = floor["H"]
     slack = 10.0 * plan.settings.rel_tol
     monotone = bool(np.all(H[1:] <= H[:-1] * (1.0 + slack)))
     residual = (
@@ -351,7 +345,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         "H0": float(H[0]),
         "hamiltonian_monotone": monotone,
         "hamiltonian_slack": slack,
-        "floor_min_margin": float(np.min(floor.margin)),
+        "floor_min_margin": float(np.min(floor["margin"])),
         "apriori_satisfied": en.apriori_satisfied(margins, plan.eps),
         "residual": residual,
     }
@@ -363,7 +357,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     if "E_1" in series:
         chart.add_line(1.0 + traj.times, series["E_1"], "|A^1/2 u|^2")
     chart.add_line(1.0 + traj.times, series["v"], "|u'|^2")
-    chart.add_line(1.0 + floor.times, floor.H, "H")
+    chart.add_line(1.0 + floor.times, H, "H")
     chart.write(outdir / "simulate.svg")
 
     verdicts = {"hamiltonian_monotone": "pass" if monotone else "fail"}

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import RK45, Radau, quad
 
 from .model import ConstantDissipation, Dissipation, Nonlinearity, compute_w0
-from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums
+from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums, sigma_half
 
 __all__ = [
     "OutputGrid",
@@ -167,15 +167,6 @@ class CorrectorTrajectory:
     theta_prime: np.ndarray
     status: str = COMPLETED
     stats: None = None  # no stepper runs
-
-
-def sigma_half(lam: np.ndarray, u: np.ndarray) -> float:
-    """Compensated sum of lambda_k u_k^2, the squared half-order norm.
-
-    Shared by every solver and by the corrector launch velocity so that
-    quantities that cancel by construction cancel exactly in floats.
-    """
-    return math.fsum(lam * u * u)
 
 
 def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
@@ -392,9 +383,8 @@ def solve_parabolic_reparam(
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     alpha = samples[:, 0]
     u = u0v[None, :] * np.exp(-np.outer(alpha, lam))
-    aprime = np.array(
-        [nl.value(sigma_of_alpha(a)) / dis.b(t) for a, t in zip(alpha, times)]
-    )
+    with np.errstate(over="ignore"):  # m saturates at inf, as in rhs
+        aprime = nl.value(np.array([sigma_of_alpha(a) for a in alpha])) / dis.b(times)
     uprime = -aprime[:, None] * lam[None, :] * u
     return Trajectory(spec, times, u, uprime, status, t_stop, alpha=alpha, stats=stats)
 
@@ -454,7 +444,7 @@ def corrector(
         empty = np.empty((0, w0.size))
         return CorrectorTrajectory(ts[:0], empty, empty, STEP_UNDERFLOW)
 
-    decay = np.array([math.exp(-dis.primitive(t) / eps) for t in ts])
+    decay = np.exp(-dis.primitive(ts) / eps)
     theta_prime = w0[None, :] * decay[:, None]
 
     constant_b = isinstance(dis, ConstantDissipation) or dis.p == 0.0
@@ -505,8 +495,8 @@ def residual_norm(
     res += h1 / (h2 * (h1 + h2)) * x[2:]
     u, up = traj.u[1:-1], traj.uprime[1:-1]
     sigma, u_sq = modal_sums(spec, u, [0.5, 0.0]).T
-    mval = np.array([nl.value(s) for s in sigma.tolist()])[:, None]
-    b = np.array([dis.b(t) for t in ts[1:-1].tolist()])[:, None]
+    mval = nl.value(sigma)[:, None]
+    b = dis.b(ts[1:-1])[:, None]
     if eps == 0.0:
         res *= b
     else:

@@ -9,6 +9,8 @@ with either a power nonlinearity m(s) = s^gamma or a piecewise-linear
 nondecreasing-grid table, and with dissipation b(t) = (1+t)^(-p) or a
 positive constant. Only these model families are supported: they keep
 the primitive of b in closed form and make the regime classifier total.
+Every coefficient method (m, M, m', b, B) takes a float or a numpy array
+and returns the same shape.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .spectral import (
     _reject_unknown,
     apply_A,
     as_modal,
-    sobolev_norm_sq,
+    sigma_half,
 )
 
 __all__ = [
@@ -52,11 +54,12 @@ NO_MANS_LAND = "no_mans_land"
 NO_THEORY = "no_theory"
 
 
-def _power(x: float, y: float) -> float:
-    # A float power raises on overflow; m, M and m' saturate at inf.
+def _power(x, y: float):
+    # A float power raises on overflow and on 0.0 to a negative power;
+    # m, M and m' saturate at inf, as numpy's array power does.
     try:
         return x**y
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -74,21 +77,16 @@ class PowerNonlinearity:
     def mu(self) -> float:
         return 0.0
 
-    def value(self, sigma: float) -> float:
+    def value(self, sigma):
         return _power(sigma, self.gamma)
 
-    def integral(self, sigma: float) -> float:
+    def integral(self, sigma):
         return _power(sigma, self.gamma + 1.0) / (self.gamma + 1.0)
 
-    def derivative(self, sigma: float) -> float:
-        # At sigma = 0 the derivative is 0, 1 or +inf depending on gamma;
-        # the +inf sentinel flags the non-Lipschitz kink (gamma < 1).
-        if sigma == 0.0:
-            if self.gamma > 1.0:
-                return 0.0
-            if self.gamma == 1.0:
-                return 1.0
-            return math.inf
+    def derivative(self, sigma):
+        # At sigma = 0 the derivative is 0, 1 or +inf as gamma is above,
+        # at or below 1 (0^0 = 1); the +inf sentinel flags the
+        # non-Lipschitz kink (gamma < 1).
         return self.gamma * _power(sigma, self.gamma - 1.0)
 
 
@@ -127,25 +125,26 @@ class LipschitzTable:
         # Cumulative exact integrals of the linear segments.
         seg = 0.5 * (self._values[:-1] + self._values[1:]) * np.diff(self._sigmas)
         object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(seg))))
+        # Right slope of each segment; 0 in the constant extension.
+        slopes = np.diff(self._values) / np.diff(self._sigmas)
+        object.__setattr__(self, "_slopes", np.append(slopes, 0.0))
 
-    def value(self, sigma: float) -> float:
-        return float(np.interp(sigma, self._sigmas, self._values))
+    def _segment(self, sigma):
+        # Index of the breakpoint at or left of sigma; the last one past the grid.
+        return np.searchsorted(self._sigmas, sigma, side="right") - 1
 
-    def integral(self, sigma: float) -> float:
-        xs = self._sigmas
-        if sigma >= xs[-1]:
-            return float(self._cum[-1] + (sigma - xs[-1]) * self._values[-1])
-        j = int(np.searchsorted(xs, sigma, side="right")) - 1
-        m_here = self.value(sigma)
-        return float(self._cum[j] + 0.5 * (self._values[j] + m_here) * (sigma - xs[j]))
+    def value(self, sigma):
+        return np.interp(sigma, self._sigmas, self._values)
 
-    def derivative(self, sigma: float) -> float:
-        # One-sided right derivative; 0 in the constant extension.
-        xs = self._sigmas
-        if sigma >= xs[-1]:
-            return 0.0
-        j = int(np.searchsorted(xs, sigma, side="right")) - 1
-        return float((self._values[j + 1] - self._values[j]) / (xs[j + 1] - xs[j]))
+    def integral(self, sigma):
+        # Exact on the segment holding sigma; past the grid m is constant,
+        # so the trapezoid there is a rectangle.
+        j = self._segment(sigma)
+        return self._cum[j] + 0.5 * (self._values[j] + self.value(sigma)) * (sigma - self._sigmas[j])
+
+    def derivative(self, sigma):
+        # One-sided right derivative.
+        return self._slopes[self._segment(sigma)]
 
 
 Nonlinearity = Union[PowerNonlinearity, LipschitzTable]
@@ -165,12 +164,12 @@ class PowerLawDissipation:
     def b0(self) -> float:
         return 1.0
 
-    def b(self, t: float) -> float:
+    def b(self, t):
         return (1.0 + t) ** (-self.p)
 
-    def primitive(self, t: float) -> float:
+    def primitive(self, t):
         if self.p == 1.0:
-            return math.log1p(t)
+            return np.log1p(t)
         return ((1.0 + t) ** (1.0 - self.p) - 1.0) / (1.0 - self.p)
 
 
@@ -188,10 +187,10 @@ class ConstantDissipation:
     def b0(self) -> float:
         return self.delta
 
-    def b(self, t: float) -> float:
-        return self.delta
+    def b(self, t):
+        return np.full(t.shape, self.delta) if isinstance(t, np.ndarray) else self.delta
 
-    def primitive(self, t: float) -> float:
+    def primitive(self, t):
         return self.delta * t
 
 
@@ -258,7 +257,7 @@ def compute_w0(spec: Spectrum, nl: Nonlinearity, dis: Dissipation, u0, u1) -> np
     """
     u0v = as_modal(spec, u0, "u0")
     u1v = as_modal(spec, u1, "u1")
-    sigma0 = sobolev_norm_sq(spec, u0v, 0.5)
+    sigma0 = sigma_half(spec.eigenvalues, u0v)
     return u1v + (nl.value(sigma0) / dis.b0) * apply_A(spec, u0v)
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "Spectrum",
     "as_modal",
     "sobolev_norm_sq",
+    "sigma_half",
     "modal_sums",
     "apply_A",
     "coercivity",
@@ -94,6 +95,16 @@ def sobolev_norm_sq(spec: Spectrum, x, order: float) -> float:
     # IEEE pow gives 0.0**0.0 == 1.0, which is exactly the convention needed.
     weights = spec.eigenvalues ** (2.0 * order)
     return math.fsum(weights * xv * xv)
+
+
+def sigma_half(lam: np.ndarray, u: np.ndarray) -> float:
+    """Compensated sum of lambda_k u_k^2, the squared half-order norm.
+
+    ``sobolev_norm_sq(., 0.5)`` without the validation, bit for bit.
+    Shared by every solver and by the corrector launch velocity so that
+    quantities that cancel by construction cancel exactly in floats.
+    """
+    return math.fsum(lam * u * u)
 
 
 def modal_sums(spec: Spectrum, x: np.ndarray, orders) -> np.ndarray:

@@ -11,6 +11,7 @@ from kirchlab import (
     PowerNonlinearity,
     Spectrum,
     default_window,
+    energy_suite,
     fit_eps_order,
     fit_exponential_rate,
     fit_power_rate,
@@ -254,10 +255,11 @@ class TestHamiltonianFloor:
         spec = Spectrum([1.0])
         traj = Trajectory(spec, np.array([0.0, 1.0]), np.zeros((2, 1)),
                           np.zeros((2, 1)), COMPLETED)
-        fs = hamiltonian_floor(traj, spec, PowerNonlinearity(1.0), P0, 0.5)
-        np.testing.assert_array_equal(fs.H, 0.0)
-        np.testing.assert_array_equal(fs.floor, 0.0)
-        np.testing.assert_array_equal(fs.margin, 0.0)
+        series = energy_suite(traj, spec, PowerNonlinearity(1.0), 0.5)
+        fs = hamiltonian_floor(series, P0, 0.5)
+        np.testing.assert_array_equal(fs["H"], 0.0)
+        np.testing.assert_array_equal(fs["floor"], 0.0)
+        np.testing.assert_array_equal(fs["margin"], 0.0)
 
     def test_constant_dissipation_shape(self):
         spec = Spectrum([1.0])
@@ -265,11 +267,11 @@ class TestHamiltonianFloor:
         eps = 0.5
         s = IntegratorSettings(grid=OutputGrid("linear", 41, 2.0))
         traj = kl.solve_hyperbolic(spec, nl, P0, eps, [1.0], [0.0], s)
-        fs = hamiltonian_floor(traj, spec, nl, P0, eps)
+        fs = hamiltonian_floor(energy_suite(traj, spec, nl, eps), P0, eps)
         np.testing.assert_allclose(
-            fs.floor, fs.H[0] * np.exp(-2.0 * traj.times / eps), rtol=1e-12
+            fs["floor"], fs["H"][0] * np.exp(-2.0 * traj.times / eps), rtol=1e-12
         )
-        assert np.min(fs.margin) >= -1e-8 * fs.H[0]
+        assert np.min(fs["margin"]) >= -1e-8 * fs["H"][0]
 
     def test_integrable_dissipation_floor_positive(self):
         spec = Spectrum([2.0])
@@ -278,11 +280,11 @@ class TestHamiltonianFloor:
         eps = 0.1
         s = IntegratorSettings(grid=OutputGrid("log", 401, 100.0))
         traj = kl.solve_hyperbolic(spec, nl, dis, eps, [1.0], [0.5], s)
-        fs = hamiltonian_floor(traj, spec, nl, dis, eps)
+        fs = hamiltonian_floor(energy_suite(traj, spec, nl, eps), dis, eps)
         # total dissipation is below 1, so the terminal floor is at least
         # H0 e^{-20} and the margin stays nonnegative
-        assert fs.floor[-1] >= fs.H[0] * math.exp(-2.0 / eps) * (1.0 - 1e-12)
-        assert np.min(fs.margin) >= -1e-8 * fs.H[0]
+        assert fs["floor"][-1] >= fs["H"][0] * math.exp(-2.0 / eps) * (1.0 - 1e-12)
+        assert np.min(fs["margin"]) >= -1e-8 * fs["H"][0]
 
 
 def test_default_window_last_two_decades():

@@ -157,8 +157,8 @@ class TestApriori:
         spec = Spectrum([1.0])
         traj = make_traj(spec, [0.0, 1.0], [[1.0], [0.5]], [[0.1], [0.2]])
         m = apriori_margin(traj, spec, M_ONE, P0, 0.5)
-        np.testing.assert_array_equal(m.lhs_basic, 0.0)
-        np.testing.assert_array_equal(m.rhs, 1.0)
+        np.testing.assert_array_equal(m["lhs_basic"], 0.0)
+        np.testing.assert_array_equal(m["b"], 1.0)
 
     def test_power_ratio_is_gamma(self):
         # sigma m'/m = gamma, so lhs_basic = gamma * lhs_basic_plus.
@@ -169,7 +169,7 @@ class TestApriori:
         traj = make_traj(spec, np.arange(5.0), u, up)
         for gamma in (0.5, 2.0):
             m = apriori_margin(traj, spec, PowerNonlinearity(gamma), P0, 0.01)
-            np.testing.assert_allclose(m.lhs_basic, gamma * m.lhs_basic_plus, rtol=1e-12)
+            np.testing.assert_allclose(m["lhs_basic"], gamma * m["lhs_basic_plus"], rtol=1e-12)
 
     def test_reference_run_inside_regime(self):
         spec = Spectrum([1.0])
@@ -185,4 +185,4 @@ class TestApriori:
         spec = Spectrum([1.0])
         traj = make_traj(spec, [0.0], [[0.0]], [[1.0]])
         m = apriori_margin(traj, spec, PowerNonlinearity(0.5), P0, 0.1)
-        assert math.isnan(m.lhs_basic[0]) and math.isnan(m.lhs_basic_plus[0])
+        assert math.isnan(m["lhs_basic"][0]) and math.isnan(m["lhs_basic_plus"][0])

@@ -102,6 +102,12 @@ INVALID_PLANS = {
     ),
     # Analysis options: finite, and inside the range their use needs.
     "ks_nan": ("simulate", simulate_config(analysis={"ks": [math.nan]}), "analysis.ks"),
+    # lambda^k of a kernel mode is inf at k < 0.
+    "ks_negative": (
+        "simulate",
+        simulate_config(spectrum={"kind": "explicit", "values": [0.0, 1.0]}, analysis={"ks": [-1]}),
+        "analysis.ks",
+    ),
     "window_infinite": (
         "verify", simulate_config(kind="verify", analysis={"window": [1.0, math.inf]}),
         "analysis.window",
@@ -237,6 +243,17 @@ class TestRunPlan:
         assert {"trajectory.csv", "energies.csv", "apriori.csv",
                 "hamiltonian_floor.csv", "simulate_report.json",
                 "simulate.svg", "manifest.json"} <= names
+
+    def test_diagnostic_csv_headers(self, tmp_path):
+        bundle = run_plan(load_config(json.dumps(simulate_config())), tmp_path)
+        headers = {
+            name: (bundle.directory / name).read_text().split("\n", 1)[0]
+            for name in ("apriori.csv", "hamiltonian_floor.csv")
+        }
+        assert headers == {
+            "apriori.csv": "t,lhs_basic,lhs_basic_plus,b",
+            "hamiltonian_floor.csv": "t,H,floor,margin",
+        }
 
     def test_manifest_lists_every_file(self, tmp_path):
         plan = load_config(json.dumps(simulate_config()))

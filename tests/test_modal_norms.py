@@ -158,22 +158,22 @@ def test_apriori_margin_matches_reference(n, kind):
     got = apriori_margin(traj, spec, nl, DIS, 0.3)
     basic, plus, rhs = ref_apriori(traj, spec.eigenvalues, nl, DIS, 0.3)
     assert np.isnan(basic[3]) and np.isnan(plus[3])
-    np.testing.assert_allclose(got.lhs_basic, basic, rtol=RTOL, atol=0.0)
-    np.testing.assert_allclose(got.lhs_basic_plus, plus, rtol=RTOL, atol=0.0)
-    np.testing.assert_allclose(got.rhs, rhs, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(got["lhs_basic"], basic, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(got["lhs_basic_plus"], plus, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(got["b"], rhs, rtol=RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("n,kind", CASES)
 def test_hamiltonian_floor_matches_reference(n, kind):
     traj, spec, nl = random_case(n, kind)
     eps = 0.3
-    got = hamiltonian_floor(traj, spec, nl, DIS, eps)
+    got = hamiltonian_floor(energy_suite(traj, spec, nl, eps), DIS, eps)
     H = ref_hamiltonian(traj, spec.eigenvalues, nl, eps)
     floor = H[0] * np.exp([-2.0 * DIS.primitive(t) / eps for t in traj.times])
-    np.testing.assert_allclose(got.H, H, rtol=RTOL, atol=0.0)
-    np.testing.assert_allclose(got.floor, floor, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(got["H"], H, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(got["floor"], floor, rtol=RTOL, atol=0.0)
     # The margin is a difference that can cancel: compare it on the scale of H.
-    assert np.all(np.abs(got.margin - (H - floor)) <= RTOL * np.abs(H))
+    assert np.all(np.abs(got["margin"] - (H - floor)) <= RTOL * np.abs(H))
 
 
 @pytest.mark.parametrize("n,kind", CASES)

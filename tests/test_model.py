@@ -24,9 +24,12 @@ class TestNonlinearity:
         nl = PowerNonlinearity(1.0)
         assert (nl.value(4.0), nl.integral(4.0), nl.derivative(4.0)) == (4.0, 8.0, 1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns, floats do not
     def test_power_overflow_saturates(self):
         nl = PowerNonlinearity(1e6)
-        assert nl.value(2.0) == nl.integral(2.0) == nl.derivative(2.0) == math.inf
+        for method in (nl.value, nl.integral, nl.derivative):
+            assert method(2.0) == math.inf
+            np.testing.assert_array_equal(method(np.array([2.0, 3.0])), math.inf)
 
     def test_power_sqrt_kink_sentinel(self):
         nl = PowerNonlinearity(0.5)
@@ -117,6 +120,72 @@ class TestDissipation:
         assert hyperbolic(PowerLawDissipation(2.0))
         assert not hyperbolic(PowerLawDissipation(1.0))
         assert not hyperbolic(ConstantDissipation(1.0))
+
+
+# A 2x4 grid: zero, the breakpoints 1 and 2 of TABLE, points past its last
+# breakpoint, and 1e3, where s^400 overflows.
+SIGMAS = np.array([[0.0, 0.25, 1.0, 2.0], [2.5, 7.0, 40.0, 1e3]])
+TABLE = LipschitzTable(((0.0, 0.5), (1.0, 2.0), (2.0, 1.5)))
+TIMES = np.array([[0.0, 0.5, 1.0, 3.0], [10.0, 99.0, 1e4, 1e8]])
+
+
+class TestArrayEvaluation:
+    """Every coefficient method maps an array to the array of its scalar
+    values; float and array powers may round differently in the last bit."""
+
+    @staticmethod
+    def check(method, xs):
+        got = method(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        want = np.array([method(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns, floats do not
+    @pytest.mark.parametrize(
+        "nl",
+        [
+            PowerNonlinearity(0.5),
+            PowerNonlinearity(1.0),
+            PowerNonlinearity(2.0),
+            PowerNonlinearity(400.0),
+            TABLE,
+            LipschitzTable(((0.0, 3.0),)),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("method", ["value", "integral", "derivative"])
+    def test_nonlinearity(self, nl, method):
+        self.check(getattr(nl, method), SIGMAS)
+
+    @pytest.mark.parametrize(
+        "dis",
+        [
+            PowerLawDissipation(0.0),
+            PowerLawDissipation(0.5),
+            PowerLawDissipation(1.0),
+            PowerLawDissipation(2.5),
+            ConstantDissipation(0.7),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("method", ["b", "primitive"])
+    def test_dissipation(self, dis, method):
+        self.check(getattr(dis, method), TIMES)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0.0 ** -0.5
+    @pytest.mark.parametrize("gamma,slope", [(0.5, math.inf), (1.0, 1.0), (2.0, 0.0)])
+    def test_power_derivative_at_zero(self, gamma, slope):
+        nl = PowerNonlinearity(gamma)
+        assert nl.derivative(0.0) == slope
+        np.testing.assert_array_equal(nl.derivative(np.zeros(3)), slope)
+
+    def test_table_on_and_past_breakpoints(self):
+        np.testing.assert_array_equal(TABLE.value(SIGMAS[0]), [0.5, 0.875, 2.0, 1.5])
+        np.testing.assert_array_equal(TABLE.derivative(SIGMAS[0]), [1.5, 1.5, -0.5, 0.0])
+        # 1.25 + 1.75 over the two segments, then m = 1.5 past the grid.
+        np.testing.assert_allclose(
+            TABLE.integral(np.array([1.0, 2.0, 7.0])), [1.25, 3.0, 3.0 + 1.5 * 5.0], rtol=1e-15
+        )
 
 
 class TestThreshold:

@@ -13,7 +13,7 @@ from kirchlab import (
     sobolev_norm_sq,
     spectrum_from_config,
 )
-from kirchlab.spectral import as_modal, modal_sums
+from kirchlab.spectral import as_modal, modal_sums, sigma_half
 
 
 def test_norm_single_mode():
@@ -40,6 +40,13 @@ def test_modal_sums_rows_match_sobolev_norm():
     expected = [[sobolev_norm_sq(spec, row, s) for s in orders] for row in rows]
     np.testing.assert_array_equal(modal_sums(spec, rows, orders), expected)
     np.testing.assert_array_equal(expected, [[10.0, 2.0, 4.0], [4.0, 8.0, 16.0]])
+
+
+def test_sigma_half_is_the_half_order_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    spec = Spectrum(np.concatenate(([0.0], np.sort(rng.uniform(1e-3, 1e3, 63)))))
+    for x in rng.normal(size=(20, 64)) * np.logspace(-150, 150, 20)[:, None]:
+        assert sigma_half(spec.eigenvalues, x) == sobolev_norm_sq(spec, x, 0.5)
 
 
 def test_apply_A_examples():
