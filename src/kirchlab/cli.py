@@ -53,11 +53,10 @@ def main(argv=None) -> int:
         return 3
     try:
         plan = load_config(text, expected_kind=args.kind)
+        bundle = run_plan(plan, args.out, jobs=args.jobs)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-
-    bundle = run_plan(plan, args.out, jobs=args.jobs)
     for key, status in bundle.manifest["solver_status"].items():
         print(f"{key}: {status}")
     for key, verdict in bundle.manifest["verdicts"].items():

@@ -6,14 +6,15 @@ degenerate runs (the stiffness coefficient, or the half-order norm)
 carry NaN sentinels at the affected samples instead of raising; the
 analysis layer needs to see where a run degenerates.
 
-The modal norms of a trajectory come from ``modal_sums`` tables, which
-are plain floating-point row sums, and the coefficients m, M, m' and b
-are evaluated on whole columns of them. Compensated sums (math.fsum)
-remain where cancellation can occur: the solvers' sigma
-(``spectral.sigma_half``), the scalar ``hamiltonian``, and the Gram
-difference inside P_eps. On the benchmark plans the plain sums move the
-channels by at most 2.3e-15 relative; the tests bound the difference at
-1e-12.
+The modal norms of a trajectory come from ``modal_sums`` tables and
+the coefficients m, M, m' and b are evaluated on whole columns of them.
+Those norms, like the solvers' sigma (``spectral.sigma_half``), are sums
+of nonnegative terms, which cannot cancel, so they are plain sums.
+Compensated sums (math.fsum) remain only in the Gram difference inside
+P_eps (``_gram``), where cancellation does occur, and in the velocity
+term of the scalar ``hamiltonian``, which is off every hot path. On the
+benchmark plans the plain row sums move the channels by at most 2.3e-15
+relative; the tests bound the difference at 1e-12.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def energy_suite(
 
 def _gram(lam: np.ndarray, u: np.ndarray, uprime: np.ndarray) -> float:
     """|A^(1/2)u|^2 |A^(1/2)u'|^2 - (A^(1/2)u, A^(1/2)u')^2 from compensated
-    sums: by Cauchy-Schwarz a nonnegative difference of near-equal
-    products, so plain sums could leave only rounding noise."""
+    sums, all three: by Cauchy-Schwarz a nonnegative difference of
+    near-equal products, so plain sums could leave only rounding noise."""
     cross = math.fsum(lam * u * uprime)
-    return sigma_half(lam, u) * math.fsum(lam * uprime * uprime) - cross * cross
+    return math.fsum(lam * u * u) * math.fsum(lam * uprime * uprime) - cross * cross
 
 
 def apriori_margin(

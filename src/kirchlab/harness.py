@@ -5,7 +5,8 @@ A plan is a validated JSON document. Executing it writes one directory
 named by the hash of the configuration, containing CSV payloads, JSON
 reports, SVG charts, and a manifest listing every emitted file with its
 content hash. Reruns of the same plan are byte-identical except for the
-manifest timestamp; CSV files are the reproducibility contract.
+manifest's timestamp and timings; CSV files are the reproducibility
+contract.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -99,9 +102,11 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class PlanKind:
     """A plan kind: its subcommand, the top-level keys besides ``kind``
-    and the analysis keys it reads, and ``runner(plan, outdir, jobs)``,
-    which writes the payload files and returns (verdicts, trajectories,
-    summary); ``jobs`` bounds the worker processes of a sweep."""
+    and the analysis keys it reads, and ``runner(plan, outdir, jobs,
+    stage)``, which writes the payload files and returns (verdicts,
+    trajectories, summary); ``jobs`` bounds the worker processes of a
+    sweep, and ``with stage("solve" | "csv" | "json_svg"):`` times the
+    runner's solves and file writes for the manifest's ``timings``."""
 
     subcommand: str
     help: str
@@ -318,18 +323,20 @@ def plan_hash(plan: ExperimentPlan) -> str:
 # ----------------------------------------------------------------------
 # Plan runners
 
-def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
-    traj = ig.solve_hyperbolic(
-        plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
-    )
+def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+    with stage("solve"):
+        traj = ig.solve_hyperbolic(
+            plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
+        )
     series = en.energy_suite(traj, plan.spectrum, plan.nl, plan.eps, plan.analysis.ks)
     margins = en.apriori_margin(traj, plan.spectrum, plan.nl, plan.dis, plan.eps)
     floor = ana.hamiltonian_floor(series, plan.dis, plan.eps)
 
-    write_trajectory_csv(outdir / "trajectory.csv", traj)
-    write_series_csv(outdir / "energies.csv", series)
-    write_series_csv(outdir / "apriori.csv", margins)
-    write_series_csv(outdir / "hamiltonian_floor.csv", floor)
+    with stage("csv"):
+        write_trajectory_csv(outdir / "trajectory.csv", traj)
+        write_series_csv(outdir / "energies.csv", series)
+        write_series_csv(outdir / "apriori.csv", margins)
+        write_series_csv(outdir / "hamiltonian_floor.csv", floor)
 
     H = floor["H"]
     slack = 10.0 * plan.settings.rel_tol
@@ -349,8 +356,6 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         "apriori_satisfied": en.apriori_satisfied(margins, plan.eps),
         "residual": residual,
     }
-    _write_json(outdir / "simulate_report.json", report)
-
     chart = svgplot.LineChart(
         title="state norms", xlabel="1+t", ylabel="value", logx=True, logy=True
     )
@@ -358,19 +363,23 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         chart.add_line(1.0 + traj.times, series["E_1"], "|A^1/2 u|^2")
     chart.add_line(1.0 + traj.times, series["v"], "|u'|^2")
     chart.add_line(1.0 + floor.times, H, "H")
-    chart.write(outdir / "simulate.svg")
+    with stage("json_svg"):
+        _write_json(outdir / "simulate_report.json", report)
+        chart.write(outdir / "simulate.svg")
 
     verdicts = {"hamiltonian_monotone": "pass" if monotone else "fail"}
     return verdicts, {"hyperbolic": traj}, report
 
 
-def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
-    t_r = ig.solve_parabolic_reparam(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
-    t_d = ig.solve_parabolic_direct(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
-    write_trajectory_csv(outdir / "parabolic_reparam.csv", t_r)
-    write_trajectory_csv(outdir / "parabolic_direct.csv", t_d)
+def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+    with stage("solve"):
+        t_r = ig.solve_parabolic_reparam(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
+        t_d = ig.solve_parabolic_direct(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
     series = en.energy_suite(t_r, plan.spectrum, plan.nl, 0.0, plan.analysis.ks)
-    write_series_csv(outdir / "energies.csv", series)
+    with stage("csv"):
+        write_trajectory_csv(outdir / "parabolic_reparam.csv", t_r)
+        write_trajectory_csv(outdir / "parabolic_direct.csv", t_d)
+        write_series_csv(outdir / "energies.csv", series)
 
     scale = math.sqrt(float(plan.u0 @ plan.u0))
     shared = min(t_r.times.size, t_d.times.size)
@@ -384,29 +393,32 @@ def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         "status_reparam": t_r.status,
         "status_direct": t_d.status,
     }
-    _write_json(outdir / "limit_report.json", report)
-
     chart = svgplot.LineChart(
         title="first-order limit", xlabel="1+t", ylabel="E_1", logx=True, logy=True
     )
     if "E_1" in series:
         chart.add_line(1.0 + t_r.times, series["E_1"], "reparametrized")
-    chart.write(outdir / "limit.svg")
+    with stage("json_svg"):
+        _write_json(outdir / "limit_report.json", report)
+        chart.write(outdir / "limit.svg")
     return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}, report
 
 
-def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
-    corr = ig.corrector(
-        plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1,
-        plan.settings.grid.times(),
-    )
-    write_corrector_csv(outdir / "corrector.csv", corr)
+def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+    with stage("solve"):
+        corr = ig.corrector(
+            plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1,
+            plan.settings.grid.times(),
+        )
+    with stage("csv"):
+        write_corrector_csv(outdir / "corrector.csv", corr)
     chart = svgplot.LineChart(
         title="corrector", xlabel="t", ylabel="|theta'|", logy=True
     )
     norm = np.sqrt(np.sum(corr.theta_prime**2, axis=1))
     chart.add_line(corr.times, norm, "|theta'|")
-    chart.write(outdir / "corrector.svg")
+    with stage("json_svg"):
+        chart.write(outdir / "corrector.svg")
     return {}, {"corrector": corr}, {"t_end": float(corr.times[-1]) if corr.times.size else None}
 
 
@@ -417,11 +429,13 @@ def _sweep_member(args):
     return traj, corr
 
 
-def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
-    par = ig.solve_parabolic_reparam(
-        plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
-    )
-    write_trajectory_csv(outdir / "parabolic.csv", par)
+def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+    with stage("solve"):
+        par = ig.solve_parabolic_reparam(
+            plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
+        )
+    with stage("csv"):
+        write_trajectory_csv(outdir / "parabolic.csv", par)
 
     member_args = [
         (plan.spectrum, plan.nl, plan.dis, eps, plan.u0, plan.u1, plan.settings)
@@ -429,25 +443,28 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     ]
     # The fork start method launches every worker on the first submit.
     workers = min(jobs, len(member_args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(_sweep_member, member_args))
-    else:
-        members = [_sweep_member(a) for a in member_args]
+    with stage("solve"):
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                members = list(pool.map(_sweep_member, member_args))
+        else:
+            members = [_sweep_member(a) for a in member_args]
 
     trajectories = {}
     sup_rho, sup_rp, sup_w = [], [], []
     per_eps = []
     for i, (eps, (traj, corr)) in enumerate(zip(plan.eps_list, members)):
         trajectories[f"hyperbolic_{i}"] = traj
-        write_trajectory_csv(outdir / f"hyperbolic_{i}.csv", traj)
-        write_corrector_csv(outdir / f"corrector_{i}.csv", corr)
+        with stage("csv"):
+            write_trajectory_csv(outdir / f"hyperbolic_{i}.csv", traj)
+            write_corrector_csv(outdir / f"corrector_{i}.csv", corr)
         if corr.status != ig.COMPLETED:
             trajectories[f"corrector_{i}"] = corr
         if traj.status != ig.COMPLETED or corr.status != ig.COMPLETED:
             continue
         errors = ana.perturbation_errors(traj, par, corr, plan.dis)
-        write_series_csv(outdir / f"errors_{i}.csv", errors)
+        with stage("csv"):
+            write_series_csv(outdir / f"errors_{i}.csv", errors)
         sup_rho.append(errors.sup("rho_sq"))
         sup_rp.append(errors.sup("r_prime_sq"))
         sup_w.append(errors.sup("half_rho_sq_weighted"))
@@ -493,19 +510,21 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         )
         chart.add_line(eps_arr, sup_rho, "sup |rho|^2")
         chart.add_line(eps_arr, sup_rp, "sup |r'|^2")
-        chart.write(outdir / "sweep.svg")
-    _write_json(outdir / "sweep_report.json", report)
+        with stage("json_svg"):
+            chart.write(outdir / "sweep.svg")
+    with stage("json_svg"):
+        _write_json(outdir / "sweep_report.json", report)
     return verdicts, trajectories, report
 
 
-def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
+def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     rows = []
     for g in plan.grid_gammas:
         for p in plan.grid_ps:
             nl = PowerNonlinearity(g)
             regime = classify_regime(nl, PowerLawDissipation(p), plan.coercive_flag())
             rows.append((g, p, regime.tag, regime.threshold))
-    with open(outdir / "regime_grid.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with stage("csv"), open(outdir / "regime_grid.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,p,tag,p_gamma\n")
         for g, p, tag, thr in rows:
             fh.write(f"{_cell(g)},{_cell(p)},{tag},{_cell(thr)}\n")
@@ -525,35 +544,35 @@ def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
         pts = [(g, p) for g, p, t, _ in rows if t == tag]
         if pts:
             chart.add_points([g for g, _ in pts], [p for _, p in pts], tag, color)
-    chart.write(outdir / "regime_grid.svg")
     report = {"cells": [{"gamma": g, "p": p, "tag": t} for g, p, t, _ in rows]}
-    _write_json(outdir / "grid_report.json", report)
+    with stage("json_svg"):
+        chart.write(outdir / "regime_grid.svg")
+        _write_json(outdir / "grid_report.json", report)
     return {}, {}, report
 
 
-def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
+def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     coercive = plan.coercive_flag()
     ks = tuple(sorted(set(plan.analysis.ks) | {1.0, 2.0}))
-    if plan.eps is not None:
-        traj = ig.solve_hyperbolic(
-            plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
-        )
-        series = en.energy_suite(traj, plan.spectrum, plan.nl, plan.eps, ks)
-        bounds = ana.predicted_bounds(plan.nl, plan.dis, coercive, hyperbolic_run=True)
-        status_key = "hyperbolic"
-    else:
-        traj = ig.solve_parabolic_reparam(
-            plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
-        )
-        series = en.energy_suite(traj, plan.spectrum, plan.nl, 0.0, ks)
-        bounds = ana.predicted_bounds(plan.nl, plan.dis, coercive, hyperbolic_run=False)
-        status_key = "parabolic"
+    hyperbolic = plan.eps is not None
+    with stage("solve"):
+        if hyperbolic:
+            traj = ig.solve_hyperbolic(
+                plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
+            )
+        else:
+            traj = ig.solve_parabolic_reparam(
+                plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
+            )
+    series = en.energy_suite(traj, plan.spectrum, plan.nl, plan.eps if hyperbolic else 0.0, ks)
+    bounds = ana.predicted_bounds(plan.nl, plan.dis, coercive, hyperbolic_run=hyperbolic)
+    status_key = "hyperbolic" if hyperbolic else "parabolic"
 
     report = ana.verify_bounds(series, bounds, plan.analysis.window)
-    write_trajectory_csv(outdir / "trajectory.csv", traj)
-    write_series_csv(outdir / "energies.csv", series)
+    with stage("csv"):
+        write_trajectory_csv(outdir / "trajectory.csv", traj)
+        write_series_csv(outdir / "energies.csv", series)
     payload = {"config": plan.raw, **report.to_dict()}
-    _write_json(outdir / "verify_report.json", payload)
 
     chart = svgplot.LineChart(
         title="decay channels", xlabel="1+t", ylabel="value", logx=True, logy=True
@@ -561,7 +580,9 @@ def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int) -> tuple:
     chart.add_line(1.0 + series.times, series["E_1"], "E_half")
     chart.add_line(1.0 + series.times, series["E_2"], "E_one")
     chart.add_line(1.0 + series.times, series["v"], "V")
-    chart.write(outdir / "verify.svg")
+    with stage("json_svg"):
+        _write_json(outdir / "verify_report.json", payload)
+        chart.write(outdir / "verify.svg")
 
     verdicts = {
         f"{e.quantity}:{e.kind}": e.verdict for e in report.entries
@@ -596,7 +617,11 @@ def run_plan(
     out_dir,
     jobs: int | None = None,
 ) -> ArtifactBundle:
-    """Execute a plan into out_dir/<config hash>/ and write the manifest."""
+    """Execute a plan into out_dir/<config hash>/ and write the manifest.
+
+    A ``ConfigurationError`` raised by the runner removes the half-written
+    bundle directory before it propagates.
+    """
     start = time.perf_counter()
     outdir = Path(out_dir) / plan_hash(plan)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -604,16 +629,32 @@ def run_plan(
         if stale.is_file():
             stale.unlink()
 
+    # Wall seconds per stage; "diagnostics" is the runner's untimed rest.
+    timings = dict.fromkeys(("solve", "diagnostics", "csv", "json_svg", "hashing"), 0.0)
+
+    @contextmanager
+    def stage(name: str):
+        lap = time.perf_counter()
+        yield
+        timings[name] += time.perf_counter() - lap
+
     runner = PLAN_KINDS[plan.kind].runner
-    verdicts, trajectories, summary = runner(plan, outdir, jobs or os.cpu_count() or 1)
+    runner_start = time.perf_counter()
+    try:
+        verdicts, trajectories, summary = runner(plan, outdir, jobs or os.cpu_count() or 1, stage)
+    except ConfigurationError:
+        shutil.rmtree(outdir, ignore_errors=True)
+        raise
+    timings["diagnostics"] = time.perf_counter() - runner_start - sum(timings.values())
     statuses = {key: tr.status for key, tr in trajectories.items()}
     stats = {key: tr.stats and asdict(tr.stats) for key, tr in trajectories.items()}
     del trajectories  # free the samples before the payload files are hashed
 
     files = {}
-    for path in sorted(outdir.iterdir()):
-        if path.is_file() and path.name != "manifest.json":
-            files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    with stage("hashing"):
+        for path in sorted(outdir.iterdir()):
+            if path.is_file() and path.name != "manifest.json":
+                files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     from . import __version__
 
@@ -629,6 +670,7 @@ def run_plan(
         },
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - start,
+        "timings": timings,
         "verdicts": verdicts,
         "solver_status": statuses,
         "solver_stats": stats,

@@ -368,10 +368,13 @@ def solve_parabolic_reparam(
     """
     u0v = as_modal(spec, u0, "u0")
     lam = spec.eigenvalues
-    w = lam * u0v * u0v
+    u0_sq = u0v * u0v
+    rate = -2.0 * lam
 
     def sigma_of_alpha(alpha: float) -> float:
-        return math.fsum(w * np.exp(-2.0 * lam * alpha))
+        # Summed as sigma_half sums, so at alpha = 0 this is
+        # sigma_half(lam, u0) bit for bit, as in the corrector's w0.
+        return float(np.add.reduce(lam * (u0_sq * np.exp(rate * alpha))))
 
     def rhs(t, y):
         return np.array([nl.value(sigma_of_alpha(y[0])) / dis.b(t)])

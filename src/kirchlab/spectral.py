@@ -9,7 +9,6 @@ are allowed and model an operator with a kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,34 +86,42 @@ def sobolev_norm_sq(spec: Spectrum, x, order: float) -> float:
 
     Computes sum_k lambda_k^(2*order) x_k^2 with the convention 0^0 = 1,
     so kernel modes contribute x_k^2 at order 0 and nothing at any
-    positive order. Summation is compensated.
+    positive order. The terms are nonnegative, so the sum cannot cancel
+    and is formed like ``sigma_half``'s.
     """
     xv = as_modal(spec, x, "x")
     if order < 0.0:
         raise ValueError("order must be nonnegative")
     # IEEE pow gives 0.0**0.0 == 1.0, which is exactly the convention needed.
     weights = spec.eigenvalues ** (2.0 * order)
-    return math.fsum(weights * xv * xv)
+    return float(np.add.reduce(weights * (xv * xv)))
 
 
 def sigma_half(lam: np.ndarray, u: np.ndarray) -> float:
-    """Compensated sum of lambda_k u_k^2, the squared half-order norm.
+    """Sum of lambda_k u_k^2, the squared half-order norm.
 
     ``sobolev_norm_sq(., 0.5)`` without the validation, bit for bit.
     Shared by every solver and by the corrector launch velocity so that
     quantities that cancel by construction cancel exactly in floats.
+
+    The terms are nonnegative, so a plain sum of N of them is accurate
+    to (N-1) machine epsilons relative (Higham, Accuracy and Stability
+    of Numerical Algorithms, 4.2). It is numpy's pairwise ``add.reduce``,
+    not a BLAS dot, whose bits can change with the thread count.
     """
-    return math.fsum(lam * u * u)
+    return float(np.add.reduce(lam * (u * u)))
 
 
 def modal_sums(spec: Spectrum, x: np.ndarray, orders) -> np.ndarray:
     """Weighted row sums of a (samples x modes) array of modal vectors.
 
     Column j holds sum_k lambda_k^(2*orders[j]) x[i, k]^2 for every row
-    i, with the 0^0 = 1 convention of ``sobolev_norm_sq``. These are
-    plain floating-point sums, not compensated ones. The contraction
-    runs without a (samples x modes) temporary, so large spectra cost no
-    extra copy of the trajectory.
+    i, with the 0^0 = 1 convention of ``sobolev_norm_sq``. Like
+    ``sigma_half`` these are plain sums of nonnegative terms, which
+    cannot cancel; they may differ from it in the last bits, since the
+    contraction adds in another order. It runs without a (samples x
+    modes) temporary, so large spectra cost no extra copy of the
+    trajectory.
     """
     weights = spec.eigenvalues[:, None] ** (2.0 * np.asarray(orders, dtype=float))
     return np.einsum("ij,ij,jk->ik", x, x, weights)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -269,6 +270,23 @@ class TestRunPlan:
         for name in b1.manifest["files"]:
             assert (b1.directory / name).read_bytes() == (b2.directory / name).read_bytes()
 
+    @pytest.mark.parametrize("cfg", [simulate_config(), SWEEP_PLAN], ids=["simulate", "sweep"])
+    def test_manifest_timings(self, tmp_path, cfg):
+        plan = load_config(json.dumps(cfg))
+        bundles = [run_plan(plan, tmp_path / side) for side in "ab"]
+        for bundle in bundles:
+            timings = bundle.manifest["timings"]
+            assert set(timings) == {"solve", "diagnostics", "csv", "json_svg", "hashing"}
+            assert all(v >= 0.0 for v in timings.values())
+            assert timings["solve"] > 0.0 and timings["csv"] > 0.0
+            assert sum(timings.values()) <= bundle.manifest["elapsed_seconds"]
+            on_disk = json.loads((bundle.directory / "manifest.json").read_text())
+            assert on_disk["timings"] == timings
+        a, b = (bundle.directory for bundle in bundles)
+        assert bundles[0].manifest["files"] == bundles[1].manifest["files"]
+        for name in bundles[0].manifest["files"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_limit_plan(self, tmp_path):
         cfg = {
             "kind": "limit",
@@ -472,6 +490,24 @@ class TestCli:
         assert "config error" in err
         assert re.search(field, err)
         assert not out.exists()
+
+    def test_config_error_while_running_exit_3_without_bundle(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def runner(plan, outdir, jobs, stage):
+            (outdir / "trajectory.csv").write_text("t\n")
+            raise ConfigurationError("data rejected mid-run")
+
+        entry = dataclasses.replace(harness.PLAN_KINDS["simulate"], runner=runner)
+        monkeypatch.setitem(harness.PLAN_KINDS, "simulate", entry)
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(simulate_config()))
+        out = tmp_path / "runs"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config error: data rejected mid-run" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,12 +15,14 @@ from kirchlab import (
     PowerLawDissipation,
     PowerNonlinearity,
     Spectrum,
+    compute_w0,
     corrector,
     residual_norm,
     solve_hyperbolic,
     solve_parabolic_direct,
     solve_parabolic_reparam,
 )
+from kirchlab.spectral import sigma_half
 
 M_ONE = LipschitzTable(((0.0, 1.0),))  # m == 1
 P0 = PowerLawDissipation(0.0)
@@ -315,6 +317,22 @@ class TestParabolicReparam:
             ok = np.isfinite(back)
             np.testing.assert_allclose(back[ok], u0[k], rtol=1e-12)
 
+    # Seed 5 separates a plain from a compensated sum of these terms,
+    # seed 13 the orders (lam * u0) * u0 and lam * (u0 * u0).
+    @pytest.mark.parametrize("seed", [5, 13])
+    def test_launch_velocity_from_sigma_half_bit_for_bit(self, seed):
+        # At alpha = 0 the clock's sigma is sigma_half(lam, u0) exactly, so
+        # u'(0) = -(m(sigma0) / b(0)) lam u0 as the corrector's w0 has it.
+        rng = np.random.default_rng(seed)
+        spec = Spectrum(np.sort(rng.uniform(0.1, 100.0, 64)))
+        u0 = rng.normal(size=64)
+        nl, dis = PowerNonlinearity(1.0), PowerLawDissipation(0.5)
+        traj = solve_parabolic_reparam(spec, nl, dis, u0, settings(count=11, t_end=1.0))
+        lam = spec.eigenvalues
+        sigma0 = np.array([sigma_half(lam, u0)])
+        aprime0 = nl.value(sigma0) / dis.b(np.zeros(1))
+        np.testing.assert_array_equal(traj.uprime[0], -aprime0 * lam * u0)
+
     def test_alpha_nondecreasing_from_zero(self):
         traj = solve_parabolic_reparam(
             Spectrum([1.0]), PowerNonlinearity(0.5), PowerLawDissipation(0.5), [2.0],
@@ -603,3 +621,32 @@ class TestStiffPath:
     )
     def test_selector_routing(self, lam_max, m0, t_end, eps, method):
         assert kl.integrate._stepper(eps, lam_max, m0, PowerLawDissipation(0.5), t_end) == method
+
+
+class TestPlainModalSums:
+    """The solvers and the corrector launch sum only nonnegative terms
+    lambda_k u_k^2, so none of them calls math.fsum."""
+
+    @pytest.fixture(autouse=True)
+    def no_fsum(self, monkeypatch):
+        def fsum(_):
+            raise AssertionError("math.fsum called on a solver path")
+
+        monkeypatch.setattr(math, "fsum", fsum)
+
+    @pytest.mark.parametrize("method", ["dp5", "radau"])
+    def test_hyperbolic(self, monkeypatch, method):
+        spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
+        force_stepper(monkeypatch, method)
+        traj = solve_hyperbolic(spec, nl, dis, 1e-3, u0, u1, settings(count=21, t_end=0.5))
+        assert traj.status == COMPLETED
+        assert traj.stats.method == method
+
+    @pytest.mark.parametrize("solve", [solve_parabolic_reparam, solve_parabolic_direct])
+    def test_first_order(self, solve):
+        spec, nl, dis, u0, _ = NONLINEAR_SHAPE
+        assert solve(spec, nl, dis, u0, settings(count=21, t_end=10.0)).status == COMPLETED
+
+    def test_corrector_launch_velocity(self):
+        spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
+        assert np.all(np.isfinite(compute_w0(spec, nl, dis, u0, u1)))

@@ -49,6 +49,19 @@ def test_sigma_half_is_the_half_order_norm_bit_for_bit():
         assert sigma_half(spec.eigenvalues, x) == sobolev_norm_sq(spec, x, 0.5)
 
 
+@pytest.mark.parametrize("n", [512, 10_000])
+def test_sigma_half_matches_compensated_sum(n):
+    # Nonnegative terms cannot cancel, so the plain pairwise sum stays
+    # within a few epsilons of the correctly rounded one even when the
+    # terms span 300 decades.
+    rng = np.random.default_rng(n)
+    lam = np.sort(rng.uniform(1e-3, 1e3, n))
+    terms = rng.permutation(np.logspace(-300, 0, n))
+    u = rng.choice([-1.0, 1.0], n) * np.sqrt(terms / lam)
+    exact = math.fsum(lam * (u * u))
+    assert abs(sigma_half(lam, u) - exact) <= 1e-13 * exact
+
+
 def test_apply_A_examples():
     np.testing.assert_array_equal(apply_A(Spectrum([1.0, 4.0]), [1.0, 1.0]), [1.0, 4.0])
     np.testing.assert_array_equal(apply_A(Spectrum([0.0]), [7.0]), [0.0])
