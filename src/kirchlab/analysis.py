@@ -12,20 +12,13 @@ multiplicative constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .energies import EnergySeries
 from .integrate import CorrectorTrajectory, Trajectory
-from .model import (
-    Dissipation,
-    Nonlinearity,
-    PowerLawDissipation,
-    PowerNonlinearity,
-    Regime,
-    classify_regime,
-)
+from .model import Dissipation, Nonlinearity, PowerNonlinearity, Regime, classify_regime
 from .spectral import modal_sums
 
 __all__ = [
@@ -34,7 +27,6 @@ __all__ = [
     "BoundSet",
     "VerificationEntry",
     "VerificationReport",
-    "ErrorSeries",
     "fit_power_rate",
     "fit_exponential_rate",
     "fit_eps_order",
@@ -93,10 +85,6 @@ class BoundSet:
     entries: tuple
     regime: Regime
 
-    @property
-    def applicable(self) -> bool:
-        return len(self.entries) > 0
-
 
 @dataclass
 class VerificationEntry:
@@ -108,14 +96,7 @@ class VerificationEntry:
     margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "kind": self.kind,
-            "predicted_exponent": self.predicted_exponent,
-            "fitted_exponent": self.fitted_exponent,
-            "verdict": self.verdict,
-            "margin": None if math.isnan(self.margin) else self.margin,
-        }
+        return {**asdict(self), "margin": None if math.isnan(self.margin) else self.margin}
 
 
 @dataclass
@@ -200,15 +181,13 @@ RATIO_BOUND = 10.0
 def fit_eps_order(eps_list, sup_values) -> RateFit | None:
     """Slope of log(sup) against log(eps) across a perturbation sweep.
 
-    Requires at least 4 values of eps spanning at least two decades.
-    Returns None when a sup vanishes (exact coincidence of solutions).
+    Returns None (skipped) unless at least 4 values of eps span at least
+    two decades, and when a sup vanishes (exact coincidence of solutions).
     """
     e = np.asarray(eps_list, dtype=float)
     s = np.asarray(sup_values, dtype=float)
-    if e.size < 4:
-        raise ValueError("need at least 4 eps values")
-    if e.max() / e.min() < 100.0 * (1.0 - 1e-12):
-        raise ValueError("eps values must span at least two decades")
+    if e.size < 4 or e.max() / e.min() < 100.0 * (1.0 - 1e-12):
+        return None
     if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
         return None
     return _log_fit(np.log(e), s, (float(e.min()), float(e.max())))
@@ -232,7 +211,7 @@ def predicted_bounds(
     regime = classify_regime(nl, dis, coercive)
     if regime.tag != "parabolic":
         return BoundSet((), regime)
-    p = dis.p if isinstance(dis, PowerLawDissipation) else 0.0
+    p = dis.p
     q = p + 1.0
     entries = []
 
@@ -300,6 +279,47 @@ def _weighted_nonincreasing(t, v, exponent) -> bool:
 TOL_EXPONENT = 0.07  # slack of a fitted decay exponent against a predicted one
 
 
+def _check(entry: BoundEntry, times, values, window, sandwich: bool):
+    """(fitted exponent, margin, passed) of one bound, or None when the
+    fit it needs is undefined over the window (skipped)."""
+    if entry.kind in ("poly_lower", "poly_upper"):
+        fit = fit_power_rate(times, values, window)
+        if fit is None:
+            return None
+        if entry.kind == "poly_lower":
+            margin = fit.exponent - (entry.exponent - TOL_EXPONENT)
+            return fit.exponent, margin, margin >= 0.0
+        margin = (entry.exponent + TOL_EXPONENT) - fit.exponent
+        passed = margin >= 0.0
+        if not passed and not sandwich:
+            t, v = _masked(times, values, window)
+            passed = t.size >= 2 and _weighted_nonincreasing(t, v, entry.exponent)
+        return fit.exponent, margin, passed
+
+    if entry.kind in ("exp_lower", "exp_upper"):
+        if entry.weight_exponent:
+            values = values / (1.0 + times) ** entry.weight_exponent
+        exp_fit = fit_exponential_rate(times, values, entry.exponent - 1.0, window)
+        poly_fit = fit_power_rate(times, values, window)
+        if exp_fit is None or poly_fit is None:
+            return None
+        margin = poly_fit.rms_residual - exp_fit.rms_residual
+        return exp_fit.exponent, margin, margin >= 0.0
+
+    # integral_upper
+    weighted = values * (1.0 + times) ** (entry.weight_exponent or 0.0)
+    fit = fit_power_rate(times, weighted, window)
+    if fit is None:
+        return None
+    margin = (-1.0 - TOL_EXPONENT) - fit.exponent
+    passed = margin >= 0.0
+    if not passed:
+        t, v = _masked(times, weighted, window)
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
+        passed = cum[-1] > 0.0 and (cum[-1] - cum[t.size // 2]) <= 0.01 * cum[-1]
+    return fit.exponent, margin, passed
+
+
 def verify_bounds(
     series: EnergySeries, bounds: BoundSet, window: tuple | None = None
 ) -> VerificationReport:
@@ -314,126 +334,24 @@ def verify_bounds(
     Integral bounds pass when the weighted integrand decays strictly
     faster than 1/(1+t) or the cumulative integral has visibly
     converged. Quantities undefined over the window are skipped.
+    Entries are grouped by quantity, in order of first mention.
     """
     if window is None:
         window = default_window(series.times)
-    entries = []
-    by_quantity = {}
+    first = {}
     for e in bounds.entries:
-        by_quantity.setdefault(e.quantity, []).append(e)
+        first.setdefault(e.quantity, len(first))
+    kinds = {(e.quantity, e.kind) for e in bounds.entries}
 
-    for quantity, group in by_quantity.items():
-        channel = _QUANTITY_CHANNEL.get(quantity)
-        values = series.channels.get(channel) if channel else None
-        poly_fit = (
-            fit_power_rate(series.times, values, window) if values is not None else None
-        )
-
-        lowers = [e for e in group if e.kind == "poly_lower"]
-        uppers = [e for e in group if e.kind == "poly_upper"]
-        sandwich = bool(lowers) and bool(uppers)
-
-        for e in group:
-            if values is None:
-                entries.append(
-                    VerificationEntry(quantity, e.kind, e.exponent, None, SKIPPED, math.nan)
-                )
-                continue
-            if e.kind in ("poly_lower", "poly_upper"):
-                if poly_fit is None:
-                    entries.append(
-                        VerificationEntry(quantity, e.kind, e.exponent, None, SKIPPED, math.nan)
-                    )
-                    continue
-                beta = poly_fit.exponent
-                if e.kind == "poly_lower":
-                    margin = beta - (e.exponent - TOL_EXPONENT)
-                    ok = margin >= 0.0
-                else:
-                    margin = (e.exponent + TOL_EXPONENT) - beta
-                    ok = margin >= 0.0
-                    if not ok and not sandwich:
-                        t, v = _masked(series.times, values, window)
-                        if t.size >= 2 and _weighted_nonincreasing(t, v, e.exponent):
-                            ok = True
-                entries.append(
-                    VerificationEntry(
-                        quantity, e.kind, e.exponent, beta, PASS if ok else FAIL, margin
-                    )
-                )
-            elif e.kind in ("exp_lower", "exp_upper"):
-                vals = values
-                if e.weight_exponent:
-                    vals = values / (1.0 + series.times) ** e.weight_exponent
-                p = e.exponent - 1.0
-                exp_fit = fit_exponential_rate(series.times, vals, p, window)
-                poly_ref = fit_power_rate(series.times, vals, window)
-                if exp_fit is None or poly_ref is None:
-                    entries.append(
-                        VerificationEntry(quantity, e.kind, e.exponent, None, SKIPPED, math.nan)
-                    )
-                    continue
-                margin = poly_ref.rms_residual - exp_fit.rms_residual
-                ok = margin >= 0.0
-                entries.append(
-                    VerificationEntry(
-                        quantity,
-                        e.kind,
-                        e.exponent,
-                        exp_fit.exponent,
-                        PASS if ok else FAIL,
-                        margin,
-                    )
-                )
-            else:  # integral_upper
-                w = e.weight_exponent or 0.0
-                weighted = values * (1.0 + series.times) ** w
-                fit = fit_power_rate(series.times, weighted, window)
-                if fit is None:
-                    entries.append(
-                        VerificationEntry(quantity, e.kind, e.exponent, None, SKIPPED, math.nan)
-                    )
-                    continue
-                margin = (-1.0 - TOL_EXPONENT) - fit.exponent
-                ok = margin >= 0.0
-                if not ok:
-                    t, v = _masked(series.times, weighted, window)
-                    cum = np.concatenate(
-                        ([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t)))
-                    )
-                    if cum[-1] > 0.0:
-                        half = int(t.size // 2)
-                        ok = (cum[-1] - cum[half]) <= 0.01 * cum[-1]
-                entries.append(
-                    VerificationEntry(
-                        quantity, e.kind, e.exponent, fit.exponent, PASS if ok else FAIL, margin
-                    )
-                )
+    entries = []
+    for e in sorted(bounds.entries, key=lambda b: first[b.quantity]):
+        values = series.channels.get(_QUANTITY_CHANNEL.get(e.quantity))
+        sandwich = {(e.quantity, "poly_lower"), (e.quantity, "poly_upper")} <= kinds
+        result = None if values is None else _check(e, series.times, values, window, sandwich)
+        fitted, margin, passed = result or (None, math.nan, False)
+        verdict = SKIPPED if result is None else PASS if passed else FAIL
+        entries.append(VerificationEntry(e.quantity, e.kind, e.exponent, fitted, verdict, margin))
     return VerificationReport(entries, tuple(window), bounds.regime)
-
-
-@dataclass
-class ErrorSeries:
-    """Differences between a second-order run, its first-order limit,
-    and the corrector, with the norm channels that the error theory
-    bounds.
-
-    rho = u_eps - u, r = rho - theta, r_prime = u_eps' - u' - theta'.
-    Channels: rho_sq, half_rho_sq, one_rho_sq, r_prime_sq,
-    half_r_prime_sq; their decay-weighted versions (weights (1+t)^(p+1),
-    (1+t)^(2(p+1)), (1+t)^2); and two cumulative trapezoid integrals,
-    cum_int_p of (1+t)^p (r_prime_sq + half_rho_sq) and cum_int_2p1 of
-    (1+t)^(2p+1) (half_r_prime_sq + one_rho_sq).
-    """
-
-    times: np.ndarray
-    rho: np.ndarray
-    r: np.ndarray
-    r_prime: np.ndarray
-    channels: dict = field(default_factory=dict)
-
-    def sup(self, name: str) -> float:
-        return float(np.max(self.channels[name]))
 
 
 def perturbation_errors(
@@ -441,8 +359,16 @@ def perturbation_errors(
     traj_par: Trajectory,
     corr: CorrectorTrajectory,
     dis: Dissipation,
-) -> ErrorSeries:
+) -> EnergySeries:
     """Pointwise remainders of the singular perturbation on a shared grid.
+
+    With rho = u_eps - u and r' = u_eps' - u' - theta' (second-order run,
+    first-order limit, corrector), the channels are the norms the error
+    theory bounds: rho_sq, half_rho_sq, one_rho_sq, r_prime_sq,
+    half_r_prime_sq; their decay-weighted versions (weights (1+t)^(p+1),
+    (1+t)^(2(p+1)), (1+t)^2); and two cumulative trapezoid integrals,
+    cum_int_p of (1+t)^p (r_prime_sq + half_rho_sq) and cum_int_2p1 of
+    (1+t)^(2p+1) (half_r_prime_sq + one_rho_sq).
 
     All three inputs must carry identical output grids; reuse the same
     settings object when producing them.
@@ -453,12 +379,10 @@ def perturbation_errors(
     ):
         raise ValueError("trajectories and corrector must share one output grid")
     t = traj_eps.times
-    p = dis.p if isinstance(dis, PowerLawDissipation) else 0.0
+    p = dis.p
 
     rho = traj_eps.u - traj_par.u
-    r = rho - corr.theta
     r_prime = traj_eps.uprime - traj_par.uprime - corr.theta_prime
-
     rho_sums = modal_sums(traj_eps.spectrum, rho, [0.0, 0.5, 1.0])
     r_prime_sums = modal_sums(traj_eps.spectrum, r_prime, [0.0, 0.5])
     ch = {
@@ -479,7 +403,7 @@ def perturbation_errors(
         ch[name] = np.concatenate(
             ([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t)))
         )
-    return ErrorSeries(t.copy(), rho, r, r_prime, ch)
+    return EnergySeries(t.copy(), ch)
 
 
 def hamiltonian_floor(series: EnergySeries, dis: Dissipation, eps: float) -> EnergySeries:

@@ -103,10 +103,11 @@ class ExperimentPlan:
 class PlanKind:
     """A plan kind: its subcommand, the top-level keys besides ``kind``
     and the analysis keys it reads, and ``runner(plan, outdir, jobs,
-    stage)``, which writes the payload files and returns (verdicts,
-    trajectories, summary); ``jobs`` bounds the worker processes of a
-    sweep, and ``with stage("solve" | "csv" | "json_svg"):`` times the
-    runner's solves and file writes for the manifest's ``timings``."""
+    stage)``, which writes the payload files, its report among them, and
+    returns (verdicts, trajectories) for the manifest; ``jobs`` bounds
+    the worker processes of a sweep, and ``with stage("solve" | "csv" |
+    "json_svg"):`` times the runner's solves and file writes for the
+    manifest's ``timings``."""
 
     subcommand: str
     help: str
@@ -368,7 +369,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple
         chart.write(outdir / "simulate.svg")
 
     verdicts = {"hamiltonian_monotone": "pass" if monotone else "fail"}
-    return verdicts, {"hyperbolic": traj}, report
+    return verdicts, {"hyperbolic": traj}
 
 
 def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
@@ -401,7 +402,7 @@ def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     with stage("json_svg"):
         _write_json(outdir / "limit_report.json", report)
         chart.write(outdir / "limit.svg")
-    return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}, report
+    return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}
 
 
 def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
@@ -419,7 +420,7 @@ def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tupl
     chart.add_line(corr.times, norm, "|theta'|")
     with stage("json_svg"):
         chart.write(outdir / "corrector.svg")
-    return {}, {"corrector": corr}, {"t_end": float(corr.times[-1]) if corr.times.size else None}
+    return {}, {"corrector": corr}
 
 
 def _sweep_member(args):
@@ -451,7 +452,6 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
             members = [_sweep_member(a) for a in member_args]
 
     trajectories = {}
-    sup_rho, sup_rp, sup_w = [], [], []
     per_eps = []
     for i, (eps, (traj, corr)) in enumerate(zip(plan.eps_list, members)):
         trajectories[f"hyperbolic_{i}"] = traj
@@ -465,17 +465,11 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
         errors = ana.perturbation_errors(traj, par, corr, plan.dis)
         with stage("csv"):
             write_series_csv(outdir / f"errors_{i}.csv", errors)
-        sup_rho.append(errors.sup("rho_sq"))
-        sup_rp.append(errors.sup("r_prime_sq"))
-        sup_w.append(errors.sup("half_rho_sq_weighted"))
-        per_eps.append(
-            {
-                "eps": eps,
-                "sup_rho_sq": sup_rho[-1],
-                "sup_r_prime_sq": sup_rp[-1],
-                "sup_half_rho_sq_weighted": sup_w[-1],
-            }
-        )
+        sups = {
+            f"sup_{name}": float(np.max(errors[name]))
+            for name in ("rho_sq", "r_prime_sq", "half_rho_sq_weighted")
+        }
+        per_eps.append({"eps": eps, **sups})
     trajectories["parabolic"] = par
 
     verdicts = {}
@@ -483,14 +477,13 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     complete = len(per_eps) == len(plan.eps_list)
     if complete:
         eps_arr = np.array(plan.eps_list)
-        # Order fits need 4+ values over 2+ decades; shorter sweeps
-        # still report sups and the weighted ratio.
-        fittable = eps_arr.size >= 4 and eps_arr.max() / eps_arr.min() >= 100.0 * (1 - 1e-12)
-        fit_rho = ana.fit_eps_order(eps_arr, sup_rho) if fittable else None
-        fit_rp = ana.fit_eps_order(eps_arr, sup_rp) if fittable else None
-        ratios = np.array(sup_w) / eps_arr**2
+        sup_rho = [row["sup_rho_sq"] for row in per_eps]
+        sup_rp = [row["sup_r_prime_sq"] for row in per_eps]
+        ratios = np.array([row["sup_half_rho_sq_weighted"] for row in per_eps]) / eps_arr**2
         ratio = float(ratios.max() / ratios.min()) if np.all(ratios > 0.0) else math.inf
-        for name, fit in (("rho_sq", fit_rho), ("r_prime_sq", fit_rp)):
+        # Sweeps too short to fit an order still report sups and the ratio.
+        for name, sup in (("rho_sq", sup_rho), ("r_prime_sq", sup_rp)):
+            fit = ana.fit_eps_order(eps_arr, sup)
             if fit is None:
                 verdicts[f"slope_{name}"] = "skipped"
                 report[f"slope_{name}"] = None
@@ -514,7 +507,7 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
             chart.write(outdir / "sweep.svg")
     with stage("json_svg"):
         _write_json(outdir / "sweep_report.json", report)
-    return verdicts, trajectories, report
+    return verdicts, trajectories
 
 
 def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
@@ -548,7 +541,7 @@ def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     with stage("json_svg"):
         chart.write(outdir / "regime_grid.svg")
         _write_json(outdir / "grid_report.json", report)
-    return {}, {}, report
+    return {}, {}
 
 
 def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
@@ -588,7 +581,7 @@ def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
         f"{e.quantity}:{e.kind}": e.verdict for e in report.entries
     }
     verdicts["overall"] = report.worst
-    return verdicts, {status_key: traj}, payload
+    return verdicts, {status_key: traj}
 
 
 _MODEL = frozenset({"spectrum", "m", "b", "u0"})
@@ -641,7 +634,7 @@ def run_plan(
     runner = PLAN_KINDS[plan.kind].runner
     runner_start = time.perf_counter()
     try:
-        verdicts, trajectories, summary = runner(plan, outdir, jobs or os.cpu_count() or 1, stage)
+        verdicts, trajectories = runner(plan, outdir, jobs or os.cpu_count() or 1, stage)
     except ConfigurationError:
         shutil.rmtree(outdir, ignore_errors=True)
         raise
@@ -674,7 +667,6 @@ def run_plan(
         "verdicts": verdicts,
         "solver_status": statuses,
         "solver_stats": stats,
-        "summary": summary,
         "files": files,
     }
     _write_json(outdir / "manifest.json", manifest)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import RK45, Radau, quad
 
-from .model import ConstantDissipation, Dissipation, Nonlinearity, compute_w0
+from .model import Dissipation, Nonlinearity, compute_w0
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums, sigma_half
 
 __all__ = [
@@ -450,8 +450,7 @@ def corrector(
     decay = np.exp(-dis.primitive(ts) / eps)
     theta_prime = w0[None, :] * decay[:, None]
 
-    constant_b = isinstance(dis, ConstantDissipation) or dis.p == 0.0
-    if constant_b:
+    if dis.p == 0.0:
         d = dis.b0
         integral = (eps / d) * (-np.expm1(-d * ts / eps))
     else:

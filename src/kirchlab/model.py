@@ -175,13 +175,17 @@ class PowerLawDissipation:
 
 @dataclass(frozen=True)
 class ConstantDissipation:
-    """b(t) = delta > 0."""
+    """b(t) = delta > 0; its decay exponent p is 0."""
 
     delta: float
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ConfigurationError("delta must be a positive finite real")
+
+    @property
+    def p(self) -> float:
+        return 0.0
 
     @property
     def b0(self) -> float:
@@ -225,14 +229,13 @@ def p_gamma(gamma: float) -> float:
 def classify_regime(nl: Nonlinearity, dis: Dissipation, coercive: bool) -> Regime:
     """Place a model configuration on the regime map.
 
-    Constant dissipation counts as p = 0. Above p = 1 the dissipation is
-    integrable and nonzero solutions cannot decay (hyperbolic). At or
+    Above p = 1 the dissipation is integrable and nonzero solutions cannot decay (hyperbolic). At or
     below p = 1: nondegenerate nonlinearities and coercive power cases
     are parabolic; noncoercive power cases are parabolic only up to the
     threshold exponent, with an unresolved band up to 1; degenerate
     tables under genuinely weak dissipation have no supporting theory.
     """
-    p = dis.p if isinstance(dis, PowerLawDissipation) else 0.0
+    p = dis.p
     threshold = p_gamma(nl.gamma) if isinstance(nl, PowerNonlinearity) else None
     if p > 1.0:
         return Regime(HYPERBOLIC, threshold)

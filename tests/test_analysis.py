@@ -100,10 +100,9 @@ class TestEpsOrderFit:
         assert fit_eps_order(eps, [1.0, 1.0, 0.0, 1.0]) is None
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            fit_eps_order([1e-1, 1e-2, 1e-3], [1, 1, 1])
-        with pytest.raises(ValueError):
-            fit_eps_order([1e-1, 8e-2, 5e-2, 3e-2], [1, 1, 1, 1])
+        # Fewer than 4 values, or less than two decades: skipped.
+        assert fit_eps_order([1e-1, 1e-2, 1e-3], [1, 1, 1]) is None
+        assert fit_eps_order([1e-1, 8e-2, 5e-2, 3e-2], [1, 1, 1, 1]) is None
 
 
 class TestPredictedBounds:
@@ -137,7 +136,7 @@ class TestPredictedBounds:
 
     def test_outside_parabolic_regime_empty(self):
         bs = predicted_bounds(PowerNonlinearity(1.0), PowerLawDissipation(1.5), True)
-        assert bs.entries == () and not bs.applicable
+        assert bs.entries == ()
         assert bs.regime.tag == "hyperbolic"
         nml = predicted_bounds(PowerNonlinearity(2.0), PowerLawDissipation(0.9), False)
         assert nml.entries == () and nml.regime.tag == "no_mans_land"
@@ -197,6 +196,103 @@ class TestVerifyBounds:
         assert report.worst == "fail"
 
 
+def _check(channels, entries, t, window):
+    """Verify synthetic channels against hand-written bound entries."""
+    bounds = kl.BoundSet(tuple(entries), kl.Regime("parabolic", None))
+    return verify_bounds(EnergySeries(t, channels), bounds, window).entries
+
+
+def _rise_then_drop(t, window):
+    # (1+t)^-2 times a weight that climbs across the window and falls
+    # back to its value at the window's first sample at the last one:
+    # the fitted slope misses a -2 upper bound, the weighted end point
+    # does not.
+    w = 1.0 + np.log1p(t)
+    w[-1] = w[np.argmax(t >= window[0])]
+    return (1.0 + t) ** -2 * w
+
+
+class TestVerifyBranches:
+    WINDOW = (1.0, 1e4)
+
+    def test_lone_upper_rescued_by_weighted_fallback(self):
+        t = log_times(1e4, 500)
+        (e,) = _check({"v": _rise_then_drop(t, self.WINDOW)}, [BoundEntry("V", "poly_upper", -2.0)],
+                      t, self.WINDOW)
+        assert e.verdict == "pass"
+        assert e.margin < 0.0 and e.fitted_exponent > -2.0 + 0.07
+
+    def test_sandwiched_upper_not_rescued(self):
+        t = log_times(1e4, 500)
+        entries = [BoundEntry("V", "poly_lower", -2.0), BoundEntry("V", "poly_upper", -2.0)]
+        lower, upper = _check({"v": _rise_then_drop(t, self.WINDOW)}, entries, t, self.WINDOW)
+        assert lower.verdict == "pass" and lower.margin > 0.0
+        assert upper.verdict == "fail" and upper.margin < 0.0
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_exponential_pair_residual_dominance(self, weight):
+        # q = p + 1 = 1.5; V carries the (1+t)^weight prefactor.
+        t = np.linspace(0.0, 20.0, 300)
+        window = (0.0, 20.0)
+        entries = [
+            BoundEntry("V", "exp_lower", 1.5, weight_exponent=weight),
+            BoundEntry("V", "exp_upper", 1.5, weight_exponent=weight),
+        ]
+        exponential = (1.0 + t) ** weight * np.exp(-0.5 * (1.0 + t) ** 1.5)
+        polynomial = (1.0 + t) ** (weight - 1.5)
+        for values, verdict in ((exponential, "pass"), (polynomial, "fail")):
+            got = _check({"v": values}, entries, t, window)
+            assert [e.kind for e in got] == ["exp_lower", "exp_upper"]
+            assert {e.verdict for e in got} == {verdict}
+            assert all((e.margin > 0.0) == (verdict == "pass") for e in got)
+        assert got[0].fitted_exponent == got[1].fitted_exponent
+
+    def test_integral_upper_on_slope(self):
+        t = log_times(1e4, 400)
+        fast = BoundEntry("E_half", "integral_upper", 0.0, weight_exponent=1.0)
+        slow = BoundEntry("E_one", "integral_upper", 0.0, weight_exponent=0.5)
+        channels = {"E_1": (1.0 + t) ** -2.5, "E_2": (1.0 + t) ** -1.0}
+        passed, failed = _check(channels, [fast, slow], t, self.WINDOW)
+        assert passed.verdict == "pass"
+        assert passed.margin == pytest.approx(0.43, abs=1e-6)
+        assert failed.verdict == "fail"
+        assert failed.margin == pytest.approx(-0.57, abs=1e-6)
+
+    def test_integral_upper_converged_cumulative(self):
+        # 1e-20 except a spike at the first sample of the window: the slope
+        # misses -1 - tol, the cumulative integral has converged.
+        t = log_times(1e4, 400)
+        values = np.full_like(t, 1e-20)
+        values[np.argmax(t >= self.WINDOW[0])] = 1.0
+        entry = BoundEntry("V", "integral_upper", 0.0, weight_exponent=0.0)
+        (e,) = _check({"v": values}, [entry], t, self.WINDOW)
+        assert e.verdict == "pass"
+        assert e.margin < 0.0
+
+    def test_missing_channel_skipped(self):
+        t = log_times(1e4, 200)
+        entries = [BoundEntry("E_half", "poly_upper", -1.0), BoundEntry("E_one", "poly_upper", -1.0)]
+        half, one = _check({"E_1": (1.0 + t) ** -1.0}, entries, t, self.WINDOW)
+        assert half.verdict == "pass"
+        assert one.verdict == "skipped" and one.fitted_exponent is None
+        assert math.isnan(one.margin) and one.to_dict()["margin"] is None
+
+    def test_entries_grouped_by_first_mention(self):
+        # Extras of a hyperbolic run revisit quantities that came earlier.
+        nl = LipschitzTable(((0.0, 1.0),), mu=1.0)
+        bounds = predicted_bounds(nl, PowerLawDissipation(0.5), True, hyperbolic_run=True)
+        assert [e.quantity for e in bounds.entries][:7] == [
+            "E_half", "E_half", "E_one", "E_one", "V", "V", "E_half",
+        ]
+        t = log_times(1e4, 200)
+        channels = {name: (1.0 + t) ** -1.0 for name in ("E_1", "E_2", "v")}
+        got = verify_bounds(EnergySeries(t, channels), bounds, self.WINDOW).entries
+        kinds = ["exp_lower", "exp_upper", "poly_upper", "integral_upper"]
+        assert [(e.quantity, e.kind) for e in got] == [
+            (q, k) for q in ("E_half", "E_one", "V") for k in kinds
+        ]
+
+
 class TestPerturbationErrors:
     def _inputs(self, n=2, m=9):
         spec = Spectrum(np.linspace(1.0, 2.0, n))
@@ -222,9 +318,7 @@ class TestPerturbationErrors:
         par = kl.solve_parabolic_reparam(spec, nl, P0, u0, s)
         corr = kl.corrector(spec, nl, P0, 1e-2, u0, u1, s.grid.times())
         es = perturbation_errors(hyp, par, corr, P0)
-        np.testing.assert_array_equal(es.rho[0], 0.0)
-        np.testing.assert_array_equal(es.r[0], 0.0)
-        np.testing.assert_array_equal(es.r_prime[0], 0.0)
+        assert es["rho_sq"][0] == es["r_prime_sq"][0] == 0.0
 
     def test_grid_mismatch_rejected(self):
         traj_e, traj_p, corr = self._inputs()

@@ -391,7 +391,8 @@ class TestRunPlan:
             "analysis": {"coercive": coercive},
         }
         bundle = run_plan(load_config(json.dumps(cfg)), tmp_path)
-        assert bundle.manifest["summary"]["cells"] == [{"gamma": 2.0, "p": 0.9, "tag": tag}]
+        report = json.loads((bundle.directory / "grid_report.json").read_text())
+        assert report["cells"] == [{"gamma": 2.0, "p": 0.9, "tag": tag}]
 
     def test_corrector_plan(self, tmp_path):
         cfg = simulate_config(kind="corrector")

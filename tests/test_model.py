@@ -104,6 +104,7 @@ class TestDissipation:
     def test_constant_delta(self):
         dis = ConstantDissipation(0.3)
         assert dis.b(10.0) == 0.3 and dis.primitive(10.0) == pytest.approx(3.0)
+        assert dis.p == 0.0  # the decay exponent the classifier and bounds read
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0, 1.7, 2.5])
     @pytest.mark.parametrize("t", [0.5, 2.0, 37.0])
