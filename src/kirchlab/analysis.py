@@ -270,10 +270,10 @@ def predicted_bounds(
 
 
 def _weighted_nonincreasing(t, v, exponent) -> bool:
-    # Bounded weighted sup, tolerating integrator-level wiggle.
+    # No sample above the lowest weighted value before it, tolerating
+    # integrator-level wiggle.
     w = (1.0 + t) ** (-exponent) * v
-    peak = np.maximum.accumulate(w)
-    return bool(np.all(w <= peak * (1.0 + 1e-9)) and w[-1] <= w[0] * (1.0 + 1e-9))
+    return bool(np.all(w[1:] <= np.minimum.accumulate(w)[:-1] * (1.0 + 1e-9)))
 
 
 TOL_EXPONENT = 0.07  # slack of a fitted decay exponent against a predicted one

@@ -6,7 +6,8 @@ named by the hash of the configuration, containing CSV payloads, JSON
 reports, SVG charts, and a manifest listing every emitted file with its
 content hash. Reruns of the same plan are byte-identical except for the
 manifest's timestamp and timings; CSV files are the reproducibility
-contract.
+contract. A numeric CSV cell is the shortest decimal that reads back as
+the same double, so every payload value is exact.
 """
 
 from __future__ import annotations
@@ -261,30 +262,52 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
 
 
 # ----------------------------------------------------------------------
-# Serialization helpers (CSV contract: 17 significant digits, NaN -> "")
+# Serialization helpers. CSV cell contract: the shortest decimal that
+# reads back as the same double, a whole number without ".0", NaN as an
+# empty cell, +-inf as inf / -inf.
 
-def _cell(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return format(float(x), ".17g")
+# Cells per orjson call: large enough to amortize the call, small enough
+# that the writer holds no copy of a whole table.
+_BLOCK_CELLS = 1 << 16
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """CSV rows (each ending in a newline) of a 2-D float64 block."""
+    # Imported here, not at module level: ``import kirchlab`` should not
+    # pay for loading orjson.
+    import orjson
+
+    if not len(block):
+        return b""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2] + b"\n"
+    # A shortest-form cell ends in ".0" only when it is a whole number.
+    text = text.replace(b"],[", b"\n").replace(b".0,", b",").replace(b".0\n", b"\n")
+    if np.isfinite(block).all():
+        return text
+    # orjson writes NaN and +-inf as null.
+    text = text.replace(b"null", b"")
+    inf = np.isinf(block)
+    if not inf.any():
+        return text
+    lines = text.split(b"\n")
+    for i in np.flatnonzero(inf.any(axis=1)):
+        cells = lines[i].split(b",")
+        for j in np.flatnonzero(inf[i]):
+            cells[j] = b"inf" if block[i, j] > 0 else b"-inf"
+        lines[i] = b",".join(cells)
+    return b"\n".join(lines)
 
 
 def _write_rows(path: Path, header: list, columns: list) -> None:
-    # One template per table; "%.17g" formats a float exactly as _cell
-    # does, so only rows with a NaN need _cell's empty cells. Rows are
-    # converted one at a time: a whole-table list costs far more memory
-    # than the array.
-    table = np.column_stack(columns).astype(float, copy=False)
-    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    has_nan = np.isnan(table).any(axis=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row, nan in zip(table, has_nan.tolist()):
-            values = row.tolist()
-            if nan:
-                fh.write(",".join(_cell(x) for x in values) + "\n")
-            else:
-                fh.write(template % tuple(values))
+    # Blocks are stacked from column slices, so no full-table copy is made.
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    n_rows = len(columns[0])
+    n_cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    step = max(1, _BLOCK_CELLS // n_cols)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for lo in range(0, n_rows, step):
+            fh.write(_csv_rows(np.column_stack([c[lo:lo + step] for c in columns])))
 
 
 def write_trajectory_csv(path: Path, traj: ig.Trajectory) -> None:
@@ -517,10 +540,12 @@ def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
             nl = PowerNonlinearity(g)
             regime = classify_regime(nl, PowerLawDissipation(p), plan.coercive_flag())
             rows.append((g, p, regime.tag, regime.threshold))
-    with stage("csv"), open(outdir / "regime_grid.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gamma,p,tag,p_gamma\n")
-        for g, p, tag, thr in rows:
-            fh.write(f"{_cell(g)},{_cell(p)},{tag},{_cell(thr)}\n")
+    with stage("csv"), open(outdir / "regime_grid.csv", "wb") as fh:
+        fh.write(b"gamma,p,tag,p_gamma\n")
+        numeric = _csv_rows(np.array([(g, p, thr) for g, p, _, thr in rows], dtype=np.float64))
+        for line, (_, _, tag, _) in zip(numeric.splitlines(), rows):
+            g, p, thr = line.split(b",")
+            fh.write(b",".join((g, p, tag.encode(), thr)) + b"\n")
 
     chart = svgplot.LineChart(title="regime map", xlabel="gamma", ylabel="p")
     g_lo, g_hi = min(plan.grid_gammas), max(plan.grid_gammas)
@@ -649,6 +674,8 @@ def run_plan(
             if path.is_file() and path.name != "manifest.json":
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
+    import orjson  # its version is recorded: the CSV bytes depend on it
+
     from . import __version__
 
     manifest = {
@@ -660,6 +687,7 @@ def run_plan(
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "orjson": orjson.__version__,
         },
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - start,

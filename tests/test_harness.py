@@ -1,9 +1,20 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import orjson
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kirchlab.cli as cli
 import kirchlab.harness as harness
@@ -311,6 +322,8 @@ class TestRunPlan:
         assert stats["jac_evals"] == stats["lu_decompositions"] == 0
         assert stats["accepted"] == stats["cap_limited"] + stats["error_limited"]
         assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        # The CSV bytes depend on the float formatter's version.
+        assert manifest["versions"]["orjson"] == orjson.__version__
 
     def test_verify_plan(self, tmp_path):
         cfg = {
@@ -370,6 +383,11 @@ class TestRunPlan:
         tags = {tuple(line.split(",")[:2]): line.split(",")[2] for line in text[1:]}
         assert tags[("1", "0.5")] == "parabolic"
         assert tags[("2", "1.5")] == "hyperbolic"
+        # p_gamma cells in the CSV cell form: p_gamma(1) = 1, p_gamma(2) = 5/7.
+        assert text[1:] == [
+            "1,0.5,parabolic,1", "1,1.5,hyperbolic,1",
+            f"2,0.5,parabolic,{5 / 7!r}", f"2,1.5,hyperbolic,{5 / 7!r}",
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_corrector_overflow_reported(self, tmp_path):
@@ -462,6 +480,77 @@ class TestRunPlan:
         np.testing.assert_array_equal(data["t"], traj.times)
         np.testing.assert_array_equal(data["u_1"], traj.u[:, 0])
         np.testing.assert_array_equal(data["up_2"], traj.uprime[:, 1])
+
+
+def _significant_digits(cell: str) -> int:
+    return len(cell.lower().split("e")[0].lstrip("-").replace(".", "").strip("0"))
+
+
+def _assert_cells_exact(path, table):
+    """The CSV at path holds table in the cell contract."""
+    lines = path.read_text().split("\n")
+    assert lines[-1] == "" and len(lines) == len(table) + 2
+    for line, row in zip(lines[1:-1], table):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, x in zip(cells, row.tolist()):
+            if math.isnan(x):
+                assert cell == ""
+            elif math.isinf(x):
+                assert cell == ("inf" if x > 0 else "-inf")
+            else:
+                assert np.float64(cell).view(np.uint64) == np.float64(x).view(np.uint64), cell
+                assert _significant_digits(cell) <= _significant_digits(repr(x)), cell
+                assert not cell.endswith(".0")
+
+
+def _write_table(path, table):
+    # A 1-D first column next to a 2-D block, as the trajectory writers pass them.
+    columns = [table[:, 0]] + ([table[:, 1:]] if table.shape[1] > 1 else [])
+    harness._write_rows(path, [f"c{j}" for j in range(table.shape[1])], columns)
+
+
+class TestCsvCells:
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                      elements=st.floats(width=64)))
+    def test_round_trip_across_blocks(self, table):
+        # Blocks of 6 cells: every table of more than 6 cells crosses a boundary.
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(harness, "_BLOCK_CELLS", 6):
+            path = Path(tmp) / "t.csv"
+            _write_table(path, table)
+            _assert_cells_exact(path, table)
+
+    def test_random_bit_patterns_full_blocks(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = 2 * (harness._BLOCK_CELLS // 3) + 5  # three blocks of 3 columns
+        table = rng.integers(0, 2**64, (rows, 3), dtype=np.uint64).view(np.float64).copy()
+        table[::97, 1] = np.nan
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1.0, 100.0, 1e16]
+        table[:len(special), 2] = special
+        table[-1, 0], table[-3, 2] = np.inf, -np.inf  # infs in the last block only
+        path = tmp_path / "t.csv"
+        _write_table(path, table)
+        _assert_cells_exact(path, table)
+
+    def test_pinned_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = [0.0, -0.0, 1.0, 0.1, 1e-7, 5e-324, np.inf, -np.inf, np.nan]
+        _write_table(path, np.array([row]))
+        assert path.read_text() == (
+            "c0,c1,c2,c3,c4,c5,c6,c7,c8\n0,-0,1,0.1,1e-7,5e-324,inf,-inf,\n"
+        )
+
+    def test_import_does_not_load_orjson(self):
+        # orjson is imported by the CSV writer, not by ``import kirchlab``.
+        import kirchlab
+
+        src = str(Path(kirchlab.__file__).parents[1])
+        code = "import sys, kirchlab; print('orjson' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCli:
