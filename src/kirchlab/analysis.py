@@ -269,17 +269,10 @@ def predicted_bounds(
     return BoundSet(tuple(dict.fromkeys(entries)), regime)
 
 
-def _weighted_nonincreasing(t, v, exponent) -> bool:
-    # No sample above the lowest weighted value before it, tolerating
-    # integrator-level wiggle.
-    w = (1.0 + t) ** (-exponent) * v
-    return bool(np.all(w[1:] <= np.minimum.accumulate(w)[:-1] * (1.0 + 1e-9)))
-
-
 TOL_EXPONENT = 0.07  # slack of a fitted decay exponent against a predicted one
 
 
-def _check(entry: BoundEntry, times, values, window, sandwich: bool):
+def _check(entry: BoundEntry, times, values, window):
     """(fitted exponent, margin, passed) of one bound, or None when the
     fit it needs is undefined over the window (skipped)."""
     if entry.kind in ("poly_lower", "poly_upper"):
@@ -290,11 +283,7 @@ def _check(entry: BoundEntry, times, values, window, sandwich: bool):
             margin = fit.exponent - (entry.exponent - TOL_EXPONENT)
             return fit.exponent, margin, margin >= 0.0
         margin = (entry.exponent + TOL_EXPONENT) - fit.exponent
-        passed = margin >= 0.0
-        if not passed and not sandwich:
-            t, v = _masked(times, values, window)
-            passed = t.size >= 2 and _weighted_nonincreasing(t, v, entry.exponent)
-        return fit.exponent, margin, passed
+        return fit.exponent, margin, margin >= 0.0
 
     if entry.kind in ("exp_lower", "exp_upper"):
         if entry.weight_exponent:
@@ -325,11 +314,11 @@ def verify_bounds(
 ) -> VerificationReport:
     """Compare fitted decay exponents against a bound set.
 
-    Sandwiches require the fitted exponent to land inside
-    [lower - tol, upper + tol], tol = TOL_EXPONENT. A lone upper bound
-    passes when the fitted exponent is at most bound + tol, or as a
-    fallback when the bound-weighted channel is nonincreasing over the
-    window. Exponential bounds are checked by residual dominance: the
+    A polynomial lower bound passes when the fitted exponent is at
+    least bound - tol, an upper one when it is at most bound + tol
+    (tol = TOL_EXPONENT), so a sandwich requires the fit inside
+    [lower - tol, upper + tol].
+    Exponential bounds are checked by residual dominance: the
     exponential model must fit at least as well as the polynomial one.
     Integral bounds pass when the weighted integrand decays strictly
     faster than 1/(1+t) or the cumulative integral has visibly
@@ -341,13 +330,11 @@ def verify_bounds(
     first = {}
     for e in bounds.entries:
         first.setdefault(e.quantity, len(first))
-    kinds = {(e.quantity, e.kind) for e in bounds.entries}
 
     entries = []
     for e in sorted(bounds.entries, key=lambda b: first[b.quantity]):
         values = series.channels.get(_QUANTITY_CHANNEL.get(e.quantity))
-        sandwich = {(e.quantity, "poly_lower"), (e.quantity, "poly_upper")} <= kinds
-        result = None if values is None else _check(e, series.times, values, window, sandwich)
+        result = None if values is None else _check(e, series.times, values, window)
         fitted, margin, passed = result or (None, math.nan, False)
         verdict = SKIPPED if result is None else PASS if passed else FAIL
         entries.append(VerificationEntry(e.quantity, e.kind, e.exponent, fitted, verdict, margin))

@@ -10,14 +10,19 @@ itself. Every run reports which stepper it used and how much work it
 took (``SolverStats``).
 
 - scipy's RK45, the Dormand-Prince 5(4) pair (Hairer-Norsett-Wanner,
-  Solving ODEs I, II.4; samples are its quartic interpolants), for
-  every first-order solve and for every second-order run that is not
+  Solving ODEs I, II.4; samples are its quartic interpolants), for the
+  reparametrized clock and for every N-dimensional run that is not
   stiff. Second-order steps are capped at a fixed fraction of the
   fastest oscillation period of the current state.
 - scipy's Radau IIA of order 5 (Hairer-Wanner, Solving ODEs II, IV.8)
-  with an analytic Jacobian, for overdamped second-order runs whose
-  explicit steps would be stability-bound (small eps); samples are
-  collocation interpolants.
+  with an analytic Jacobian, for the runs whose explicit steps would be
+  stability-bound: overdamped second-order runs at small eps, and
+  direct first-order runs whose decay rate lambda m / b outgrows the
+  horizon. Samples are collocation interpolants. Both Jacobians are a
+  diagonal part plus one rank-one term, so each Newton system is
+  solved in closed form, by block elimination and Sherman-Morrison
+  (Golub-Van Loan, Matrix Computations, 2.1): O(N) operations per
+  factorisation and per solve, in place of scipy's dense LU.
 """
 
 from __future__ import annotations
@@ -119,10 +124,13 @@ class SolverStats:
     evaluations and accepted steps. DP5 also counts rejected steps and
     files each accepted step under the bound that set its size, the
     step cap or the error control, so ``accepted == cap_limited +
-    error_limited``. Radau counts its Jacobian evaluations and the LU
-    factorisations of its Newton matrices; scipy's stepper does not
-    report rejected steps, so the three DP5 step counts are ``None``
-    there, and DP5 evaluates no Jacobian.
+    error_limited``. Radau counts its Jacobian evaluations and, in
+    ``lu_decompositions``, the factorisations of its Newton matrices.
+    These are closed-form (``_closed_form_newton``), not LU, but they
+    are counted where scipy counts its LU factorisations, so the counts
+    equal those of a dense-LU run. scipy's stepper does not report
+    rejected steps, so the three DP5 step counts are ``None`` there,
+    and DP5 evaluates no Jacobian.
     """
 
     method: str
@@ -238,6 +246,79 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
     return times, samples, status, t_stop, stats
 
 
+class _StiffnessTerm:
+    """The linearisation K = diag(m(sigma) lambda / scale) + kappa w w^T
+    of m(|A^(1/2)u|^2) A u / scale at u, with w = lambda u and
+    kappa = 2 m'(sigma) / scale. The rank-one m' term keeps Newton
+    converging when m varies; kappa is 0 only where m' is infinite (the
+    gamma < 1 kink at sigma = 0)."""
+
+    def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale: float):
+        sigma = sigma_half(lam, u)
+        self.diag = (nl.value(sigma) / scale) * lam
+        dm = nl.derivative(sigma)
+        self.kappa = 2.0 * dm / scale if math.isfinite(dm) else 0.0
+        self.w = lam * u
+
+    def dense(self) -> np.ndarray:
+        out = np.diag(self.diag)
+        if self.kappa:
+            out += self.kappa * np.outer(self.w, self.w)
+        return out
+
+    def shifted_solver(self, shift):
+        """Solver of (K + shift I) x = r, shift real or complex, by
+        Sherman-Morrison: O(N) to set up and O(N) per solve."""
+        d = self.diag + shift
+        w = self.w
+        dw = w / d
+        coef = self.kappa / (1.0 + self.kappa * (w @ dw))
+
+        def solve(r):
+            x = r / d
+            x -= dw * (coef * (w @ x))
+            return x
+
+        return solve
+
+
+def _second_order_newton(stiff: _StiffnessTerm, damp: float, c):
+    """Solver of A (x, y) = (r, s) for the Newton matrix A = c I - J of
+    the second-order system, J = [[0, I], [-K, -damp I]]. A is
+    [[c I, -I], [K, d I]] with d = c + damp, so y = c x - r and
+    (K + c d I) x = s + d r."""
+    d = c + damp
+    solve_x = stiff.shifted_solver(c * d)
+    n = stiff.w.size
+
+    def solve(rhs):
+        r = rhs[:n]
+        x = solve_x(rhs[n:] + d * r)
+        return np.concatenate([x, c * x - r])
+
+    return solve
+
+
+def _closed_form_newton(solver: Radau, factor) -> None:
+    """Give ``solver`` closed-form Newton solves in place of dense LU.
+
+    scipy's ``Radau.__init__`` assigns the instance hooks ``lu(A)`` and
+    ``solve_lu(LU, b)``; the stepper factors every Newton matrix
+    A = c I - J (c = MU/h, real or complex) through the first and
+    solves through the second. ``factor(A)`` returns the solve as a
+    function of the right-hand side, and the new ``lu`` counts ``nlu``
+    as scipy's does. TestNewtonHooks fails if scipy stops calling the
+    hooks.
+    """
+
+    def lu(A):
+        solver.nlu += 1
+        return factor(A)
+
+    solver.lu = lu
+    solver.solve_lu = lambda solve, rhs: solve(rhs)
+
+
 # A run goes to Radau when explicit DP5 would need more stability-bound
 # steps than this. DP5's stable step under damping b/eps is a few eps/b,
 # so B(t_end)/eps (B the primitive of b) counts its steps up to a
@@ -258,6 +339,19 @@ def _stepper(eps: float, lam_max: float, m0: float, dis: Dissipation, t_end: flo
     b_end = dis.b(t_end)
     overdamped = b_end * b_end >= 4.0 * eps * lam_max * m0
     return "radau" if overdamped and dis.primitive(t_end) / eps > _STIFF_STEPS else "dp5"
+
+
+def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -> str:
+    """``"radau"`` for a stiff direct first-order run, else ``"dp5"``.
+
+    The fastest mode of b u' = -m A u decays at the rate lambda_max m / b,
+    at least lambda_max mu / b with mu the certified inf m, and explicit
+    steps are stability-bound at a few times its inverse. Stiff means
+    more than ``_STIFF_STEPS`` such steps at the horizon's rate,
+    lambda_max mu t_end / b(t_end). A degenerate m (mu = 0) stays on
+    DP5. A pure function of the plan's data.
+    """
+    return "radau" if lam_max * mu * t_end / dis.b(t_end) > _STIFF_STEPS else "dp5"
 
 
 def solve_hyperbolic(
@@ -311,30 +405,29 @@ def solve_hyperbolic(
         return factor * math.sqrt(eps / (lam_max * m_now + eps))
 
     eye = np.eye(n)
+    stiff = damp = None  # K and b/eps of the latest Jacobian
 
     def jac(t, y):
-        # [[0, I], [-(m Lambda + m'(sigma) (Lambda u)(2 Lambda u)^T) / eps,
-        # -(b/eps) I]]. The rank-one m' term keeps Newton converging when
-        # m varies; it is left out only where m' is infinite (the
-        # gamma < 1 kink at sigma = 0).
-        u = y[:n]
-        sigma = sigma_half(lam, u)
+        # [[0, I], [-K, -(b/eps) I]], K the stiffness term at u over eps.
+        nonlocal stiff, damp
+        stiff = _StiffnessTerm(nl, lam, y[:n], eps)
+        damp = dis.b(t) / eps
         out = np.zeros((2 * n, 2 * n))
         out[:n, n:] = eye
-        out[n:, n:] = (-dis.b(t) / eps) * eye
-        block = np.diag((-nl.value(sigma) / eps) * lam)
-        dm = nl.derivative(sigma)
-        if math.isfinite(dm):
-            lam_u = lam * u
-            block -= (2.0 * dm / eps) * np.outer(lam_u, lam_u)
-        out[n:, :n] = block
+        out[n:, n:] = -damp * eye
+        out[n:, :n] = -stiff.dense()
         return out
+
+    def newton_factor(A):
+        # c is A[0, 0], as J's upper-left block is zero.
+        return _second_order_newton(stiff, damp, A[0, 0])
 
     y0 = np.concatenate([u0v, u1v])
     t_end = settings.grid.t_end
     tols = {"rtol": settings.rel_tol, "atol": settings.abs_tol}
     if _stepper(eps, lam_max, m_now, dis, t_end) == "radau":
         solver, cap = Radau(rhs, 0.0, y0, t_end, jac=jac, **tols), None
+        _closed_form_newton(solver, newton_factor)
     else:
         # The cap at the launch state: RK45's set-up moves m_now off it.
         # Assigned, not passed, because scipy rejects the 0.0 that an
@@ -403,6 +496,8 @@ def solve_parabolic_direct(
 
     Cross-validation oracle for the reparametrized solver: same
     adaptive driver, but the full coefficient vector is the state.
+    Stiff runs (see ``_direct_stepper``) use Radau IIA with the
+    Jacobian -K, K the stiffness term over b(t); all others RK45 (DP5).
     """
     u0v = as_modal(spec, u0, "u0")
     lam = spec.eigenvalues
@@ -411,9 +506,26 @@ def solve_parabolic_direct(
         mval = nl.value(sigma_half(lam, y))
         return -(mval / dis.b(t)) * (lam * y)
 
-    solver = RK45(
-        rhs, 0.0, u0v, settings.grid.t_end, rtol=settings.rel_tol, atol=settings.abs_tol
-    )
+    t_end = settings.grid.t_end
+    tols = {"rtol": settings.rel_tol, "atol": settings.abs_tol}
+    if _direct_stepper(spec.lambda_max, nl.mu, dis, t_end) == "dp5":
+        solver = RK45(rhs, 0.0, u0v, t_end, **tols)
+    else:
+        stiff = j00 = None  # K and J[0, 0] of the latest Jacobian
+
+        def jac(t, y):
+            nonlocal stiff, j00
+            stiff = _StiffnessTerm(nl, lam, y, dis.b(t))
+            out = -stiff.dense()
+            j00 = out[0, 0]
+            return out
+
+        def newton_factor(A):
+            # A = c I - J = K + c I.
+            return stiff.shifted_solver(A[0, 0] + j00)
+
+        solver = Radau(rhs, 0.0, u0v, t_end, jac=jac, **tols)
+        _closed_form_newton(solver, newton_factor)
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])
     return Trajectory(spec, times, samples, uprime, status, t_stop, stats=stats)

@@ -222,26 +222,6 @@ class TestVerifyBranches:
         assert e.verdict == "fail"
         assert e.margin < 0.0 and e.fitted_exponent > -2.0 + 0.07
 
-    def test_lone_upper_rescued_by_weighted_fallback(self):
-        # A nonincreasing weighted channel fits an exponent at or below the
-        # bound's (Chebyshev's sum inequality), so the fitted slope can miss
-        # only through the tolerated wiggle, on a window narrow in log(1+t).
-        t = 1e4 + 1e-8 * np.arange(100)
-        window = (t[0], t[-1])
-        wiggle = 1.0 + 5e-10 * np.arange(100) / 100
-        (e,) = _check({"v": (1.0 + t) ** -2 * wiggle}, [BoundEntry("V", "poly_upper", -2.0)],
-                      t, window)
-        assert e.margin < 0.0 and e.fitted_exponent > -2.0 + 0.07
-        assert e.verdict == "pass"
-
-    @pytest.mark.parametrize("bump,expected", [(5e-10, True), (1e-8, False)])
-    def test_weighted_nonincreasing_tolerance(self, bump, expected):
-        t = log_times(1e4, 500)
-        w = 1.0 / (1.0 + np.log1p(t))
-        w[250] = w[:250].min() * (1.0 + bump)  # one sample above the running minimum
-        v = (1.0 + t) ** -2 * w
-        assert kl.analysis._weighted_nonincreasing(t, v, -2.0) is expected
-
     def test_sandwiched_upper_not_rescued(self):
         t = log_times(1e4, 500)
         entries = [BoundEntry("V", "poly_lower", -2.0), BoundEntry("V", "poly_upper", -2.0)]

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
+from scipy.integrate._ivp import radau
 
 import kirchlab as kl
 from kirchlab import (
@@ -621,6 +623,165 @@ class TestStiffPath:
     )
     def test_selector_routing(self, lam_max, m0, t_end, eps, method):
         assert kl.integrate._stepper(eps, lam_max, m0, PowerLawDissipation(0.5), t_end) == method
+
+
+# The stiff direct-path shape: N=3, a decreasing m table (kappa < 0),
+# b = (1+t)^-1.999, t_end 100. DP5 needs about 4.5M rhs evaluations here.
+_FOUND_LIMIT = {
+    "kind": "limit",
+    "spectrum": {"kind": "power", "a": 1.753, "q": 0.729, "n": 3},
+    "m": {"kind": "table", "points": [[0, 1.597], [1, 1]]},
+    "b": {"kind": "power", "p": 1.999},
+    "u0": [-1.0 / 3.0, -1.0, 0.621],
+}
+
+
+def _wide_limit(n):
+    # The wide-spectrum benchmark's limit plan (lambda_k = k, m = s) at
+    # its full and tiny sizes.
+    return {
+        "kind": "limit",
+        "spectrum": {"kind": "power", "a": 1.0, "q": 1.0, "n": n},
+        "m": {"kind": "power", "gamma": 1.0},
+        "b": {"kind": "power", "p": 0.5},
+        "u0": list(1.0 / np.arange(1.0, n + 1.0) ** 2),
+        "settings": {"grid": {"kind": "log", "count": 81, "t_end": 1e4}},
+    }
+
+
+def _plan(cfg):
+    return kl.harness.load_config(json.dumps(cfg))
+
+
+def _direct_args(cfg):
+    plan = _plan(cfg)
+    return plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
+
+
+def dense_newton(monkeypatch):
+    """Restore scipy's own dense LU hooks on every Radau run."""
+    monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda solver, factor: None)
+
+
+class TestNewtonHooks:
+    """The closed-form Newton solves replace scipy's dense LU and agree
+    with it."""
+
+    def test_scipy_lu_never_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy's dense LU called on a stiff run")
+
+        monkeypatch.setattr(radau, "lu_factor", refuse)
+        monkeypatch.setattr(radau, "lu_solve", refuse)
+        spec, nl, dis, u0, u1 = KIRCHHOFF2_SHAPE
+        hyp = solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, settings(count=101, t_end=10.0))
+        direct = solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))
+        for traj in (hyp, direct):
+            assert traj.status == COMPLETED and traj.stats.method == "radau"
+            assert traj.stats.lu_decompositions > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("shift", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "nl, sign",
+        [
+            (PowerNonlinearity(1.0), 1.0),  # kappa > 0
+            (PowerNonlinearity(0.5), 0.0),  # kappa = 0: the gamma < 1 kink at sigma = 0
+            (LipschitzTable(((0.0, 1.597), (1.0, 1.0))), -1.0),  # kappa < 0
+        ],
+    )
+    def test_structured_solves_match_dense(self, n, shift, nl, sign):
+        rng = np.random.default_rng(n)
+        lam = np.sort(rng.uniform(0.5, 60.0, n))
+        if n > 1:
+            lam[n // 2] = 0.0  # a zero mode
+        u = rng.uniform(-1.0, 1.0, n)
+        if sign == 0.0:
+            u[lam > 0.0] = 0.0  # sigma = 0
+        else:
+            u *= math.sqrt(0.3 / float(lam @ (u * u)))
+        h = 1e-2
+        c = (radau.MU_REAL if shift == "real" else radau.MU_COMPLEX) / h
+        eps, b = 1e-4, 0.7
+
+        stiff = kl.integrate._StiffnessTerm(nl, lam, u, eps)
+        assert np.sign(stiff.kappa) == sign
+        eye = np.eye(n)
+        J = np.block([[np.zeros((n, n)), eye], [-stiff.dense(), -(b / eps) * eye]])
+        rhs = rng.standard_normal(2 * n)
+        if shift == "complex":
+            rhs = rhs + 1j * rng.standard_normal(2 * n)
+        got = kl.integrate._second_order_newton(stiff, b / eps, c)(rhs)
+        ref = np.linalg.solve(c * np.eye(2 * n) - J, rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        stiff = kl.integrate._StiffnessTerm(nl, lam, u, b)
+        got = stiff.shifted_solver(c)(rhs[:n])
+        ref = np.linalg.solve(c * eye + stiff.dense(), rhs[:n])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_hyperbolic_matches_dense_lu(self, monkeypatch, shape, eps):
+        spec, nl, dis, u0, u1 = SHAPES[shape]
+        s = settings(count=201, t_end=10.0)
+        fast = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
+        dense_newton(monkeypatch)
+        ref = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
+        assert fast.stats.method == "radau" and fast.stats == ref.stats
+        got, want = np.hstack([fast.u, fast.uprime]), np.hstack([ref.u, ref.uprime])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_direct_agrees_with_dense_lu(self, monkeypatch, n):
+        # Step control turns the rounding-level differences of the solves
+        # into a few different steps here (6648 against 6713 rhs
+        # evaluations at n = 3), so the runs agree to the integration
+        # tolerance, not to rounding.
+        cfg = dict(_FOUND_LIMIT)
+        if n != 3:
+            # The limit shape lambda = k, m table [[0, 1.5], [1, 1]], p = 1.5.
+            cfg.update(
+                spectrum={"kind": "power", "a": 1.0, "q": 1.0, "n": n},
+                m={"kind": "table", "points": [[0, 1.5], [1, 1]]},
+                b={"kind": "power", "p": 1.5},
+                u0=list(1.0 / np.arange(1.0, n + 1.0)),
+                settings={"grid": {"kind": "log", "count": 201, "t_end": 100.0}},
+            )
+        fast = solve_parabolic_direct(*_direct_args(cfg))
+        dense_newton(monkeypatch)
+        ref = solve_parabolic_direct(*_direct_args(cfg))
+        assert fast.stats.method == ref.stats.method == "radau"
+        assert abs(fast.stats.rhs_evals - ref.stats.rhs_evals) <= 0.02 * ref.stats.rhs_evals
+        assert np.max(np.abs(fast.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+
+
+class TestDirectStiffPath:
+    @pytest.mark.parametrize(
+        "cfg, method",
+        [
+            # lambda_max mu t_end / b(t_end) = 3.9e6.
+            (_FOUND_LIMIT, "radau"),
+            # m = s: mu = 0, so both wide-spectrum sizes stay on DP5.
+            (_wide_limit(512), "dp5"),
+            (_wide_limit(32), "dp5"),
+        ],
+    )
+    def test_selector_routing(self, cfg, method):
+        plan = _plan(cfg)
+        got = kl.integrate._direct_stepper(
+            plan.spectrum.lambda_max, plan.nl.mu, plan.dis, plan.settings.grid.t_end
+        )
+        assert got == method
+
+    def test_stiff_limit_plan(self, tmp_path):
+        bundle = kl.harness.run_plan(_plan(_FOUND_LIMIT), tmp_path)
+        manifest = json.loads((bundle.directory / "manifest.json").read_text())
+        report = json.loads((bundle.directory / "limit_report.json").read_text())
+        direct = manifest["solver_stats"]["direct"]
+        assert report["status_direct"] == COMPLETED
+        assert direct["method"] == "radau" and direct["rhs_evals"] < 10_000
+        assert report["max_deviation"] <= 1e-6 and report["verdict"] == "pass"
 
 
 class TestPlainModalSums:
