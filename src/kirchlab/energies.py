@@ -11,10 +11,9 @@ the coefficients m, M, m' and b are evaluated on whole columns of them.
 Those norms, like the solvers' sigma (``spectral.sigma_half``), are sums
 of nonnegative terms, which cannot cancel, so they are plain sums.
 Compensated sums (math.fsum) remain only in the Gram difference inside
-P_eps (``_gram``), where cancellation does occur, and in the velocity
-term of the scalar ``hamiltonian``, which is off every hot path. On the
-benchmark plans the plain row sums move the channels by at most 2.3e-15
-relative; the tests bound the difference at 1e-12.
+P_eps (``_gram``), where cancellation does occur. On the benchmark
+plans the plain row sums move the channels by at most 2.3e-15 relative;
+the tests bound the difference at 1e-12.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ import numpy as np
 
 from .integrate import Trajectory
 from .model import Dissipation, Nonlinearity
-from .spectral import Spectrum, as_modal, modal_sums, sigma_half
+from .spectral import Spectrum, modal_sums
 
 __all__ = [
     "UNDEFINED",
     "EnergySeries",
-    "hamiltonian",
     "energy_suite",
     "apriori_margin",
     "apriori_satisfied",
@@ -52,18 +50,6 @@ class EnergySeries:
 
     def __contains__(self, name: str) -> bool:
         return name in self.channels
-
-
-def hamiltonian(spec: Spectrum, nl: Nonlinearity, eps: float, u, uprime) -> float:
-    """eps |u'|^2 + M(|A^(1/2)u|^2), with M the primitive of m.
-
-    Nonincreasing along second-order solutions; its decay rate is
-    exactly -2 b(t) |u'(t)|^2.
-    """
-    uv = as_modal(spec, u, "u")
-    upv = as_modal(spec, uprime, "uprime")
-    sigma = sigma_half(spec.eigenvalues, uv)
-    return eps * math.fsum(upv * upv) + nl.integral(sigma)
 
 
 def energy_suite(

@@ -446,11 +446,16 @@ def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tupl
     return {}, {"corrector": corr}
 
 
-def _sweep_member(args):
-    spec, nl, dis, eps, u0, u1, settings = args
-    traj = ig.solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings)
-    corr = ig.corrector(spec, nl, dis, eps, u0, u1, settings.grid.times())
-    return traj, corr
+def _sweep_run(args):
+    """One stepper run of a sweep (``ig.sweep_runs``) and its members'
+    correctors, as (trajectory, corrector) per member."""
+    spec, nl, dis, eps_values, u0, u1, settings = args
+    trajs = ig.solve_hyperbolic_shared(spec, nl, dis, eps_values, u0, u1, settings)
+    times = settings.grid.times()
+    return [
+        (traj, ig.corrector(spec, nl, dis, eps, u0, u1, times))
+        for eps, traj in zip(eps_values, trajs)
+    ]
 
 
 def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
@@ -461,18 +466,24 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     with stage("csv"):
         write_trajectory_csv(outdir / "parabolic.csv", par)
 
-    member_args = [
-        (plan.spectrum, plan.nl, plan.dis, eps, plan.u0, plan.u1, plan.settings)
-        for eps in plan.eps_list
+    runs = ig.sweep_runs(plan.spectrum, plan.nl, plan.dis, plan.eps_list, plan.u0, plan.settings)
+    run_args = [
+        (plan.spectrum, plan.nl, plan.dis, tuple(plan.eps_list[i] for i in run),
+         plan.u0, plan.u1, plan.settings)
+        for run in runs
     ]
     # The fork start method launches every worker on the first submit.
-    workers = min(jobs, len(member_args))
+    workers = min(jobs, len(run_args))
     with stage("solve"):
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                members = list(pool.map(_sweep_member, member_args))
+                results = list(pool.map(_sweep_run, run_args))
         else:
-            members = [_sweep_member(a) for a in member_args]
+            results = [_sweep_run(a) for a in run_args]
+    members = [None] * len(plan.eps_list)
+    for run, result in zip(runs, results):
+        for i, member in zip(run, result):
+            members[i] = member
 
     trajectories = {}
     per_eps = []

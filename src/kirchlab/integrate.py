@@ -23,11 +23,16 @@ took (``SolverStats``).
   solved in closed form, by block elimination and Sherman-Morrison
   (Golub-Van Loan, Matrix Computations, 2.1): O(N) operations per
   factorisation and per solve, in place of scipy's dense LU.
+
+The stiff members of an eps sweep share one Radau run
+(``solve_hyperbolic_shared``): their states are stacked, and the Newton
+matrix is block-diagonal with one block per member.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,6 +52,8 @@ __all__ = [
     "BLEW_UP",
     "STEP_UNDERFLOW",
     "solve_hyperbolic",
+    "solve_hyperbolic_shared",
+    "sweep_runs",
     "solve_parabolic_reparam",
     "solve_parabolic_direct",
     "corrector",
@@ -130,7 +137,10 @@ class SolverStats:
     are counted where scipy counts its LU factorisations, so the counts
     equal those of a dense-LU run. scipy's stepper does not report
     rejected steps, so the three DP5 step counts are ``None`` there,
-    and DP5 evaluates no Jacobian.
+    and DP5 evaluates no Jacobian. ``members`` is the number of eps
+    values the run integrated side by side: 1 for a lone run, k for a
+    shared Radau run (``solve_hyperbolic_shared``), whose counts are
+    those of the whole stacked run.
     """
 
     method: str
@@ -141,6 +151,7 @@ class SolverStats:
     error_limited: int | None
     jac_evals: int = 0
     lu_decompositions: int = 0
+    members: int = 1
 
 
 @dataclass
@@ -177,7 +188,12 @@ class CorrectorTrajectory:
     stats: None = None  # no stepper runs
 
 
-def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
+def _row_dot(a, b):
+    # Row-wise dot products of two (members x N) arrays, as a column.
+    return np.add.reduce(a * b, axis=1, keepdims=True)
+
+
+def _integrate(solver, out_times, blowup_threshold=None, step_cap=None, members=1):
     """Step a scipy ``OdeSolver`` through every time in ``out_times``.
 
     Output times inside an accepted step are read from the step's dense
@@ -190,7 +206,9 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
     Returns (times, samples, status, t_stop, stats). Blow-up (squared
     state norm above the threshold) and a solver failure end the run
     with a status, not an exception; the returned arrays then end with
-    the state at the stopping time.
+    the state at the stopping time. A state of ``members`` stacked
+    members blows up when one member's squared norm is above the
+    threshold.
     """
     samples = np.empty((out_times.size, solver.n))
     samples[0] = solver.y
@@ -213,9 +231,15 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
         # The tolerance absorbs the rounding of t_new - t.
         if t - solver.t_old >= cap * (1.0 - 1e-12):
             cap_limited += 1
-        if blowup_threshold is not None and float(y @ y) > blowup_threshold:
-            status, t_stop = BLEW_UP, t
-            break
+        if blowup_threshold is not None:
+            if members == 1:
+                norm_sq = float(y @ y)
+            else:
+                rows = y.reshape(members, -1)
+                norm_sq = float(np.max(_row_dot(rows, rows)))
+            if norm_sq > blowup_threshold:
+                status, t_stop = BLEW_UP, t
+                break
         if step_cap is not None:
             # An undocumented attribute that scipy's RungeKutta reads on
             # every step; TestStepCap fails if that ever stops.
@@ -234,7 +258,8 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None):
         samples = np.vstack([samples, solver.y])
     if isinstance(solver, Radau):
         stats = SolverStats(
-            "radau", solver.nfev, accepted, None, None, None, solver.njev, solver.nlu
+            "radau", solver.nfev, accepted, None, None, None, solver.njev, solver.nlu,
+            members,
         )
     else:
         # RK45 reuses the last stage (FSAL): one launch evaluation, one
@@ -251,50 +276,73 @@ class _StiffnessTerm:
     of m(|A^(1/2)u|^2) A u / scale at u, with w = lambda u and
     kappa = 2 m'(sigma) / scale. The rank-one m' term keeps Newton
     converging when m varies; kappa is 0 only where m' is infinite (the
-    gamma < 1 kink at sigma = 0)."""
+    gamma < 1 kink at sigma = 0).
 
-    def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale: float):
-        sigma = sigma_half(lam, u)
+    ``u`` is one modal vector (``scale`` a float) or a (members x N)
+    array with one row per member (``scale`` a column); K is then
+    block-diagonal, one block per row, and every attribute has a row
+    per member.
+    """
+
+    def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale):
+        if u.ndim == 1:
+            sigma = sigma_half(lam, u)
+            dm = nl.derivative(sigma)
+            self.kappa = 2.0 * dm / scale if math.isfinite(dm) else 0.0
+            self._dot = operator.matmul
+        else:
+            # Summed as sigma_half sums, row by row.
+            sigma = np.add.reduce(lam * (u * u), axis=1)[:, None]
+            with np.errstate(divide="ignore", over="ignore"):  # m' saturates at inf
+                dm = nl.derivative(sigma)
+            self.kappa = np.where(np.isfinite(dm), 2.0 * dm / scale, 0.0)
+            self._dot = _row_dot
         self.diag = (nl.value(sigma) / scale) * lam
-        dm = nl.derivative(sigma)
-        self.kappa = 2.0 * dm / scale if math.isfinite(dm) else 0.0
         self.w = lam * u
 
     def dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        if self.kappa:
-            out += self.kappa * np.outer(self.w, self.w)
+        """K, or the stack of its (N x N) blocks."""
+        n = self.w.shape[-1]
+        out = np.zeros(self.w.shape + (n,))
+        out[..., range(n), range(n)] = self.diag
+        if np.any(self.kappa):
+            out += np.expand_dims(self.kappa, -1) * (self.w[..., :, None] * self.w[..., None, :])
         return out
 
     def shifted_solver(self, shift):
-        """Solver of (K + shift I) x = r, shift real or complex, by
-        Sherman-Morrison: O(N) to set up and O(N) per solve."""
+        """Solver of (K + shift I) x = r, shift real or complex (a column
+        of shifts for stacked members), by Sherman-Morrison: O(N) per
+        member to set up and per solve."""
         d = self.diag + shift
-        w = self.w
+        w, dot = self.w, self._dot
         dw = w / d
-        coef = self.kappa / (1.0 + self.kappa * (w @ dw))
+        coef = self.kappa / (1.0 + self.kappa * dot(w, dw))
 
         def solve(r):
             x = r / d
-            x -= dw * (coef * (w @ x))
+            x -= dw * (coef * dot(w, x))
             return x
 
         return solve
 
 
-def _second_order_newton(stiff: _StiffnessTerm, damp: float, c):
+def _second_order_newton(stiff: _StiffnessTerm, damp, c):
     """Solver of A (x, y) = (r, s) for the Newton matrix A = c I - J of
     the second-order system, J = [[0, I], [-K, -damp I]]. A is
     [[c I, -I], [K, d I]] with d = c + damp, so y = c x - r and
-    (K + c d I) x = s + d r."""
+    (K + c d I) x = s + d r. For stacked members (``damp`` a column)
+    the state is member by member, (u_i, u_i') for each, so A is
+    block-diagonal and each member's block is eliminated on its row."""
     d = c + damp
     solve_x = stiff.shifted_solver(c * d)
-    n = stiff.w.size
+    n = stiff.w.shape[-1]
+    shape = stiff.w.shape[:-1] + (2 * n,)
 
     def solve(rhs):
-        r = rhs[:n]
-        x = solve_x(rhs[n:] + d * r)
-        return np.concatenate([x, c * x - r])
+        pair = rhs.reshape(shape)
+        r = pair[..., :n]
+        x = solve_x(pair[..., n:] + d * r)
+        return np.concatenate([x, c * x - r], axis=-1).ravel()
 
     return solve
 
@@ -354,6 +402,55 @@ def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -
     return "radau" if lam_max * mu * t_end / dis.b(t_end) > _STIFF_STEPS else "dp5"
 
 
+def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Radau:
+    """scipy's Radau on the second-order system of ``members`` stacked
+    members (``eps`` a float for one, a column for several), each state
+    (u_i, u_i') in turn, with tolerances rel_tol / sqrt(members) and
+    abs_tol / sqrt(members), the analytic Jacobian, block-diagonal with
+    blocks [[0, I], [-K_i, -(b/eps_i) I]] (K_i the stiffness term at u_i
+    over eps_i), and closed-form Newton solves."""
+    n = lam.size
+    eye = np.eye(n)
+    rows = np.arange(members)
+    stiff = damp = None  # K and b/eps of the latest Jacobian
+
+    def jac(t, y):
+        nonlocal stiff, damp
+        # A lone run keeps the float arithmetic of its right-hand side.
+        u = y[:n] if members == 1 else y.reshape(members, 2 * n)[:, :n]
+        stiff = _StiffnessTerm(nl, lam, u, eps)
+        damp = dis.b(t) / eps
+        out = np.zeros((members, 2 * n, members, 2 * n))
+        out[rows, :n, rows, n:] = eye
+        out[rows, n:, rows, n:] = -np.reshape(damp, (-1, 1, 1)) * eye
+        out[rows, n:, rows, :n] = -stiff.dense()
+        return out.reshape(2 * members * n, 2 * members * n)
+
+    def newton_factor(A):
+        # c is A[0, 0], as J's upper-left block is zero.
+        return _second_order_newton(stiff, damp, A[0, 0])
+
+    root = math.sqrt(members)
+    solver = Radau(
+        rhs, 0.0, y0, settings.grid.t_end, jac=jac,
+        rtol=settings.rel_tol / root, atol=settings.abs_tol / root,
+    )
+    _closed_form_newton(solver, newton_factor)
+    return solver
+
+
+def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray) -> float:
+    """m(|A^(1/2)u0|^2), with a warning where it vanishes."""
+    m0 = nl.value(sigma_half(lam, u0))
+    if m0 == 0.0:
+        warnings.warn(
+            "initial stiffness coefficient vanishes (really degenerate data); "
+            "no existence theory applies",
+            stacklevel=3,
+        )
+    return m0
+
+
 def solve_hyperbolic(
     spec: Spectrum,
     nl: Nonlinearity,
@@ -379,13 +476,7 @@ def solve_hyperbolic(
     lam = spec.eigenvalues
     n = spec.size
 
-    m_now = nl.value(sigma_half(lam, u0v))
-    if m_now == 0.0:
-        warnings.warn(
-            "initial stiffness coefficient vanishes (really degenerate data); "
-            "no existence theory applies",
-            stacklevel=2,
-        )
+    m_now = _launch_stiffness(nl, lam, u0v)
 
     def rhs(t, y):
         nonlocal m_now
@@ -404,36 +495,17 @@ def solve_hyperbolic(
     def step_cap():
         return factor * math.sqrt(eps / (lam_max * m_now + eps))
 
-    eye = np.eye(n)
-    stiff = damp = None  # K and b/eps of the latest Jacobian
-
-    def jac(t, y):
-        # [[0, I], [-K, -(b/eps) I]], K the stiffness term at u over eps.
-        nonlocal stiff, damp
-        stiff = _StiffnessTerm(nl, lam, y[:n], eps)
-        damp = dis.b(t) / eps
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = eye
-        out[n:, n:] = -damp * eye
-        out[n:, :n] = -stiff.dense()
-        return out
-
-    def newton_factor(A):
-        # c is A[0, 0], as J's upper-left block is zero.
-        return _second_order_newton(stiff, damp, A[0, 0])
-
     y0 = np.concatenate([u0v, u1v])
     t_end = settings.grid.t_end
-    tols = {"rtol": settings.rel_tol, "atol": settings.abs_tol}
     if _stepper(eps, lam_max, m_now, dis, t_end) == "radau":
-        solver, cap = Radau(rhs, 0.0, y0, t_end, jac=jac, **tols), None
-        _closed_form_newton(solver, newton_factor)
+        solver, cap = _second_order_radau(rhs, y0, nl, lam, dis, eps, settings), None
     else:
         # The cap at the launch state: RK45's set-up moves m_now off it.
         # Assigned, not passed, because scipy rejects the 0.0 that an
         # overflowing m gives; that run then fails its first step.
         launch_cap = step_cap()
-        solver, cap = RK45(rhs, 0.0, y0, t_end, **tols), step_cap
+        solver = RK45(rhs, 0.0, y0, t_end, rtol=settings.rel_tol, atol=settings.abs_tol)
+        cap = step_cap
         solver.max_step = launch_cap
     times, samples, status, t_stop, stats = _integrate(
         solver, settings.grid.times(), settings.blowup_threshold, cap
@@ -441,6 +513,117 @@ def solve_hyperbolic(
     return Trajectory(
         spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
     )
+
+
+def _max_shared(rel_tol: float) -> int:
+    """Most members one shared run may hold: the run's rel_tol / sqrt(k)
+    must stay at or above the floor below which scipy raises it."""
+    k = max(1, int((rel_tol / _MIN_REL_TOL) ** 2))
+    while k > 1 and rel_tol / math.sqrt(k) < _MIN_REL_TOL:
+        k -= 1
+    return k
+
+
+def sweep_runs(
+    spec: Spectrum,
+    nl: Nonlinearity,
+    dis: Dissipation,
+    eps_values,
+    u0,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> list:
+    """Stepper runs of an eps sweep, as tuples of indices into ``eps_values``.
+
+    Every member that ``solve_hyperbolic`` would send to Radau goes into
+    one shared run, listed first because it is the dearest; every other
+    member is a lone DP5 run. DP5's work grows like B(t_end)/eps, so a
+    shared explicit run would make its cheap members pay for the steps
+    of the dearest one, while Radau's work barely depends on eps.
+    """
+    lam_max, t_end = spec.lambda_max, settings.grid.t_end
+    m0 = nl.value(sigma_half(spec.eigenvalues, as_modal(spec, u0, "u0")))
+    stiff = tuple(
+        i for i, eps in enumerate(eps_values)
+        if _stepper(eps, lam_max, m0, dis, t_end) == "radau"
+    )
+    lone = [(i,) for i in range(len(eps_values)) if i not in stiff]
+    return [stiff] + lone if stiff else lone
+
+
+def solve_hyperbolic_shared(
+    spec: Spectrum,
+    nl: Nonlinearity,
+    dis: Dissipation,
+    eps_values,
+    u0,
+    u1,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> list:
+    """Integrate one problem at several eps values in one Radau run.
+
+    Returns one ``Trajectory`` per eps value. The members' states are
+    stacked, each as its pair (u, u'), and stepped together, with
+    ``rel_tol / sqrt(k)`` and ``abs_tol / sqrt(k)`` for k members:
+    scipy's error norm is the RMS over all components, so an accepted
+    step has sum_i RMS_i^2 <= 1 and every member meets its own tolerance
+    on every step. The Newton matrix is block-diagonal, and each block
+    is solved in closed form as in a lone run (``_second_order_newton``).
+    Every member reports the shared run's ``SolverStats`` (``members =
+    k``).
+
+    A shared run that does not complete (one member blows up by its own
+    norm, or the steps underflow) is rerun member by member, so
+    statuses, stopping times and samples are then those of lone runs.
+    A single eps value is ``solve_hyperbolic``'s lone run, and more
+    members than ``rel_tol`` allows (``_max_shared``) are split into
+    several shared runs.
+    """
+    eps_values = tuple(eps_values)
+    for eps in eps_values:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigurationError("eps must be positive")
+    k = len(eps_values)
+    most = _max_shared(settings.rel_tol)
+    if k > most:
+        return [
+            traj
+            for lo in range(0, k, most)
+            for traj in solve_hyperbolic_shared(
+                spec, nl, dis, eps_values[lo:lo + most], u0, u1, settings
+            )
+        ]
+    if k == 1:
+        return [solve_hyperbolic(spec, nl, dis, eps_values[0], u0, u1, settings)]
+
+    u0v = as_modal(spec, u0, "u0")
+    u1v = as_modal(spec, u1, "u1")
+    lam = spec.eigenvalues
+    n = spec.size
+    _launch_stiffness(nl, lam, u0v)
+    shape = (k, 2, n)
+    eps_col = np.array(eps_values)[:, None]
+
+    def rhs(t, y):
+        pair = y.reshape(shape)
+        u, w = pair[:, 0], pair[:, 1]
+        m = nl.value(np.add.reduce(lam * (u * u), axis=1))[:, None]
+        out = np.empty(shape)
+        out[:, 0] = w
+        out[:, 1] = -(dis.b(t) * w + m * (lam * u)) / eps_col
+        return out.ravel()
+
+    y0 = np.tile(np.concatenate([u0v, u1v]), k)
+    solver = _second_order_radau(rhs, y0, nl, lam, dis, eps_col, settings, k)
+    times, samples, status, t_stop, stats = _integrate(
+        solver, settings.grid.times(), settings.blowup_threshold, members=k
+    )
+    if status != COMPLETED:
+        return [solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings) for eps in eps_values]
+    samples = samples.reshape((times.size,) + shape)
+    return [
+        Trajectory(spec, times, samples[:, i, 0], samples[:, i, 1], status, stats=stats)
+        for i in range(k)
+    ]
 
 
 def solve_parabolic_reparam(

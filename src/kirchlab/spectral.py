@@ -17,7 +17,6 @@ __all__ = [
     "ConfigurationError",
     "Spectrum",
     "as_modal",
-    "sobolev_norm_sq",
     "sigma_half",
     "modal_sums",
     "apply_A",
@@ -81,26 +80,9 @@ def as_modal(spec: Spectrum, x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def sobolev_norm_sq(spec: Spectrum, x, order: float) -> float:
-    """Squared norm of the fractional power ``order`` applied to ``x``.
-
-    Computes sum_k lambda_k^(2*order) x_k^2 with the convention 0^0 = 1,
-    so kernel modes contribute x_k^2 at order 0 and nothing at any
-    positive order. The terms are nonnegative, so the sum cannot cancel
-    and is formed like ``sigma_half``'s.
-    """
-    xv = as_modal(spec, x, "x")
-    if order < 0.0:
-        raise ValueError("order must be nonnegative")
-    # IEEE pow gives 0.0**0.0 == 1.0, which is exactly the convention needed.
-    weights = spec.eigenvalues ** (2.0 * order)
-    return float(np.add.reduce(weights * (xv * xv)))
-
-
 def sigma_half(lam: np.ndarray, u: np.ndarray) -> float:
-    """Sum of lambda_k u_k^2, the squared half-order norm.
+    """Sum of lambda_k u_k^2, the squared half-order norm |A^(1/2)u|^2.
 
-    ``sobolev_norm_sq(., 0.5)`` without the validation, bit for bit.
     Shared by every solver and by the corrector launch velocity so that
     quantities that cancel by construction cancel exactly in floats.
 
@@ -116,12 +98,12 @@ def modal_sums(spec: Spectrum, x: np.ndarray, orders) -> np.ndarray:
     """Weighted row sums of a (samples x modes) array of modal vectors.
 
     Column j holds sum_k lambda_k^(2*orders[j]) x[i, k]^2 for every row
-    i, with the 0^0 = 1 convention of ``sobolev_norm_sq``. Like
-    ``sigma_half`` these are plain sums of nonnegative terms, which
-    cannot cancel; they may differ from it in the last bits, since the
-    contraction adds in another order. It runs without a (samples x
-    modes) temporary, so large spectra cost no extra copy of the
-    trajectory.
+    i, with the convention 0^0 = 1, so kernel modes count at order 0
+    and at no positive order. Like ``sigma_half`` these are plain sums
+    of nonnegative terms, which cannot cancel; they may differ from it
+    in the last bits, since the contraction adds in another order. It
+    runs without a (samples x modes) temporary, so large spectra cost no
+    extra copy of the trajectory.
     """
     weights = spec.eigenvalues[:, None] ** (2.0 * np.asarray(orders, dtype=float))
     return np.einsum("ij,ij,jk->ik", x, x, weights)

@@ -1,12 +1,15 @@
-"""Shared fixtures for randomized instances.
+"""Shared fixtures for randomized instances, and scalar oracles.
 
 All draws go through an explicit numpy Generator so every test that uses
 them is reproducible from its seed.
 """
 
+import math
+
 import numpy as np
 
 import kirchlab as kl
+from kirchlab.spectral import as_modal, sigma_half
 
 
 def random_spectrum(rng, n_max=8, lam_lo=0.2, lam_hi=6.0):
@@ -29,3 +32,27 @@ def random_parabolic_instance(rng):
     p = float(rng.choice([0.0, 0.5, 1.0]))
     u0 = random_data(rng, spec.size)
     return spec, kl.PowerNonlinearity(gamma), kl.PowerLawDissipation(p), u0
+
+
+def sobolev_norm_sq(spec, x, order):
+    """Oracle for |A^order x|^2 = sum_k lambda_k^(2 order) x_k^2, with
+    0^0 = 1, so kernel modes count at order 0 and at no positive order.
+    Validates ``x`` like the solvers do; at order 0.5 it is
+    ``spectral.sigma_half`` bit for bit."""
+    xv = as_modal(spec, x, "x")
+    if order < 0.0:
+        raise ValueError("order must be nonnegative")
+    # IEEE pow gives 0.0**0.0 == 1.0, which is exactly the convention needed.
+    weights = spec.eigenvalues ** (2.0 * order)
+    return float(np.add.reduce(weights * (xv * xv)))
+
+
+def hamiltonian(spec, nl, eps, u, uprime):
+    """Oracle for eps |u'|^2 + M(|A^(1/2)u|^2), M the primitive of m.
+
+    Nonincreasing along second-order solutions; its decay rate is
+    exactly -2 b(t) |u'(t)|^2. The velocity term is a compensated sum.
+    """
+    uv = as_modal(spec, u, "u")
+    upv = as_modal(spec, uprime, "uprime")
+    return eps * math.fsum(upv * upv) + nl.integral(sigma_half(spec.eigenvalues, uv))

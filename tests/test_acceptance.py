@@ -15,6 +15,8 @@ import pytest
 import kirchlab as kl
 from kirchlab import load_config, run_plan
 
+from helpers import hamiltonian, sobolev_norm_sq
+
 
 REPORT_LINES = []
 
@@ -222,7 +224,7 @@ def test_criterion_4_hamiltonian_monotonicity_and_floor(book):
         u = np.column_stack([data[f"u_{k+1}"] for k in range(n)])
         up = np.column_stack([data[f"up_{k+1}"] for k in range(n)])
         H = np.array(
-            [kl.hamiltonian(spec, nl, eps, u[j], up[j]) for j in range(u.shape[0])]
+            [hamiltonian(spec, nl, eps, u[j], up[j]) for j in range(u.shape[0])]
         )
         if not np.all(H[1:] <= H[:-1] * (1.0 + 1e-8)):
             ok = False
@@ -236,7 +238,7 @@ def test_criterion_4_hamiltonian_monotonicity_and_floor(book):
             if report["floor_min_margin"] < -1e-8 * H0:
                 ok = False
                 details.append(f"run {i} floor violated")
-            sigma = np.array([kl.sobolev_norm_sq(spec, u[j], 0.5) for j in range(u.shape[0])])
+            sigma = np.array([sobolev_norm_sq(spec, u[j], 0.5) for j in range(u.shape[0])])
             q = np.sum(up * up, axis=1) + sigma
             m_scale = max(nl.value(s) for s in sigma)
             lower = 0.5 * H0 * math.exp(-2.0 / eps) / max(1.0, m_scale)

@@ -11,9 +11,10 @@ from kirchlab import (
     apriori_margin,
     apriori_satisfied,
     energy_suite,
-    hamiltonian,
 )
 from kirchlab.integrate import COMPLETED, IntegratorSettings, OutputGrid, Trajectory
+
+from helpers import hamiltonian, sobolev_norm_sq
 
 M_ONE = LipschitzTable(((0.0, 1.0),))
 P0 = PowerLawDissipation(0.0)
@@ -134,7 +135,7 @@ class TestDissipationIdentities:
         s = IntegratorSettings(grid=OutputGrid("linear", 2001, 2.0))
         traj = kl.solve_parabolic_reparam(spec, nl, dis, [1.0, 0.5], s)
         t = traj.times
-        sig = np.array([kl.sobolev_norm_sq(spec, traj.u[i], 0.5) for i in range(t.size)])
+        sig = np.array([sobolev_norm_sq(spec, traj.u[i], 0.5) for i in range(t.size)])
         M = np.array([nl.integral(x) for x in sig])
         dd = np.diff(M) / np.diff(t)
         v_m = 0.5 * (np.sum(traj.uprime[1:] ** 2, axis=1) + np.sum(traj.uprime[:-1] ** 2, axis=1))

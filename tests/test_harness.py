@@ -348,6 +348,26 @@ class TestRunPlan:
         assert serial.manifest["solver_stats"] == parallel.manifest["solver_stats"]
         assert set(serial.manifest["solver_stats"]) == {"hyperbolic_0", "hyperbolic_1", "parabolic"}
 
+    def test_sweep_stiff_members_share_one_run(self, tmp_path):
+        # t_end 1: B(1)/eps is 83 at eps 1e-2 (DP5) and 2761 and 8284 at
+        # eps 3e-4 and 1e-4 (Radau), which share one run.
+        cfg = {
+            **SWEEP_PLAN,
+            "b": {"kind": "power", "p": 0.5},
+            "eps_list": [1e-2, 3e-4, 1e-4],
+        }
+        plan = load_config(json.dumps(cfg))
+        serial = run_plan(plan, tmp_path / "serial", jobs=1)
+        parallel = run_plan(plan, tmp_path / "parallel", jobs=2)
+        assert serial.exit_code == 0
+        assert serial.manifest["files"] == parallel.manifest["files"]
+        stats = serial.manifest["solver_stats"]
+        assert stats == parallel.manifest["solver_stats"]
+        assert (stats["hyperbolic_0"]["method"], stats["hyperbolic_0"]["members"]) == ("dp5", 1)
+        assert stats["hyperbolic_1"] == stats["hyperbolic_2"]
+        assert (stats["hyperbolic_1"]["method"], stats["hyperbolic_1"]["members"]) == ("radau", 2)
+        assert stats["parabolic"]["members"] == 1
+
     @pytest.mark.parametrize("jobs,pools", [(500, [2]), (2, [2]), (1, [])])
     def test_sweep_workers_capped_at_members(self, tmp_path, monkeypatch, jobs, pools):
         # The fork start method launches max_workers processes on the

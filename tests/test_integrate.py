@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from kirchlab import (
     corrector,
     residual_norm,
     solve_hyperbolic,
+    solve_hyperbolic_shared,
     solve_parabolic_direct,
     solve_parabolic_reparam,
 )
 from kirchlab.spectral import sigma_half
+
+from helpers import hamiltonian
 
 M_ONE = LipschitzTable(((0.0, 1.0),))  # m == 1
 P0 = PowerLawDissipation(0.0)
@@ -103,7 +107,7 @@ class TestHyperbolic:
         )
         H = np.array(
             [
-                kl.hamiltonian(spec, nl, 1e-2, traj.u[i], traj.uprime[i])
+                hamiltonian(spec, nl, 1e-2, traj.u[i], traj.uprime[i])
                 for i in range(traj.times.size)
             ]
         )
@@ -270,7 +274,7 @@ class TestStepCap:
             dev = np.abs(np.hstack([traj.u, traj.uprime]) - ref)
             assert np.max(dev) <= 1e-9 * math.sqrt(u0 @ u0 + u1 @ u1)
             H = np.array(
-                [kl.hamiltonian(spec, nl.nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
+                [hamiltonian(spec, nl.nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
             )
             assert np.all(H[1:] <= H[:-1] * (1.0 + 10.0 * s.rel_tol))
 
@@ -600,7 +604,7 @@ class TestStiffPath:
         traj = solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings(count=801, t_end=10.0))
         assert traj.status == COMPLETED and traj.stats.method == "radau"
         H = np.array(
-            [kl.hamiltonian(spec, nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
+            [hamiltonian(spec, nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
         )
         assert np.all(H[1:] <= H[:-1] * (1.0 + 10.0 * 1e-10))
 
@@ -754,6 +758,203 @@ class TestNewtonHooks:
         assert fast.stats.method == ref.stats.method == "radau"
         assert abs(fast.stats.rhs_evals - ref.stats.rhs_evals) <= 0.02 * ref.stats.rhs_evals
         assert np.max(np.abs(fast.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+
+
+def radau_reference(spec, nl, dis, eps, u0, u1, times, rtol=1e-13):
+    """Independent tight reference for a stiff run: scipy's Radau with its
+    own dense LU, compensated sums and a Jacobian without the m' term
+    (exact for a constant m), as a (samples, 2N) array of (u, u')."""
+    lam = spec.eigenvalues
+    n = spec.size
+
+    def f(t, y):
+        u, w = y[:n], y[n:]
+        m = nl.value(math.fsum(lam * u * u))
+        return np.concatenate([w, -(dis.b(t) * w + m * lam * u) / eps])
+
+    def jac(t, y):
+        m = nl.value(math.fsum(lam * y[:n] * y[:n]))
+        return np.block([
+            [np.zeros((n, n)), np.eye(n)],
+            [-np.diag(m * lam / eps), -(dis.b(t) / eps) * np.eye(n)],
+        ])
+
+    sol = solve_ivp(
+        f, (0.0, times[-1]), np.concatenate([u0, u1]), method="Radau",
+        rtol=rtol, atol=1e-15, t_eval=times, jac=jac,
+    )
+    assert sol.success
+    return sol.y.T
+
+
+def assert_same_run(got, want):
+    assert (got.status, got.t_stop, got.stats) == (want.status, want.t_stop, want.stats)
+    for name in ("times", "u", "uprime"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+# The stiff members of the eps-sweep benchmark shape.
+STIFF_EPS = (1e-3, 3e-4, 1e-4)
+
+
+@pytest.fixture(scope="module")
+def sweep_runs_t10():
+    """(shared, lone) runs of the STIFF_EPS members, t_end 10, 401 samples."""
+    spec, nl, dis, u0, u1 = SWEEP_SHAPE
+    s = settings(count=401, t_end=10.0)
+    shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+    lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
+    return shared, lone
+
+
+class TestSharedRun:
+    """The stiff members of an eps sweep in one stacked Radau run."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shift", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "nl, sign",
+        [
+            (PowerNonlinearity(1.0), 1.0),  # kappa > 0
+            (PowerNonlinearity(0.5), 0.0),  # kappa = 0: the gamma < 1 kink at sigma = 0
+            (LipschitzTable(((0.0, 1.597), (1.0, 1.0))), -1.0),  # kappa < 0
+        ],
+    )
+    def test_block_solve_matches_dense(self, k, shift, nl, sign):
+        n = 4
+        rng = np.random.default_rng(10 * k + n)
+        lam = np.sort(rng.uniform(0.5, 60.0, n))
+        lam[1] = 0.0  # a zero mode
+        lam.sort()
+        u = rng.uniform(-1.0, 1.0, (k, n))
+        if sign == 0.0:
+            u[:, lam > 0.0] = 0.0  # sigma = 0
+        else:
+            u *= np.sqrt(rng.uniform(0.1, 0.6, (k, 1)) / ((u * u) @ lam)[:, None])
+        eps = np.logspace(-2, -6, k)[:, None]  # a different eps per member
+        c = (radau.MU_REAL if shift == "real" else radau.MU_COMPLEX) / 1e-2
+        b = 0.7
+
+        stiff = kl.integrate._StiffnessTerm(nl, lam, u, eps)
+        blocks = []
+        for i in range(k):
+            # K_i from the model, independently of _StiffnessTerm.
+            sigma = math.fsum(lam * u[i] * u[i])
+            dm = nl.derivative(sigma)
+            kappa = 2.0 * dm / eps[i, 0] if math.isfinite(dm) else 0.0
+            assert np.sign(kappa) == sign
+            w = lam * u[i]
+            K = np.diag(nl.value(sigma) * lam / eps[i, 0]) + kappa * np.outer(w, w)
+            J = np.block([[np.zeros((n, n)), np.eye(n)], [-K, -(b / eps[i, 0]) * np.eye(n)]])
+            blocks.append(c * np.eye(2 * n) - J)
+        A = np.zeros((2 * k * n, 2 * k * n), dtype=complex)
+        for i, block in enumerate(blocks):
+            A[2 * n * i:2 * n * (i + 1), 2 * n * i:2 * n * (i + 1)] = block
+        rhs = rng.standard_normal(2 * k * n)
+        if shift == "complex":
+            rhs = rhs + 1j * rng.standard_normal(2 * k * n)
+        got = kl.integrate._second_order_newton(stiff, b / eps, c)(rhs)
+        ref = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_one_member_is_the_lone_run(self, shape):
+        spec, nl, dis, u0, u1 = SHAPES[shape]
+        s = settings(count=201, t_end=10.0)
+        (got,) = solve_hyperbolic_shared(spec, nl, dis, [1e-4], u0, u1, s)
+        assert_same_run(got, solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, s))
+        assert got.stats.method == "radau" and got.stats.members == 1
+
+    @pytest.mark.parametrize(
+        "shape, counts",
+        [
+            # (rhs_evals, accepted, jac_evals, lu_decompositions) of the lone
+            # Radau run at eps 1e-4, t_end 10, 201 samples, as before runs
+            # could be shared.
+            ("sweep", (11015, 1463, 252, 570)),
+            ("nonlinear", (9414, 1290, 121, 306)),
+            ("kirchhoff2", (6805, 910, 139, 342)),
+        ],
+    )
+    def test_lone_counts_unchanged(self, shape, counts):
+        spec, nl, dis, u0, u1 = SHAPES[shape]
+        stats = solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, settings(count=201, t_end=10.0)).stats
+        assert stats.method == "radau" and stats.members == 1
+        assert (stats.rhs_evals, stats.accepted, stats.jac_evals, stats.lu_decompositions) == counts
+
+    def test_members_meet_reference(self, sweep_runs_t10):
+        shared, lone = sweep_runs_t10
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        scale = math.sqrt(u0 @ u0 + u1 @ u1)
+        for eps, traj in zip(STIFF_EPS, shared):
+            assert traj.status == COMPLETED
+            assert traj.stats.method == "radau" and traj.stats.members == 3
+            ref = radau_reference(spec, nl, dis, eps, u0, u1, traj.times)
+            got = np.hstack([traj.u, traj.uprime])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+
+    def test_work_at_most_half_of_lone_runs(self, sweep_runs_t10):
+        # Counts, not seconds: deterministic on any host.
+        shared, lone = sweep_runs_t10
+        assert all(traj.stats is shared[0].stats for traj in shared)
+        assert all(traj.stats.method == "radau" for traj in lone)
+        assert shared[0].stats.rhs_evals <= 0.5 * sum(traj.stats.rhs_evals for traj in lone)
+
+    def test_blowup_measured_per_member(self):
+        # Each member peaks at 0.6 of the threshold, so the stacked norm
+        # y @ y would pass it; the run must still complete.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        s = settings(count=101, t_end=1.0)
+        lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
+        peak = max(float(np.max(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1))) for t in lone)
+        s = settings(count=101, t_end=1.0, blowup_threshold=peak / 0.6)
+        shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        stacked = sum(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1) for t in shared)
+        assert np.max(stacked) > s.blowup_threshold
+        for traj in shared:
+            assert traj.status == COMPLETED and traj.stats.members == 3
+
+    def test_stop_gives_lone_runs(self):
+        # Peaks of |(u, u')|^2: 0.32, 0.49, 0.55, so only the two smaller
+        # eps cross 0.4, and the shared run stops.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        s = settings(count=101, t_end=1.0, blowup_threshold=0.4)
+        eps_values = (1e-1, 1e-2, 1e-3)
+        shared = solve_hyperbolic_shared(spec, nl, dis, eps_values, u0, u1, s)
+        lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in eps_values]
+        assert [t.status for t in lone] == [COMPLETED, BLEW_UP, BLEW_UP]
+        for got, want in zip(shared, lone):
+            assert_same_run(got, want)
+            assert got.stats.members == 1
+
+    def test_tolerance_floor_splits_the_run(self):
+        # rel_tol / sqrt(3) would fall below 100 machine epsilons, where
+        # scipy raises the tolerance with a UserWarning.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        s = settings(count=51, t_end=1.0, rel_tol=3e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        for eps, traj in zip(STIFF_EPS, shared):
+            assert traj.status == COMPLETED and traj.stats.members == 1
+            assert_same_run(traj, solve_hyperbolic(spec, nl, dis, eps, u0, u1, s))
+
+    @pytest.mark.parametrize("rel_tol", [2.3e-14, 3e-14, 5e-14, 1e-13, 1e-10])
+    def test_most_members_keep_the_floor(self, rel_tol):
+        most = kl.integrate._max_shared(rel_tol)
+        floor = kl.integrate._MIN_REL_TOL
+        assert rel_tol / math.sqrt(most) >= floor
+        assert rel_tol / math.sqrt(most + 1) < floor
+
+    def test_sweep_routing(self):
+        # The eps-sweep benchmark members: three Radau members share a run.
+        spec, nl, dis, u0, _ = SWEEP_SHAPE
+        eps_list = (1e-2, 3e-3) + STIFF_EPS
+        runs = kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
+        assert runs == [(2, 3, 4), (0,), (1,)]
+        assert kl.integrate.sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
+            (0,), (1,)
+        ]
 
 
 class TestDirectStiffPath:

@@ -10,10 +10,11 @@ from kirchlab import (
     Spectrum,
     apply_A,
     coercivity,
-    sobolev_norm_sq,
     spectrum_from_config,
 )
 from kirchlab.spectral import as_modal, modal_sums, sigma_half
+
+from helpers import sobolev_norm_sq
 
 
 def test_norm_single_mode():
