@@ -26,7 +26,13 @@ took (``SolverStats``).
 
 The stiff members of an eps sweep share one Radau run
 (``solve_hyperbolic_shared``): their states are stacked, and the Newton
-matrix is block-diagonal with one block per member.
+matrix is block-diagonal with one block per member. Where a lone run
+and a shared run go through the same code (``_integrate``,
+``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its
+own branch: a flat modal vector, ``y @ y`` and a dense Jacobian. Row
+sums over a member axis add in another order and cost an extra numpy
+call, and the branch keeps every lone run bit-identical to a run
+without that axis.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import RK45, Radau, quad
+from scipy.sparse import csc_matrix
 
 from .model import Dissipation, Nonlinearity, compute_w0
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums, sigma_half
@@ -408,23 +415,29 @@ def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Rada
     (u_i, u_i') in turn, with tolerances rel_tol / sqrt(members) and
     abs_tol / sqrt(members), the analytic Jacobian, block-diagonal with
     blocks [[0, I], [-K_i, -(b/eps_i) I]] (K_i the stiffness term at u_i
-    over eps_i), and closed-form Newton solves."""
+    over eps_i), and closed-form Newton solves.
+
+    A lone run's Jacobian is dense; a shared run's is a sparse matrix of
+    its blocks (``_block_jacobian``), so scipy's work on it and on the
+    Newton matrices grows like k (2N)^2 for k members, as over k lone
+    runs, not like (2kN)^2."""
     n = lam.size
     eye = np.eye(n)
-    rows = np.arange(members)
     stiff = damp = None  # K and b/eps of the latest Jacobian
 
     def jac(t, y):
         nonlocal stiff, damp
-        # A lone run keeps the float arithmetic of its right-hand side.
-        u = y[:n] if members == 1 else y.reshape(members, 2 * n)[:, :n]
-        stiff = _StiffnessTerm(nl, lam, u, eps)
+        if members == 1:
+            stiff = _StiffnessTerm(nl, lam, y[:n], eps)
+            damp = dis.b(t) / eps
+            out = np.zeros((2 * n, 2 * n))
+            out[:n, n:] = eye
+            out[n:, n:] = -damp * eye
+            out[n:, :n] = -stiff.dense()
+            return out
+        stiff = _StiffnessTerm(nl, lam, y.reshape(members, 2 * n)[:, :n], eps)
         damp = dis.b(t) / eps
-        out = np.zeros((members, 2 * n, members, 2 * n))
-        out[rows, :n, rows, n:] = eye
-        out[rows, n:, rows, n:] = -np.reshape(damp, (-1, 1, 1)) * eye
-        out[rows, n:, rows, :n] = -stiff.dense()
-        return out.reshape(2 * members * n, 2 * members * n)
+        return _block_jacobian(stiff.dense(), damp)
 
     def newton_factor(A):
         # c is A[0, 0], as J's upper-left block is zero.
@@ -437,6 +450,33 @@ def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Rada
     )
     _closed_form_newton(solver, newton_factor)
     return solver
+
+
+def _block_jacobian(k_blocks: np.ndarray, damp: np.ndarray) -> csc_matrix:
+    """The block-diagonal Jacobian of stacked members as a CSC matrix,
+    block i [[0, I], [-K_i, -damp_i I]] from the (members x N x N) stack
+    ``k_blocks`` and the column ``damp``. The zero upper-left part of a
+    block is not stored: column c of a u-part holds -K_i[:, c], and
+    column c of a u'-part holds the 1 and the -damp_i on rows c and
+    N + c."""
+    members, n, _ = k_blocks.shape
+    start = 2 * n * np.arange(members)[:, None, None]  # first row of each block
+    modes = np.arange(n)
+    u_rows = np.broadcast_to(start + n + modes, (members, n, n))
+    v_rows = np.concatenate([start + modes[:, None], start + n + modes[:, None]], axis=2)
+    v_vals = np.concatenate(
+        [np.ones((members, n, 1)), np.broadcast_to(-damp[:, :, None], (members, n, 1))],
+        axis=2,
+    )
+    data = np.concatenate(
+        [-k_blocks.transpose(0, 2, 1).reshape(members, -1), v_vals.reshape(members, -1)],
+        axis=1,
+    )
+    rows = np.concatenate([u_rows.reshape(members, -1), v_rows.reshape(members, -1)], axis=1)
+    per_column = np.tile(np.repeat([n, 2], n), members)
+    indptr = np.concatenate([[0], np.cumsum(per_column)])
+    size = 2 * n * members
+    return csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(size, size))
 
 
 def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray) -> float:
@@ -515,13 +555,20 @@ def solve_hyperbolic(
     )
 
 
-def _max_shared(rel_tol: float) -> int:
-    """Most members one shared run may hold: the run's rel_tol / sqrt(k)
-    must stay at or above the floor below which scipy raises it."""
-    k = max(1, int((rel_tol / _MIN_REL_TOL) ** 2))
-    while k > 1 and rel_tol / math.sqrt(k) < _MIN_REL_TOL:
-        k -= 1
-    return k
+def _max_shared(rel_tol: float, members: int) -> int:
+    """Most of ``members`` members one shared run may hold (at least 1):
+    the run's rel_tol / sqrt(k) must stay at or above the floor below
+    which scipy raises it."""
+    most = max(members, 1)
+    while most > 1 and rel_tol / math.sqrt(most) < _MIN_REL_TOL:
+        most -= 1
+    return most
+
+
+def _radau_members(spec: Spectrum, dis: Dissipation, eps_values, m0: float, t_end: float):
+    """Whether ``solve_hyperbolic`` sends each eps value to Radau, for
+    the launch stiffness ``m0``."""
+    return [_stepper(eps, spec.lambda_max, m0, dis, t_end) == "radau" for eps in eps_values]
 
 
 def sweep_runs(
@@ -535,19 +582,21 @@ def sweep_runs(
     """Stepper runs of an eps sweep, as tuples of indices into ``eps_values``.
 
     Every member that ``solve_hyperbolic`` would send to Radau goes into
-    one shared run, listed first because it is the dearest; every other
-    member is a lone DP5 run. DP5's work grows like B(t_end)/eps, so a
-    shared explicit run would make its cheap members pay for the steps
-    of the dearest one, while Radau's work barely depends on eps.
+    one shared run (``solve_hyperbolic_shared``), listed first because
+    it is the dearest; every other member is a lone DP5 run. DP5's work
+    grows like B(t_end)/eps, so a shared explicit run would make its
+    cheap members pay for the steps of the dearest one, while Radau's
+    work barely depends on eps. More Radau members than ``rel_tol``
+    allows (``_max_shared``) are split into several shared runs. The
+    runs do not depend on how many workers will take them, so neither
+    do the samples.
     """
-    lam_max, t_end = spec.lambda_max, settings.grid.t_end
     m0 = nl.value(sigma_half(spec.eigenvalues, as_modal(spec, u0, "u0")))
-    stiff = tuple(
-        i for i, eps in enumerate(eps_values)
-        if _stepper(eps, lam_max, m0, dis, t_end) == "radau"
-    )
-    lone = [(i,) for i in range(len(eps_values)) if i not in stiff]
-    return [stiff] + lone if stiff else lone
+    radau = _radau_members(spec, dis, eps_values, m0, settings.grid.t_end)
+    stiff = [i for i, is_radau in enumerate(radau) if is_radau]
+    most = _max_shared(settings.rel_tol, len(stiff))
+    shared = [tuple(stiff[lo:lo + most]) for lo in range(0, len(stiff), most)]
+    return shared + [(i,) for i, is_radau in enumerate(radau) if not is_radau]
 
 
 def solve_hyperbolic_shared(
@@ -574,32 +623,27 @@ def solve_hyperbolic_shared(
     A shared run that does not complete (one member blows up by its own
     norm, or the steps underflow) is rerun member by member, so
     statuses, stopping times and samples are then those of lone runs.
-    A single eps value is ``solve_hyperbolic``'s lone run, and more
-    members than ``rel_tol`` allows (``_max_shared``) are split into
-    several shared runs.
+    A single eps value is ``solve_hyperbolic``'s lone run. Several must
+    all be values that ``solve_hyperbolic`` sends to Radau, and no more
+    than ``rel_tol`` allows; ``sweep_runs`` groups a sweep so.
     """
     eps_values = tuple(eps_values)
     for eps in eps_values:
         if not (math.isfinite(eps) and eps > 0.0):
             raise ConfigurationError("eps must be positive")
     k = len(eps_values)
-    most = _max_shared(settings.rel_tol)
-    if k > most:
-        return [
-            traj
-            for lo in range(0, k, most)
-            for traj in solve_hyperbolic_shared(
-                spec, nl, dis, eps_values[lo:lo + most], u0, u1, settings
-            )
-        ]
     if k == 1:
         return [solve_hyperbolic(spec, nl, dis, eps_values[0], u0, u1, settings)]
+    if _max_shared(settings.rel_tol, k) < k:
+        raise ConfigurationError(f"rel_tol {settings.rel_tol!r} is too small for {k} members")
 
     u0v = as_modal(spec, u0, "u0")
     u1v = as_modal(spec, u1, "u1")
     lam = spec.eigenvalues
     n = spec.size
-    _launch_stiffness(nl, lam, u0v)
+    m0 = _launch_stiffness(nl, lam, u0v)
+    if not all(_radau_members(spec, dis, eps_values, m0, settings.grid.t_end)):
+        raise ConfigurationError("a shared run takes only eps values that go to Radau")
     shape = (k, 2, n)
     eps_col = np.array(eps_values)[:, None]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import radau
+from scipy.sparse import issparse
 
 import kirchlab as kl
 from kirchlab import (
@@ -901,13 +902,16 @@ class TestSharedRun:
         assert shared[0].stats.rhs_evals <= 0.5 * sum(traj.stats.rhs_evals for traj in lone)
 
     def test_blowup_measured_per_member(self):
-        # Each member peaks at 0.6 of the threshold, so the stacked norm
-        # y @ y would pass it; the run must still complete.
+        # Alone, each member completes under a threshold of 0.6, so it
+        # stays within 0.6 of a threshold of 1; the stacked norm y @ y
+        # passes 1, and the shared run must still complete.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        s = settings(count=101, t_end=1.0)
-        lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
-        peak = max(float(np.max(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1))) for t in lone)
-        s = settings(count=101, t_end=1.0, blowup_threshold=peak / 0.6)
+        s = settings(count=101, t_end=10.0, blowup_threshold=0.6)
+        assert all(
+            solve_hyperbolic(spec, nl, dis, eps, u0, u1, s).status == COMPLETED
+            for eps in STIFF_EPS
+        )
+        s = settings(count=101, t_end=10.0, blowup_threshold=1.0)
         shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
         stacked = sum(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1) for t in shared)
         assert np.max(stacked) > s.blowup_threshold
@@ -915,36 +919,79 @@ class TestSharedRun:
             assert traj.status == COMPLETED and traj.stats.members == 3
 
     def test_stop_gives_lone_runs(self):
-        # Peaks of |(u, u')|^2: 0.32, 0.49, 0.55, so only the two smaller
-        # eps cross 0.4, and the shared run stops.
+        # The initial layer's peak of |(u, u')|^2 grows as eps falls, and
+        # only the two smaller eps cross 0.55, so the shared run stops.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        s = settings(count=101, t_end=1.0, blowup_threshold=0.4)
-        eps_values = (1e-1, 1e-2, 1e-3)
-        shared = solve_hyperbolic_shared(spec, nl, dis, eps_values, u0, u1, s)
-        lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in eps_values]
+        s = settings(count=101, t_end=10.0, blowup_threshold=0.55)
+        shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
         assert [t.status for t in lone] == [COMPLETED, BLEW_UP, BLEW_UP]
         for got, want in zip(shared, lone):
             assert_same_run(got, want)
             assert got.stats.members == 1
 
-    def test_tolerance_floor_splits_the_run(self):
-        # rel_tol / sqrt(3) would fall below 100 machine epsilons, where
-        # scipy raises the tolerance with a UserWarning.
+    @pytest.mark.parametrize(
+        "rel_tol, runs", [(3e-14, [(0,), (1,), (2,)]), (3.5e-14, [(0, 1), (2,)])]
+    )
+    def test_tolerance_floor_splits_the_run(self, rel_tol, runs):
+        # rel_tol / sqrt(k) must not fall below 100 machine epsilons,
+        # where scipy raises the tolerance with a UserWarning. At t_end 1
+        # these three members go to Radau.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        s = settings(count=51, t_end=1.0, rel_tol=3e-14)
+        eps_values = (3e-4, 1e-4, 3e-5)
+        s = settings(count=51, t_end=1.0, rel_tol=rel_tol)
+        assert kl.integrate.sweep_runs(spec, nl, dis, eps_values, u0, s) == runs
+        with pytest.raises(kl.ConfigurationError, match="too small"):
+            solve_hyperbolic_shared(spec, nl, dis, eps_values, u0, u1, s)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
-        for eps, traj in zip(STIFF_EPS, shared):
-            assert traj.status == COMPLETED and traj.stats.members == 1
-            assert_same_run(traj, solve_hyperbolic(spec, nl, dis, eps, u0, u1, s))
+            for run in runs:
+                shared = solve_hyperbolic_shared(
+                    spec, nl, dis, [eps_values[i] for i in run], u0, u1, s
+                )
+                for traj in shared:
+                    assert traj.status == COMPLETED and traj.stats.members == len(run)
 
-    @pytest.mark.parametrize("rel_tol", [2.3e-14, 3e-14, 5e-14, 1e-13, 1e-10])
-    def test_most_members_keep_the_floor(self, rel_tol):
-        most = kl.integrate._max_shared(rel_tol)
+    @pytest.mark.parametrize("rel_tol", [2.3e-14, 3e-14, 3.5e-14, 5e-14, 1e-13, 1e-10, 1e-2, 0.1])
+    @pytest.mark.parametrize("members", [0, 1, 3, 8])
+    def test_most_members_keep_the_floor(self, rel_tol, members):
+        most = kl.integrate._max_shared(rel_tol, members)
         floor = kl.integrate._MIN_REL_TOL
-        assert rel_tol / math.sqrt(most) >= floor
-        assert rel_tol / math.sqrt(most + 1) < floor
+        assert 1 <= most <= max(members, 1)
+        assert most == 1 or rel_tol / math.sqrt(most) >= floor
+        assert most == max(members, 1) or rel_tol / math.sqrt(most + 1) < floor
+
+    def test_dp5_member_rejected(self):
+        # eps 1e-2 goes to DP5 at t_end 10; a shared run takes only Radau members.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        with pytest.raises(kl.ConfigurationError, match="Radau"):
+            solve_hyperbolic_shared(spec, nl, dis, (1e-2, 1e-4), u0, u1, settings(t_end=10.0))
+
+    def test_large_n_jacobian_is_sparse(self, monkeypatch):
+        # Stored entries grow like k (N^2 + 2N), as over k lone runs, not
+        # like the (2kN)^2 of a dense stacked Jacobian.
+        n, eps_values = 256, (1e-4, 3e-5, 1e-5)
+        lam = np.arange(1.0, n + 1.0)
+        spec = Spectrum(lam)
+        u0 = 0.3 / lam
+        solvers = []
+        build = kl.integrate._second_order_radau
+
+        def spy(*args, **kw):
+            solvers.append(build(*args, **kw))
+            return solvers[-1]
+
+        monkeypatch.setattr(kl.integrate, "_second_order_radau", spy)
+        shared = solve_hyperbolic_shared(
+            spec, PowerNonlinearity(1.0), PowerLawDissipation(0.5), eps_values,
+            u0, np.zeros(n), settings(count=11, t_end=1.0),
+        )
+        assert [t.status for t in shared] == [COMPLETED] * 3
+        (solver,) = solvers
+        k = len(eps_values)
+        assert issparse(solver.J) and issparse(solver.I)
+        assert solver.J.nnz == k * (n * n + 2 * n)
+        assert solver.njev >= 2 and solver.nlu >= 2
 
     def test_sweep_routing(self):
         # The eps-sweep benchmark members: three Radau members share a run.
