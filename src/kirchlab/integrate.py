@@ -22,14 +22,20 @@ took (``SolverStats``).
   diagonal part plus one rank-one term, so each Newton system is
   solved in closed form, by block elimination and Sherman-Morrison
   (Golub-Van Loan, Matrix Computations, 2.1): O(N) operations per
-  factorisation and per solve, in place of scipy's dense LU.
+  factorisation and per solve, in place of scipy's dense LU. The
+  Jacobian is never assembled: ``jac`` records its diagonal and
+  rank-one parts (``_StiffnessTerm``) and hands scipy a constant zero
+  stand-in. That is sound because scipy uses J only to form the Newton
+  matrix c I - J for the hooks, which read c = A[0, 0] and solve with
+  the recorded parts; TestNewtonHooks fails if a Newton matrix ever
+  reaches scipy's own LU.
 
 The stiff members of an eps sweep share one Radau run
 (``solve_hyperbolic_shared``): their states are stacked, and the Newton
 matrix is block-diagonal with one block per member. Where a lone run
 and a shared run go through the same code (``_integrate``,
 ``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its
-own branch: a flat modal vector, ``y @ y`` and a dense Jacobian. Row
+own branch: a flat modal vector, ``y @ y`` and a dense stand-in. Row
 sums over a member axis add in another order and cost an extra numpy
 call, and the branch keeps every lone run bit-identical to a run
 without that axis.
@@ -140,14 +146,17 @@ class SolverStats:
     step cap or the error control, so ``accepted == cap_limited +
     error_limited``. Radau counts its Jacobian evaluations and, in
     ``lu_decompositions``, the factorisations of its Newton matrices.
-    These are closed-form (``_closed_form_newton``), not LU, but they
-    are counted where scipy counts its LU factorisations, so the counts
-    equal those of a dense-LU run. scipy's stepper does not report
-    rejected steps, so the three DP5 step counts are ``None`` there,
-    and DP5 evaluates no Jacobian. ``members`` is the number of eps
-    values the run integrated side by side: 1 for a lone run, k for a
-    shared Radau run (``solve_hyperbolic_shared``), whose counts are
-    those of the whole stacked run.
+    These are closed-form (``_closed_form_newton``), not LU, and scipy
+    sees a zero stand-in for the Jacobian, which is sound because scipy
+    uses J only in c I - J and the hooks read only c (TestNewtonHooks
+    guards the hooks). Both are counted where scipy counts them, so the
+    counts equal those of a run with the true Jacobian and dense LU.
+    scipy's stepper does not report rejected steps, so the three DP5
+    step counts are ``None`` there, and DP5 evaluates no Jacobian.
+    ``members`` is the number of eps values the run integrated side by
+    side: 1 for a lone run, k for a shared Radau run
+    (``solve_hyperbolic_shared``), whose counts are those of the whole
+    stacked run.
     """
 
     method: str
@@ -289,6 +298,11 @@ class _StiffnessTerm:
     array with one row per member (``scale`` a column); K is then
     block-diagonal, one block per row, and every attribute has a row
     per member.
+
+    K is kept as its parts and never assembled: the Newton solves need
+    only ``shifted_solver``, and scipy gets a zero stand-in for the
+    Jacobian, which it uses only in c I - J (see the module docstring;
+    TestNewtonHooks guards the hooks that make this sound).
     """
 
     def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale):
@@ -306,15 +320,6 @@ class _StiffnessTerm:
             self._dot = _row_dot
         self.diag = (nl.value(sigma) / scale) * lam
         self.w = lam * u
-
-    def dense(self) -> np.ndarray:
-        """K, or the stack of its (N x N) blocks."""
-        n = self.w.shape[-1]
-        out = np.zeros(self.w.shape + (n,))
-        out[..., range(n), range(n)] = self.diag
-        if np.any(self.kappa):
-            out += np.expand_dims(self.kappa, -1) * (self.w[..., :, None] * self.w[..., None, :])
-        return out
 
     def shifted_solver(self, shift):
         """Solver of (K + shift I) x = r, shift real or complex (a column
@@ -413,34 +418,30 @@ def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Rada
     """scipy's Radau on the second-order system of ``members`` stacked
     members (``eps`` a float for one, a column for several), each state
     (u_i, u_i') in turn, with tolerances rel_tol / sqrt(members) and
-    abs_tol / sqrt(members), the analytic Jacobian, block-diagonal with
-    blocks [[0, I], [-K_i, -(b/eps_i) I]] (K_i the stiffness term at u_i
-    over eps_i), and closed-form Newton solves.
+    abs_tol / sqrt(members) and closed-form Newton solves. The Jacobian
+    is block-diagonal with blocks [[0, I], [-K_i, -(b/eps_i) I]] (K_i
+    the stiffness term at u_i over eps_i).
 
-    A lone run's Jacobian is dense; a shared run's is a sparse matrix of
-    its blocks (``_block_jacobian``), so scipy's work on it and on the
-    Newton matrices grows like k (2N)^2 for k members, as over k lone
-    runs, not like (2kN)^2."""
+    ``jac`` records K and b/eps, which the Newton solves use, and hands
+    scipy a constant zero stand-in for J: scipy uses J only to form
+    c I - J for the hooks, which read c = A[0, 0] alone, and
+    TestNewtonHooks fails if a Newton matrix reaches scipy's LU instead.
+    The stand-in is dense for a lone run and an empty sparse matrix for
+    a shared one, so a shared run's identity and Newton matrices stay
+    sparse."""
     n = lam.size
-    eye = np.eye(n)
-    stiff = damp = None  # K and b/eps of the latest Jacobian
+    stiff = damp = None  # K and b/eps at the latest linearisation point
+    size = 2 * n * members
+    zero_jac = np.zeros((size, size)) if members == 1 else csc_matrix((size, size))
 
     def jac(t, y):
         nonlocal stiff, damp
-        if members == 1:
-            stiff = _StiffnessTerm(nl, lam, y[:n], eps)
-            damp = dis.b(t) / eps
-            out = np.zeros((2 * n, 2 * n))
-            out[:n, n:] = eye
-            out[n:, n:] = -damp * eye
-            out[n:, :n] = -stiff.dense()
-            return out
-        stiff = _StiffnessTerm(nl, lam, y.reshape(members, 2 * n)[:, :n], eps)
+        u = y[:n] if members == 1 else y.reshape(members, 2 * n)[:, :n]
+        stiff = _StiffnessTerm(nl, lam, u, eps)
         damp = dis.b(t) / eps
-        return _block_jacobian(stiff.dense(), damp)
+        return zero_jac
 
     def newton_factor(A):
-        # c is A[0, 0], as J's upper-left block is zero.
         return _second_order_newton(stiff, damp, A[0, 0])
 
     root = math.sqrt(members)
@@ -450,33 +451,6 @@ def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Rada
     )
     _closed_form_newton(solver, newton_factor)
     return solver
-
-
-def _block_jacobian(k_blocks: np.ndarray, damp: np.ndarray) -> csc_matrix:
-    """The block-diagonal Jacobian of stacked members as a CSC matrix,
-    block i [[0, I], [-K_i, -damp_i I]] from the (members x N x N) stack
-    ``k_blocks`` and the column ``damp``. The zero upper-left part of a
-    block is not stored: column c of a u-part holds -K_i[:, c], and
-    column c of a u'-part holds the 1 and the -damp_i on rows c and
-    N + c."""
-    members, n, _ = k_blocks.shape
-    start = 2 * n * np.arange(members)[:, None, None]  # first row of each block
-    modes = np.arange(n)
-    u_rows = np.broadcast_to(start + n + modes, (members, n, n))
-    v_rows = np.concatenate([start + modes[:, None], start + n + modes[:, None]], axis=2)
-    v_vals = np.concatenate(
-        [np.ones((members, n, 1)), np.broadcast_to(-damp[:, :, None], (members, n, 1))],
-        axis=2,
-    )
-    data = np.concatenate(
-        [-k_blocks.transpose(0, 2, 1).reshape(members, -1), v_vals.reshape(members, -1)],
-        axis=1,
-    )
-    rows = np.concatenate([u_rows.reshape(members, -1), v_rows.reshape(members, -1)], axis=1)
-    per_column = np.tile(np.repeat([n, 2], n), members)
-    indptr = np.concatenate([[0], np.cumsum(per_column)])
-    size = 2 * n * members
-    return csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(size, size))
 
 
 def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray) -> float:
@@ -623,7 +597,8 @@ def solve_hyperbolic_shared(
     A shared run that does not complete (one member blows up by its own
     norm, or the steps underflow) is rerun member by member, so
     statuses, stopping times and samples are then those of lone runs.
-    A single eps value is ``solve_hyperbolic``'s lone run. Several must
+    A single eps value is ``solve_hyperbolic``'s lone run, and none is a
+    ``ConfigurationError``. Several must
     all be values that ``solve_hyperbolic`` sends to Radau, and no more
     than ``rel_tol`` allows; ``sweep_runs`` groups a sweep so.
     """
@@ -632,6 +607,8 @@ def solve_hyperbolic_shared(
         if not (math.isfinite(eps) and eps > 0.0):
             raise ConfigurationError("eps must be positive")
     k = len(eps_values)
+    if k == 0:
+        raise ConfigurationError("a shared run needs at least one eps value")
     if k == 1:
         return [solve_hyperbolic(spec, nl, dis, eps_values[0], u0, u1, settings)]
     if _max_shared(settings.rel_tol, k) < k:
@@ -738,18 +715,17 @@ def solve_parabolic_direct(
     if _direct_stepper(spec.lambda_max, nl.mu, dis, t_end) == "dp5":
         solver = RK45(rhs, 0.0, u0v, t_end, **tols)
     else:
-        stiff = j00 = None  # K and J[0, 0] of the latest Jacobian
+        stiff = None  # K at the latest linearisation point
+        zero_jac = np.zeros((u0v.size, u0v.size))
 
         def jac(t, y):
-            nonlocal stiff, j00
+            nonlocal stiff
             stiff = _StiffnessTerm(nl, lam, y, dis.b(t))
-            out = -stiff.dense()
-            j00 = out[0, 0]
-            return out
+            return zero_jac
 
         def newton_factor(A):
-            # A = c I - J = K + c I.
-            return stiff.shifted_solver(A[0, 0] + j00)
+            # A = c I from the zero stand-in; the Newton matrix is K + c I.
+            return stiff.shifted_solver(A[0, 0])
 
         solver = Radau(rhs, 0.0, u0v, t_end, jac=jac, **tols)
         _closed_form_newton(solver, newton_factor)

@@ -56,3 +56,17 @@ def hamiltonian(spec, nl, eps, u, uprime):
     uv = as_modal(spec, u, "u")
     upv = as_modal(spec, uprime, "uprime")
     return eps * math.fsum(upv * upv) + nl.integral(sigma_half(spec.eigenvalues, uv))
+
+
+def stiffness_matrix(nl, lam, u, scale):
+    """Oracle for the dense stiffness term K = diag(m lambda / scale) +
+    kappa w w^T, the linearisation of m(|A^(1/2)u|^2) A u / scale at u,
+    with w = lambda u and kappa = 2 m'(sigma) / scale (0 where m' is
+    infinite). sigma is a compensated sum."""
+    lam = np.asarray(lam, dtype=float)
+    u = np.asarray(u, dtype=float)
+    sigma = math.fsum(lam * u * u)
+    dm = nl.derivative(sigma)
+    kappa = 2.0 * dm / scale if math.isfinite(dm) else 0.0
+    w = lam * u
+    return np.diag(nl.value(sigma) * lam / scale) + kappa * np.outer(w, w)

@@ -29,7 +29,7 @@ from kirchlab import (
 )
 from kirchlab.spectral import sigma_half
 
-from helpers import hamiltonian
+from helpers import hamiltonian, stiffness_matrix
 
 M_ONE = LipschitzTable(((0.0, 1.0),))  # m == 1
 P0 = PowerLawDissipation(0.0)
@@ -663,27 +663,73 @@ def _direct_args(cfg):
     return plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
 
 
-def dense_newton(monkeypatch):
-    """Restore scipy's own dense LU hooks on every Radau run."""
+def true_jacobian_lu(monkeypatch, jac):
+    """Hand every Radau run the true Jacobian ``jac(t, y)`` and scipy's
+    own LU, in place of the zero stand-in and the closed-form solves."""
+
+    class TrueJacobianRadau(radau.Radau):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **dict(kw, jac=jac))
+
+    monkeypatch.setattr(kl.integrate, "Radau", TrueJacobianRadau)
     monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda solver, factor: None)
 
 
+def hyperbolic_jacobian(spec, nl, dis, eps):
+    """The true Jacobian [[0, I], [-K, -(b/eps) I]] of a lone second-order run."""
+    lam, n = spec.eigenvalues, spec.size
+    eye = np.eye(n)
+
+    def jac(t, y):
+        K = stiffness_matrix(nl, lam, y[:n], eps)
+        return np.block([[np.zeros((n, n)), eye], [-K, -(dis.b(t) / eps) * eye]])
+
+    return jac
+
+
+def refuse_scipy_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's LU called on a stiff run")
+
+    for name in ("lu_factor", "lu_solve", "splu"):
+        monkeypatch.setattr(radau, name, refuse)
+
+
+def _stiff_runs(kind):
+    """A lone, direct or shared stiff run, as a list of trajectories."""
+    if kind == "lone":
+        spec, nl, dis, u0, u1 = KIRCHHOFF2_SHAPE
+        return [solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, settings(count=101, t_end=10.0))]
+    if kind == "direct":
+        return [solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))]
+    spec, nl, dis, u0, u1 = SWEEP_SHAPE
+    return solve_hyperbolic_shared(
+        spec, nl, dis, STIFF_EPS, u0, u1, settings(count=101, t_end=10.0)
+    )
+
+
 class TestNewtonHooks:
-    """The closed-form Newton solves replace scipy's dense LU and agree
-    with it."""
+    """The closed-form Newton solves replace scipy's LU and agree with
+    it. scipy sees only a zero stand-in for the Jacobian, so a Newton
+    matrix that reached scipy's own LU would be c I alone."""
 
     def test_scipy_lu_never_called(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("scipy's dense LU called on a stiff run")
+        refuse_scipy_lu(monkeypatch)
+        for kind in ("lone", "direct", "shared"):
+            trajs = _stiff_runs(kind)
+            assert len(trajs) == (3 if kind == "shared" else 1)
+            for traj in trajs:
+                assert traj.status == COMPLETED and traj.stats.method == "radau"
+                assert traj.stats.lu_decompositions > 0
+                assert traj.stats.members == len(trajs)
 
-        monkeypatch.setattr(radau, "lu_factor", refuse)
-        monkeypatch.setattr(radau, "lu_solve", refuse)
-        spec, nl, dis, u0, u1 = KIRCHHOFF2_SHAPE
-        hyp = solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, settings(count=101, t_end=10.0))
-        direct = solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))
-        for traj in (hyp, direct):
-            assert traj.status == COMPLETED and traj.stats.method == "radau"
-            assert traj.stats.lu_decompositions > 0
+    @pytest.mark.parametrize("kind", ["lone", "direct", "shared"])
+    def test_guard_fails_without_hooks(self, monkeypatch, kind):
+        # Negative control: with the hooks bypassed, the guard above fails.
+        refuse_scipy_lu(monkeypatch)
+        monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda solver, factor: None)
+        with pytest.raises(AssertionError, match="scipy's LU"):
+            _stiff_runs(kind)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     @pytest.mark.parametrize("shift", ["real", "complex"])
@@ -712,7 +758,8 @@ class TestNewtonHooks:
         stiff = kl.integrate._StiffnessTerm(nl, lam, u, eps)
         assert np.sign(stiff.kappa) == sign
         eye = np.eye(n)
-        J = np.block([[np.zeros((n, n)), eye], [-stiff.dense(), -(b / eps) * eye]])
+        K = stiffness_matrix(nl, lam, u, eps)
+        J = np.block([[np.zeros((n, n)), eye], [-K, -(b / eps) * eye]])
         rhs = rng.standard_normal(2 * n)
         if shift == "complex":
             rhs = rhs + 1j * rng.standard_normal(2 * n)
@@ -722,7 +769,7 @@ class TestNewtonHooks:
 
         stiff = kl.integrate._StiffnessTerm(nl, lam, u, b)
         got = stiff.shifted_solver(c)(rhs[:n])
-        ref = np.linalg.solve(c * eye + stiff.dense(), rhs[:n])
+        ref = np.linalg.solve(c * eye + stiffness_matrix(nl, lam, u, b), rhs[:n])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -731,7 +778,7 @@ class TestNewtonHooks:
         spec, nl, dis, u0, u1 = SHAPES[shape]
         s = settings(count=201, t_end=10.0)
         fast = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
-        dense_newton(monkeypatch)
+        true_jacobian_lu(monkeypatch, hyperbolic_jacobian(spec, nl, dis, eps))
         ref = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
         assert fast.stats.method == "radau" and fast.stats == ref.stats
         got, want = np.hstack([fast.u, fast.uprime]), np.hstack([ref.u, ref.uprime])
@@ -753,9 +800,12 @@ class TestNewtonHooks:
                 u0=list(1.0 / np.arange(1.0, n + 1.0)),
                 settings={"grid": {"kind": "log", "count": 201, "t_end": 100.0}},
             )
-        fast = solve_parabolic_direct(*_direct_args(cfg))
-        dense_newton(monkeypatch)
-        ref = solve_parabolic_direct(*_direct_args(cfg))
+        spec, nl, dis, u0, s = _direct_args(cfg)
+        fast = solve_parabolic_direct(spec, nl, dis, u0, s)
+        true_jacobian_lu(
+            monkeypatch, lambda t, y: -stiffness_matrix(nl, spec.eigenvalues, y, dis.b(t))
+        )
+        ref = solve_parabolic_direct(spec, nl, dis, u0, s)
         assert fast.stats.method == ref.stats.method == "radau"
         assert abs(fast.stats.rhs_evals - ref.stats.rhs_evals) <= 0.02 * ref.stats.rhs_evals
         assert np.max(np.abs(fast.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
@@ -837,15 +887,10 @@ class TestSharedRun:
         b = 0.7
 
         stiff = kl.integrate._StiffnessTerm(nl, lam, u, eps)
+        assert np.all(np.sign(stiff.kappa) == sign)
         blocks = []
         for i in range(k):
-            # K_i from the model, independently of _StiffnessTerm.
-            sigma = math.fsum(lam * u[i] * u[i])
-            dm = nl.derivative(sigma)
-            kappa = 2.0 * dm / eps[i, 0] if math.isfinite(dm) else 0.0
-            assert np.sign(kappa) == sign
-            w = lam * u[i]
-            K = np.diag(nl.value(sigma) * lam / eps[i, 0]) + kappa * np.outer(w, w)
+            K = stiffness_matrix(nl, lam, u[i], eps[i, 0])
             J = np.block([[np.zeros((n, n)), np.eye(n)], [-K, -(b / eps[i, 0]) * np.eye(n)]])
             blocks.append(c * np.eye(2 * n) - J)
         A = np.zeros((2 * k * n, 2 * k * n), dtype=complex)
@@ -968,8 +1013,8 @@ class TestSharedRun:
             solve_hyperbolic_shared(spec, nl, dis, (1e-2, 1e-4), u0, u1, settings(t_end=10.0))
 
     def test_large_n_jacobian_is_sparse(self, monkeypatch):
-        # Stored entries grow like k (N^2 + 2N), as over k lone runs, not
-        # like the (2kN)^2 of a dense stacked Jacobian.
+        # scipy gets an empty sparse stand-in for J, so the identity and
+        # the Newton matrices c I - J stay sparse: no (2kN)^2 dense matrix.
         n, eps_values = 256, (1e-4, 3e-5, 1e-5)
         lam = np.arange(1.0, n + 1.0)
         spec = Spectrum(lam)
@@ -988,10 +1033,14 @@ class TestSharedRun:
         )
         assert [t.status for t in shared] == [COMPLETED] * 3
         (solver,) = solvers
-        k = len(eps_values)
-        assert issparse(solver.J) and issparse(solver.I)
-        assert solver.J.nnz == k * (n * n + 2 * n)
+        assert issparse(solver.J) and solver.J.nnz == 0
+        assert issparse(solver.I)
         assert solver.njev >= 2 and solver.nlu >= 2
+
+    def test_no_members_rejected(self):
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        with pytest.raises(kl.ConfigurationError, match="at least one"):
+            solve_hyperbolic_shared(spec, nl, dis, [], u0, u1, settings(t_end=10.0))
 
     def test_sweep_routing(self):
         # The eps-sweep benchmark members: three Radau members share a run.
