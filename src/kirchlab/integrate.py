@@ -22,23 +22,24 @@ took (``SolverStats``).
   diagonal part plus one rank-one term, so each Newton system is
   solved in closed form, by block elimination and Sherman-Morrison
   (Golub-Van Loan, Matrix Computations, 2.1): O(N) operations per
-  factorisation and per solve, in place of scipy's dense LU. The
-  Jacobian is never assembled: ``jac`` records its diagonal and
-  rank-one parts (``_StiffnessTerm``) and hands scipy a constant zero
-  stand-in. That is sound because scipy uses J only to form the Newton
-  matrix c I - J for the hooks, which read c = A[0, 0] and solve with
-  the recorded parts; TestNewtonHooks fails if a Newton matrix ever
-  reaches scipy's own LU.
+  factorisation and per solve, in place of scipy's dense LU. No
+  matrix is formed: ``jac`` records the Jacobian's diagonal and rank-one
+  parts (``_StiffnessTerm``), and scipy, which uses J and I only to
+  form the Newton matrix MU/h I - J, gets I = 1 and J = 0, so the hooks
+  receive the scalar c = MU/h and solve with the recorded parts
+  (``_closed_form_radau``). Work and memory are O(N) per step at any
+  N; TestNewtonHooks fails if a Newton matrix ever reaches scipy's own
+  LU or is not a scalar.
 
-The stiff members of an eps sweep share one Radau run
-(``solve_hyperbolic_shared``): their states are stacked, and the Newton
-matrix is block-diagonal with one block per member. Where a lone run
-and a shared run go through the same code (``_integrate``,
-``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its
-own branch: a flat modal vector, ``y @ y`` and a dense stand-in. Row
-sums over a member axis add in another order and cost an extra numpy
-call, and the branch keeps every lone run bit-identical to a run
-without that axis.
+The overdamped members of a stiff eps sweep share one Radau run
+(``sweep_runs``, ``solve_hyperbolic_shared``): their states are
+stacked, and the Newton matrix is block-diagonal with one block per
+member. Where a lone run and a shared run go through the same code
+(``_integrate``, ``_StiffnessTerm``, ``_second_order_radau``), the lone
+run keeps its own branch: a flat modal vector and ``y @ y``. Row sums
+over a member axis add in another order and cost an extra numpy call,
+and the branch keeps every lone run bit-identical to a run without
+that axis.
 """
 
 from __future__ import annotations
@@ -146,11 +147,11 @@ class SolverStats:
     step cap or the error control, so ``accepted == cap_limited +
     error_limited``. Radau counts its Jacobian evaluations and, in
     ``lu_decompositions``, the factorisations of its Newton matrices.
-    These are closed-form (``_closed_form_newton``), not LU, and scipy
-    sees a zero stand-in for the Jacobian, which is sound because scipy
-    uses J only in c I - J and the hooks read only c (TestNewtonHooks
-    guards the hooks). Both are counted where scipy counts them, so the
-    counts equal those of a run with the true Jacobian and dense LU.
+    These are closed-form solves set up from the scalar c = MU/h
+    (``_closed_form_radau``), not LU, and the Jacobian is only recorded
+    in parts, never formed. Both are counted where scipy counts them,
+    so the counts equal those of a run with the true Jacobian and dense
+    LU.
     scipy's stepper does not report rejected steps, so the three DP5
     step counts are ``None`` there, and DP5 evaluates no Jacobian.
     ``members`` is the number of eps values the run integrated side by
@@ -300,9 +301,7 @@ class _StiffnessTerm:
     per member.
 
     K is kept as its parts and never assembled: the Newton solves need
-    only ``shifted_solver``, and scipy gets a zero stand-in for the
-    Jacobian, which it uses only in c I - J (see the module docstring;
-    TestNewtonHooks guards the hooks that make this sound).
+    only ``shifted_solver`` (see ``_closed_form_radau``).
     """
 
     def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale):
@@ -359,22 +358,49 @@ def _second_order_newton(stiff: _StiffnessTerm, damp, c):
     return solve
 
 
-def _closed_form_newton(solver: Radau, factor) -> None:
-    """Give ``solver`` closed-form Newton solves in place of dense LU.
+def _closed_form_radau(rhs, y0, t_end, linearise, factor, rtol, atol) -> Radau:
+    """scipy's Radau with closed-form Newton solves in place of dense LU.
 
-    scipy's ``Radau.__init__`` assigns the instance hooks ``lu(A)`` and
-    ``solve_lu(LU, b)``; the stepper factors every Newton matrix
-    A = c I - J (c = MU/h, real or complex) through the first and
-    solves through the second. ``factor(A)`` returns the solve as a
-    function of the right-hand side, and the new ``lu`` counts ``nlu``
-    as scipy's does. TestNewtonHooks fails if scipy stops calling the
-    hooks.
+    ``linearise(t, y)`` records the Jacobian's parts at (t, y), and
+    ``factor(c)`` returns the solve with the Newton matrix c I - J of
+    the latest linearisation, c = MU/h real or complex, as a function
+    of the right-hand side. scipy's ``Radau.__init__`` makes one
+    validation call of ``jac``, answered with an empty sparse matrix so
+    that scipy's set-up allocates no dense identity, and assigns the
+    instance attributes that the stepper reads: ``jac``, ``J``, ``I``
+    and the hooks ``lu(A)`` and ``solve_lu(LU, b)``. The stepper forms
+    every Newton matrix as MU/h * I - J, so with I = 1.0 and J = 0.0 it
+    is the scalar c, which ``lu`` passes to ``factor``. The new ``jac``
+    and ``lu`` count ``njev`` and ``nlu`` as scipy's do. ``lu`` refuses
+    anything but a scalar, so a scipy that formed the matrix another way
+    fails loudly; TestNewtonHooks fails if scipy stops calling the hooks.
     """
 
-    def lu(A):
-        solver.nlu += 1
-        return factor(A)
+    def validation_jac(t, y):
+        linearise(t, y)
+        return csc_matrix((y.size, y.size))
 
+    solver = Radau(rhs, 0.0, y0, t_end, jac=validation_jac, rtol=rtol, atol=atol)
+    _closed_form_newton(solver, linearise, factor)
+    return solver
+
+
+def _closed_form_newton(solver: Radau, linearise, factor) -> None:
+    """Install the scalar Newton matrix and the hooks of
+    ``_closed_form_radau`` on ``solver``."""
+
+    def jac(t, y, _f=None):
+        solver.njev += 1
+        linearise(t, y)
+        return 0.0
+
+    def lu(c):
+        if np.ndim(c) != 0:
+            raise TypeError("the closed-form Newton solves take the scalar c = MU/h, not a matrix")
+        solver.nlu += 1
+        return factor(c)
+
+    solver.I, solver.J, solver.jac = 1.0, 0.0, jac
     solver.lu = lu
     solver.solve_lu = lambda solve, rhs: solve(rhs)
 
@@ -387,18 +413,24 @@ def _closed_form_newton(solver: Radau, factor) -> None:
 _STIFF_STEPS = 2000.0
 
 
+def _overdamped(eps: float, lam_max: float, m0: float, dis: Dissipation, t_end: float) -> bool:
+    """Whether a second-order run is overdamped at the horizon,
+    b(t_end)^2 >= 4 eps lambda_max m0 with m0 the launch stiffness
+    coefficient: every mode then relaxes without oscillating, so
+    explicit steps are limited by stability, not accuracy."""
+    b_end = dis.b(t_end)
+    return b_end * b_end >= 4.0 * eps * lam_max * m0
+
+
 def _stepper(eps: float, lam_max: float, m0: float, dis: Dissipation, t_end: float) -> str:
     """``"radau"`` for a stiff second-order run, else ``"dp5"``.
 
-    Stiff means overdamped at the horizon, b(t_end)^2 >= 4 eps
-    lambda_max m0 with m0 the launch stiffness coefficient (every mode
-    then relaxes without oscillating, so explicit steps are limited by
-    stability, not accuracy), and more than ``_STIFF_STEPS`` such
-    steps, B(t_end)/eps. A pure function of the plan's data.
+    Stiff means overdamped at the horizon (``_overdamped``) and more
+    than ``_STIFF_STEPS`` stability-bound steps, B(t_end)/eps. A pure
+    function of the plan's data.
     """
-    b_end = dis.b(t_end)
-    overdamped = b_end * b_end >= 4.0 * eps * lam_max * m0
-    return "radau" if overdamped and dis.primitive(t_end) / eps > _STIFF_STEPS else "dp5"
+    stiff = _overdamped(eps, lam_max, m0, dis, t_end) and dis.primitive(t_end) / eps > _STIFF_STEPS
+    return "radau" if stiff else "dp5"
 
 
 def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -> str:
@@ -422,35 +454,24 @@ def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Rada
     is block-diagonal with blocks [[0, I], [-K_i, -(b/eps_i) I]] (K_i
     the stiffness term at u_i over eps_i).
 
-    ``jac`` records K and b/eps, which the Newton solves use, and hands
-    scipy a constant zero stand-in for J: scipy uses J only to form
-    c I - J for the hooks, which read c = A[0, 0] alone, and
-    TestNewtonHooks fails if a Newton matrix reaches scipy's LU instead.
-    The stand-in is dense for a lone run and an empty sparse matrix for
-    a shared one, so a shared run's identity and Newton matrices stay
-    sparse."""
+    The Jacobian is never assembled: the Newton matrix reaches the hooks
+    as the scalar c (``_closed_form_radau``), and each solve uses K and
+    b/eps of the latest linearisation."""
     n = lam.size
     stiff = damp = None  # K and b/eps at the latest linearisation point
-    size = 2 * n * members
-    zero_jac = np.zeros((size, size)) if members == 1 else csc_matrix((size, size))
 
-    def jac(t, y):
+    def linearise(t, y):
         nonlocal stiff, damp
         u = y[:n] if members == 1 else y.reshape(members, 2 * n)[:, :n]
         stiff = _StiffnessTerm(nl, lam, u, eps)
         damp = dis.b(t) / eps
-        return zero_jac
-
-    def newton_factor(A):
-        return _second_order_newton(stiff, damp, A[0, 0])
 
     root = math.sqrt(members)
-    solver = Radau(
-        rhs, 0.0, y0, settings.grid.t_end, jac=jac,
-        rtol=settings.rel_tol / root, atol=settings.abs_tol / root,
+    return _closed_form_radau(
+        rhs, y0, settings.grid.t_end, linearise,
+        lambda c: _second_order_newton(stiff, damp, c),
+        settings.rel_tol / root, settings.abs_tol / root,
     )
-    _closed_form_newton(solver, newton_factor)
-    return solver
 
 
 def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray) -> float:
@@ -539,12 +560,6 @@ def _max_shared(rel_tol: float, members: int) -> int:
     return most
 
 
-def _radau_members(spec: Spectrum, dis: Dissipation, eps_values, m0: float, t_end: float):
-    """Whether ``solve_hyperbolic`` sends each eps value to Radau, for
-    the launch stiffness ``m0``."""
-    return [_stepper(eps, spec.lambda_max, m0, dis, t_end) == "radau" for eps in eps_values]
-
-
 def sweep_runs(
     spec: Spectrum,
     nl: Nonlinearity,
@@ -555,22 +570,29 @@ def sweep_runs(
 ) -> list:
     """Stepper runs of an eps sweep, as tuples of indices into ``eps_values``.
 
-    Every member that ``solve_hyperbolic`` would send to Radau goes into
-    one shared run (``solve_hyperbolic_shared``), listed first because
-    it is the dearest; every other member is a lone DP5 run. DP5's work
-    grows like B(t_end)/eps, so a shared explicit run would make its
-    cheap members pay for the steps of the dearest one, while Radau's
-    work barely depends on eps. More Radau members than ``rel_tol``
+    Once one member is stiff enough for a lone Radau run (``_stepper``),
+    every member that is overdamped at the horizon (``_overdamped``)
+    goes into one shared run (``solve_hyperbolic_shared``), listed first
+    because it is the dearest; every other member is a lone DP5 run.
+    Radau's work barely depends on eps, so an overdamped member costs
+    the shared run less than its own stability-bound DP5 steps, even
+    below the lone threshold. An underdamped member's oscillation would
+    set the shared run's steps, and DP5's work grows like B(t_end)/eps,
+    so a shared explicit run would make its cheap members pay for the
+    steps of the dearest one. More shared members than ``rel_tol``
     allows (``_max_shared``) are split into several shared runs. The
     runs do not depend on how many workers will take them, so neither
     do the samples.
     """
     m0 = nl.value(sigma_half(spec.eigenvalues, as_modal(spec, u0, "u0")))
-    radau = _radau_members(spec, dis, eps_values, m0, settings.grid.t_end)
-    stiff = [i for i, is_radau in enumerate(radau) if is_radau]
-    most = _max_shared(settings.rel_tol, len(stiff))
-    shared = [tuple(stiff[lo:lo + most]) for lo in range(0, len(stiff), most)]
-    return shared + [(i,) for i, is_radau in enumerate(radau) if not is_radau]
+    lam_max, t_end = spec.lambda_max, settings.grid.t_end
+    joins = [_overdamped(eps, lam_max, m0, dis, t_end) for eps in eps_values]
+    if all(_stepper(eps, lam_max, m0, dis, t_end) == "dp5" for eps in eps_values):
+        joins = [False] * len(eps_values)
+    shared = [i for i, joined in enumerate(joins) if joined]
+    most = _max_shared(settings.rel_tol, len(shared))
+    runs = [tuple(shared[lo:lo + most]) for lo in range(0, len(shared), most)]
+    return runs + [(i,) for i, joined in enumerate(joins) if not joined]
 
 
 def solve_hyperbolic_shared(
@@ -598,9 +620,9 @@ def solve_hyperbolic_shared(
     norm, or the steps underflow) is rerun member by member, so
     statuses, stopping times and samples are then those of lone runs.
     A single eps value is ``solve_hyperbolic``'s lone run, and none is a
-    ``ConfigurationError``. Several must
-    all be values that ``solve_hyperbolic`` sends to Radau, and no more
-    than ``rel_tol`` allows; ``sweep_runs`` groups a sweep so.
+    ``ConfigurationError``. Several must all be overdamped at the
+    horizon (``_overdamped``), and no more than ``rel_tol`` allows;
+    ``sweep_runs`` groups a sweep so.
     """
     eps_values = tuple(eps_values)
     for eps in eps_values:
@@ -619,8 +641,9 @@ def solve_hyperbolic_shared(
     lam = spec.eigenvalues
     n = spec.size
     m0 = _launch_stiffness(nl, lam, u0v)
-    if not all(_radau_members(spec, dis, eps_values, m0, settings.grid.t_end)):
-        raise ConfigurationError("a shared run takes only eps values that go to Radau")
+    t_end = settings.grid.t_end
+    if not all(_overdamped(eps, spec.lambda_max, m0, dis, t_end) for eps in eps_values):
+        raise ConfigurationError("a shared run takes only eps values overdamped at the horizon")
     shape = (k, 2, n)
     eps_col = np.array(eps_values)[:, None]
 
@@ -716,19 +739,15 @@ def solve_parabolic_direct(
         solver = RK45(rhs, 0.0, u0v, t_end, **tols)
     else:
         stiff = None  # K at the latest linearisation point
-        zero_jac = np.zeros((u0v.size, u0v.size))
 
-        def jac(t, y):
+        def linearise(t, y):
             nonlocal stiff
             stiff = _StiffnessTerm(nl, lam, y, dis.b(t))
-            return zero_jac
 
-        def newton_factor(A):
-            # A = c I from the zero stand-in; the Newton matrix is K + c I.
-            return stiff.shifted_solver(A[0, 0])
-
-        solver = Radau(rhs, 0.0, u0v, t_end, jac=jac, **tols)
-        _closed_form_newton(solver, newton_factor)
+        # The Newton matrix is K + c I.
+        solver = _closed_form_radau(
+            rhs, u0v, t_end, linearise, lambda c: stiff.shifted_solver(c), **tols
+        )
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])
     return Trajectory(spec, times, samples, uprime, status, t_stop, stats=stats)

@@ -349,12 +349,13 @@ class TestRunPlan:
         assert set(serial.manifest["solver_stats"]) == {"hyperbolic_0", "hyperbolic_1", "parabolic"}
 
     def test_sweep_stiff_members_share_one_run(self, tmp_path):
-        # t_end 1: B(1)/eps is 83 at eps 1e-2 (DP5) and 2761 and 8284 at
-        # eps 3e-4 and 1e-4 (Radau), which share one run.
+        # t_end 1, m0 = 0.32: eps 1e-1 is underdamped (DP5); B(1)/eps is
+        # 8284 at eps 1e-4 (Radau), so every overdamped member shares its
+        # run: eps 1e-2 (B/eps 83) and 3e-4 join it.
         cfg = {
             **SWEEP_PLAN,
             "b": {"kind": "power", "p": 0.5},
-            "eps_list": [1e-2, 3e-4, 1e-4],
+            "eps_list": [1e-1, 1e-2, 3e-4, 1e-4],
         }
         plan = load_config(json.dumps(cfg))
         serial = run_plan(plan, tmp_path / "serial", jobs=1)
@@ -364,8 +365,8 @@ class TestRunPlan:
         stats = serial.manifest["solver_stats"]
         assert stats == parallel.manifest["solver_stats"]
         assert (stats["hyperbolic_0"]["method"], stats["hyperbolic_0"]["members"]) == ("dp5", 1)
-        assert stats["hyperbolic_1"] == stats["hyperbolic_2"]
-        assert (stats["hyperbolic_1"]["method"], stats["hyperbolic_1"]["members"]) == ("radau", 2)
+        assert stats["hyperbolic_1"] == stats["hyperbolic_2"] == stats["hyperbolic_3"]
+        assert (stats["hyperbolic_1"]["method"], stats["hyperbolic_1"]["members"]) == ("radau", 3)
         assert stats["parabolic"]["members"] == 1
 
     @pytest.mark.parametrize("jobs,pools", [(500, [2]), (2, [2]), (1, [])])

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import radau
-from scipy.sparse import issparse
+from scipy.sparse import csc_matrix
 
 import kirchlab as kl
 from kirchlab import (
@@ -665,14 +666,15 @@ def _direct_args(cfg):
 
 def true_jacobian_lu(monkeypatch, jac):
     """Hand every Radau run the true Jacobian ``jac(t, y)`` and scipy's
-    own LU, in place of the zero stand-in and the closed-form solves."""
+    own LU, in place of the scalar Newton matrix and the closed-form
+    solves."""
 
     class TrueJacobianRadau(radau.Radau):
         def __init__(self, *args, **kw):
             super().__init__(*args, **dict(kw, jac=jac))
 
     monkeypatch.setattr(kl.integrate, "Radau", TrueJacobianRadau)
-    monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda solver, factor: None)
+    monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda *args: None)
 
 
 def hyperbolic_jacobian(spec, nl, dis, eps):
@@ -695,6 +697,26 @@ def refuse_scipy_lu(monkeypatch):
         monkeypatch.setattr(radau, name, refuse)
 
 
+def record_newton_matrices(monkeypatch):
+    """A list that gets the shape of every Newton matrix reaching the
+    hook ``lu`` of a Radau run started afterwards."""
+    shapes = []
+    install = kl.integrate._closed_form_newton
+
+    def spy(solver, linearise, factor):
+        install(solver, linearise, factor)
+        lu = solver.lu
+
+        def recording_lu(A):
+            shapes.append(np.shape(A))
+            return lu(A)
+
+        solver.lu = recording_lu
+
+    monkeypatch.setattr(kl.integrate, "_closed_form_newton", spy)
+    return shapes
+
+
 def _stiff_runs(kind):
     """A lone, direct or shared stiff run, as a list of trajectories."""
     if kind == "lone":
@@ -708,28 +730,96 @@ def _stiff_runs(kind):
     )
 
 
+# Radau runs at N = 1024 on short horizons (lambda_k = k, u0 ~ k^-2,
+# rel_tol 1e-6). Their (rhs_evals, accepted, jac_evals, lu_decompositions)
+# equal those of runs that hand scipy a dense zero stand-in for J.
+_N = 1024
+_LAM = np.arange(1.0, _N + 1.0)
+
+
+def _large_n_run(kind):
+    s = IntegratorSettings(
+        rel_tol=1e-6, abs_tol=1e-8,
+        grid=OutputGrid("log", 11, 2.0 if kind == "direct" else 0.1),
+    )
+    spec, nl, dis = Spectrum(_LAM), PowerNonlinearity(1.0), PowerLawDissipation(0.5)
+    u0 = 0.3 / _LAM**2
+    if kind == "lone":
+        return [solve_hyperbolic(spec, nl, dis, 1e-5, u0, np.zeros(_N), s)]
+    if kind == "direct":
+        table = LipschitzTable(((0.0, 1.5), (1.0, 1.0)))
+        return [solve_parabolic_direct(spec, table, PowerLawDissipation(1.5), 1.0 / _LAM**2, s)]
+    return solve_hyperbolic_shared(spec, nl, dis, (3e-5, 1e-5, 3e-6), u0, np.zeros(_N), s)
+
+
 class TestNewtonHooks:
     """The closed-form Newton solves replace scipy's LU and agree with
-    it. scipy sees only a zero stand-in for the Jacobian, so a Newton
-    matrix that reached scipy's own LU would be c I alone."""
+    it. scipy forms every Newton matrix MU/h I - J from I = 1 and J = 0,
+    so what reaches the hooks is the scalar c = MU/h."""
 
     def test_scipy_lu_never_called(self, monkeypatch):
         refuse_scipy_lu(monkeypatch)
         for kind in ("lone", "direct", "shared"):
+            shapes = record_newton_matrices(monkeypatch)
             trajs = _stiff_runs(kind)
             assert len(trajs) == (3 if kind == "shared" else 1)
             for traj in trajs:
                 assert traj.status == COMPLETED and traj.stats.method == "radau"
                 assert traj.stats.lu_decompositions > 0
                 assert traj.stats.members == len(trajs)
+            # Only scalars reach lu, one per counted factorisation.
+            assert shapes == [()] * trajs[0].stats.lu_decompositions
 
     @pytest.mark.parametrize("kind", ["lone", "direct", "shared"])
     def test_guard_fails_without_hooks(self, monkeypatch, kind):
         # Negative control: with the hooks bypassed, the guard above fails.
         refuse_scipy_lu(monkeypatch)
-        monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda solver, factor: None)
+        monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda *args: None)
         with pytest.raises(AssertionError, match="scipy's LU"):
             _stiff_runs(kind)
+
+    def test_lu_refuses_a_matrix(self):
+        # A scipy that formed c I - J as a matrix must fail loudly, not
+        # solve with its [0, 0] entry or a broadcast.
+        solver = kl.integrate._closed_form_radau(
+            lambda t, y: -y, np.ones(2), 1.0, lambda t, y: None,
+            lambda c: lambda r: r / (c + 1.0), 1e-6, 1e-8,
+        )
+        for A in (np.eye(2), np.array([2.0]), csc_matrix(np.eye(2))):
+            with pytest.raises(TypeError, match="scalar"):
+                solver.lu(A)
+        assert solver.nlu == 0
+        assert solver.solve_lu(solver.lu(2.0), np.array([3.0, 6.0])).tolist() == [1.0, 2.0]
+        assert solver.nlu == 1
+
+    @pytest.mark.parametrize(
+        "kind, counts",
+        [
+            ("lone", (232, 32, 1, 42)),
+            ("direct", (464, 57, 15, 60)),
+            ("shared", (351, 49, 1, 58)),
+        ],
+        ids=["lone", "direct", "shared"],
+    )
+    def test_large_n_allocates_no_matrix(self, kind, counts):
+        # One dense N x N matrix of doubles is 8 MB at N = 1024, and from a
+        # dense stand-in for J scipy forms two 2N x 2N Newton matrices per
+        # lone factorisation (a traced peak of 135 MB). The bound, 1 kB per
+        # state component, admits no such matrix (about 0.45 kB is used).
+        tracemalloc.start()
+        try:
+            trajs = _large_n_run(kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stats = trajs[0].stats
+        assert all(traj.status == COMPLETED for traj in trajs)
+        assert stats.method == "radau" and stats.members == len(trajs)
+        assert (stats.rhs_evals, stats.accepted, stats.jac_evals, stats.lu_decompositions) == counts
+        state_size = sum(traj.u.shape[1] + traj.uprime.shape[1] for traj in trajs)
+        if kind == "direct":
+            state_size //= 2  # u' is derived, not integrated
+        assert peak <= 1024 * state_size
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     @pytest.mark.parametrize("shift", ["real", "complex"])
@@ -856,6 +946,29 @@ def sweep_runs_t10():
     shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
     lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
     return shared, lone
+
+
+# The eps-sweep benchmark plan (SWEEP_SHAPE at eps 1e-2 ... 1e-4, t_end 10,
+# 401 samples) at two seeds of its initial data, and the (accepted,
+# rhs_evals) of its shared Radau run.
+BENCH_EPS = (1e-2, 3e-3) + STIFF_EPS
+BENCH_SWEEP_DATA = {
+    0: ([0.33767335340815613, 0.12842965623064875], [0.08349429756518721, -0.05503364674538633]),
+    7: ([-0.3822181739491623, -0.0920723458794332], [0.08808515941238794, -0.04733925106393432]),
+}
+BENCH_SWEEP_WORK = {0: (2125, 15325), 7: (2079, 15006)}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCH_SWEEP_DATA))
+def bench_sweep(request):
+    """(seed, runs, shared run's trajectories, u0, u1) of the eps-sweep
+    benchmark plan."""
+    spec, nl, dis = SWEEP_SHAPE[:3]
+    u0, u1 = (np.array(v) for v in BENCH_SWEEP_DATA[request.param])
+    s = settings(count=401, t_end=10.0)
+    runs = kl.integrate.sweep_runs(spec, nl, dis, BENCH_EPS, u0, s)
+    shared = solve_hyperbolic_shared(spec, nl, dis, [BENCH_EPS[i] for i in runs[0]], u0, u1, s)
+    return request.param, runs, shared, u0, u1
 
 
 class TestSharedRun:
@@ -1007,35 +1120,11 @@ class TestSharedRun:
         assert most == max(members, 1) or rel_tol / math.sqrt(most + 1) < floor
 
     def test_dp5_member_rejected(self):
-        # eps 1e-2 goes to DP5 at t_end 10; a shared run takes only Radau members.
+        # eps 1e-2 is underdamped at t_end 10 and goes to DP5; a shared run
+        # takes only overdamped members.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        with pytest.raises(kl.ConfigurationError, match="Radau"):
+        with pytest.raises(kl.ConfigurationError, match="overdamped"):
             solve_hyperbolic_shared(spec, nl, dis, (1e-2, 1e-4), u0, u1, settings(t_end=10.0))
-
-    def test_large_n_jacobian_is_sparse(self, monkeypatch):
-        # scipy gets an empty sparse stand-in for J, so the identity and
-        # the Newton matrices c I - J stay sparse: no (2kN)^2 dense matrix.
-        n, eps_values = 256, (1e-4, 3e-5, 1e-5)
-        lam = np.arange(1.0, n + 1.0)
-        spec = Spectrum(lam)
-        u0 = 0.3 / lam
-        solvers = []
-        build = kl.integrate._second_order_radau
-
-        def spy(*args, **kw):
-            solvers.append(build(*args, **kw))
-            return solvers[-1]
-
-        monkeypatch.setattr(kl.integrate, "_second_order_radau", spy)
-        shared = solve_hyperbolic_shared(
-            spec, PowerNonlinearity(1.0), PowerLawDissipation(0.5), eps_values,
-            u0, np.zeros(n), settings(count=11, t_end=1.0),
-        )
-        assert [t.status for t in shared] == [COMPLETED] * 3
-        (solver,) = solvers
-        assert issparse(solver.J) and solver.J.nnz == 0
-        assert issparse(solver.I)
-        assert solver.njev >= 2 and solver.nlu >= 2
 
     def test_no_members_rejected(self):
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
@@ -1043,14 +1132,65 @@ class TestSharedRun:
             solve_hyperbolic_shared(spec, nl, dis, [], u0, u1, settings(t_end=10.0))
 
     def test_sweep_routing(self):
-        # The eps-sweep benchmark members: three Radau members share a run.
+        # The eps-sweep benchmark members: eps 3e-3 (B/eps 1543, below the
+        # lone threshold) is overdamped and joins the three Radau members;
+        # eps 1e-2 is underdamped and stays a lone DP5 run.
         spec, nl, dis, u0, _ = SWEEP_SHAPE
         eps_list = (1e-2, 3e-3) + STIFF_EPS
         runs = kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
-        assert runs == [(2, 3, 4), (0,), (1,)]
+        assert runs == [(1, 2, 3, 4), (0,)]
         assert kl.integrate.sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
             (0,), (1,)
         ]
+
+    def test_no_lone_radau_member_stays_dp5(self):
+        # Both members are overdamped at t_end 10, but neither passes the
+        # lone threshold (B/eps 926 and 1543), so there is no shared run.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        eps_list = (5e-3, 3e-3)
+        s = settings(count=101, t_end=10.0)
+        lam_max, m0 = spec.lambda_max, 1.0
+        assert all(kl.integrate._overdamped(e, lam_max, m0, dis, 10.0) for e in eps_list)
+        assert kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0,), (1,)]
+        assert all(
+            solve_hyperbolic(spec, nl, dis, e, u0, u1, s).stats.method == "dp5" for e in eps_list
+        )
+
+    def test_underdamped_member_never_joins(self, monkeypatch):
+        # N = 8, lambda = k^2, m = s, t_end 10: overdamped only for
+        # eps <= 2e-3, so eps 1e-1 stays a lone DP5 run (389 steps). Forced
+        # into the shared run, its oscillation sets the steps of all
+        # members: 1675 shared steps become 1979.
+        spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
+        eps_list = (1e-1, 1e-3, 1e-4)
+        s = settings(count=101, t_end=10.0)
+        assert kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, s) == [(1, 2), (0,)]
+        with pytest.raises(kl.ConfigurationError, match="overdamped"):
+            solve_hyperbolic_shared(spec, nl, dis, eps_list, u0, u1, s)
+        shared = solve_hyperbolic_shared(spec, nl, dis, eps_list[1:], u0, u1, s)
+        monkeypatch.setattr(kl.integrate, "_overdamped", lambda *args: True)
+        forced = solve_hyperbolic_shared(spec, nl, dis, eps_list, u0, u1, s)
+        assert shared[0].stats.accepted < forced[0].stats.accepted
+
+    def test_bench_sweep_layout_and_work(self, bench_sweep):
+        # Counts, not seconds: a routing change shows on any host.
+        seed, runs, shared, _, _ = bench_sweep
+        assert runs == [(1, 2, 3, 4), (0,)]
+        stats = shared[0].stats
+        assert (stats.method, stats.members) == ("radau", 4)
+        assert (stats.accepted, stats.rhs_evals) == BENCH_SWEEP_WORK[seed]
+
+    def test_joined_member_meets_reference(self, bench_sweep):
+        # eps 3e-3 joins below the lone threshold; it stays as close to
+        # an rtol 1e-13 reference as the lone-Radau members (1.0e-11 and
+        # 1.1e-11 of |(u0, u1)| measured; lone DP5 5.6e-11 and 4.0e-11).
+        _, runs, shared, u0, u1 = bench_sweep
+        spec, nl, dis = SWEEP_SHAPE[:3]
+        joined = shared[runs[0].index(1)]
+        assert joined.status == COMPLETED
+        ref = radau_reference(spec, nl, dis, BENCH_EPS[1], u0, u1, joined.times)
+        got = np.hstack([joined.u, joined.uprime])
+        assert np.max(np.abs(got - ref)) <= 1e-10 * math.sqrt(u0 @ u0 + u1 @ u1)
 
 
 class TestDirectStiffPath:
