@@ -34,38 +34,31 @@ from . import energies as en
 from . import integrate as ig
 from . import svgplot
 from .model import (
+    ConstantDissipation,
     Dissipation,
+    LipschitzTable,
     Nonlinearity,
     PowerLawDissipation,
     PowerNonlinearity,
     classify_regime,
-    dissipation_from_config,
-    nonlinearity_from_config,
     p_gamma,
 )
-from .spectral import (
-    ConfigurationError,
-    Spectrum,
-    _as_flag,
-    _as_integer,
-    _as_list,
-    _as_number,
-    _as_numbers,
-    _reject_unknown,
-    as_modal,
-    coercivity,
-    spectrum_from_config,
-)
+from .spectral import ConfigurationError, Spectrum, as_modal, coercivity
 
 __all__ = [
     "AnalysisOptions",
     "ExperimentPlan",
     "ArtifactBundle",
     "PlanKind",
+    "SectionKind",
     "load_config",
     "run_plan",
     "plan_hash",
     "PLAN_KINDS",
+    "MODEL_SECTIONS",
+    "spectrum_from_config",
+    "nonlinearity_from_config",
+    "dissipation_from_config",
 ]
 
 
@@ -134,6 +127,151 @@ class ArtifactBundle:
         return 0
 
 
+# ----------------------------------------------------------------------
+# Plan field readers. JSON gives numbers as int or float; strings,
+# booleans, null and containers where a number belongs are errors that
+# name the field, never a silent conversion.
+
+def _check_keys(cfg: dict, allowed, context: str, required=()) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{context} must be a mapping")
+    extra = sorted(set(cfg) - set(allowed))
+    if extra:
+        raise ConfigurationError(f"unknown key {extra[0]!r} in {context}")
+    missing = sorted(set(required) - set(cfg))
+    if missing:
+        raise ConfigurationError(f"{context}.{missing[0]} is required")
+
+
+def _lookup_kind(table: dict, kind, context: str):
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigurationError(f"{context}.kind must be one of {tuple(table)}, got {kind!r}")
+    return table[kind]
+
+
+def _as_number(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def _as_integer(value, name: str) -> int:
+    x = _as_number(value, name)
+    if not x.is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _as_flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _as_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list")
+    return list(value)
+
+
+def _as_numbers(value, name: str, length: int | None = None) -> tuple:
+    items = _as_list(value, name)
+    if length is not None and len(items) != length:
+        raise ConfigurationError(f"{name} must hold exactly {length} numbers")
+    return tuple(_as_number(v, f"{name}[{i}]") for i, v in enumerate(items))
+
+
+def _as_points(value, name: str) -> tuple:
+    return tuple(_as_numbers(pt, f"{name}[{i}]", 2) for i, pt in enumerate(_as_list(value, name)))
+
+
+# ----------------------------------------------------------------------
+# Model sections. A spectrum constructor also takes ``lengths``, the
+# plan's vector lengths by name, and checks them against its size before
+# a power spectrum allocates its n eigenvalues.
+
+def _check_lengths(size: int, lengths: dict) -> None:
+    for name, length in lengths.items():
+        if length != size:
+            raise ConfigurationError(f"{name} has length {length}, spectrum has {size} modes")
+
+
+def _explicit_spectrum(values: tuple, lengths: dict) -> Spectrum:
+    _check_lengths(len(values), lengths)
+    return Spectrum(values)
+
+
+def _power_spectrum(a: float, q: float, n: int, lengths: dict) -> Spectrum:
+    """lambda_k = a k^q, k = 1..n, ascending: for q < 0 from k = n to 1."""
+    if n < 1:
+        raise ConfigurationError("spectrum.n must be at least 1")
+    if a < 0.0:
+        raise ConfigurationError("spectrum.a must be nonnegative")
+    _check_lengths(n, lengths)
+    k = np.arange(1, n + 1, dtype=float)
+    return Spectrum(a * (k[::-1] if q < 0.0 else k) ** q)
+
+
+@dataclass(frozen=True)
+class SectionKind:
+    """A kind of a model section: ``build(**fields)`` makes it from the
+    fields ``keys`` reads (key -> reader(value, name)); every key not in
+    ``optional`` is required."""
+
+    build: Callable
+    keys: dict
+    optional: frozenset = frozenset()
+
+
+# The single source of the model sections' kinds and keys.
+MODEL_SECTIONS = {
+    "spectrum": {
+        "explicit": SectionKind(_explicit_spectrum, {"values": _as_numbers}),
+        "power": SectionKind(_power_spectrum, {"a": _as_number, "q": _as_number, "n": _as_integer}),
+    },
+    "m": {
+        "power": SectionKind(PowerNonlinearity, {"gamma": _as_number}),
+        "table": SectionKind(LipschitzTable, {"points": _as_points, "mu": _as_number},
+                             frozenset({"mu"})),
+    },
+    "b": {
+        "power": SectionKind(PowerLawDissipation, {"p": _as_number}),
+        "constant": SectionKind(ConstantDissipation, {"delta": _as_number}),
+    },
+}
+
+
+def _model_section(section: str, cfg, **context):
+    """Build one model section by its ``MODEL_SECTIONS`` entry;
+    ``context`` (a spectrum's ``lengths``) goes to the constructor
+    beside the fields."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{section} must be a mapping")
+    entry = _lookup_kind(MODEL_SECTIONS[section], cfg.get("kind"), section)
+    _check_keys(cfg, {"kind", *entry.keys}, section, set(entry.keys) - entry.optional)
+    fields = {key: read(cfg[key], f"{section}.{key}") for key, read in entry.keys.items()
+              if key in cfg}
+    return entry.build(**fields, **context)
+
+
+def spectrum_from_config(cfg: dict) -> Spectrum:
+    """Build a spectrum from its plan section."""
+    return _model_section("spectrum", cfg, lengths={})
+
+
+def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
+    """Build a nonlinearity from its plan section, ``m``."""
+    return _model_section("m", cfg)
+
+
+def dissipation_from_config(cfg: dict) -> Dissipation:
+    """Build a dissipation from its plan section, ``b``."""
+    return _model_section("b", cfg)
+
+
 def _parse_eps(value, context: str) -> float:
     eps = _as_number(value, context)
     if not (math.isfinite(eps) and eps > 0.0):
@@ -142,9 +280,7 @@ def _parse_eps(value, context: str) -> float:
 
 
 def _parse_grid(cfg: dict) -> ig.OutputGrid:
-    _reject_unknown(cfg, {"kind", "count", "t_end"}, "settings.grid")
-    if "t_end" not in cfg:
-        raise ConfigurationError("settings.grid.t_end is required")
+    _check_keys(cfg, {"kind", "count", "t_end"}, "settings.grid", {"t_end"})
     t_end = _as_number(cfg["t_end"], "settings.grid.t_end")
     kind = cfg.get("kind", "log")
     if "count" in cfg:
@@ -156,22 +292,16 @@ def _parse_grid(cfg: dict) -> ig.OutputGrid:
 
 
 def _parse_settings(cfg: dict) -> ig.IntegratorSettings:
-    _reject_unknown(
-        cfg,
-        {"rel_tol", "abs_tol", "max_step_factor", "blowup_threshold", "grid"},
-        "settings",
-    )
-    kwargs = {}
-    for key in ("rel_tol", "abs_tol", "max_step_factor", "blowup_threshold"):
-        if key in cfg:
-            kwargs[key] = _as_number(cfg[key], f"settings.{key}")
+    numbers = ("rel_tol", "abs_tol", "max_step_factor", "blowup_threshold")
+    _check_keys(cfg, {*numbers, "grid"}, "settings")
+    kwargs = {key: _as_number(cfg[key], f"settings.{key}") for key in numbers if key in cfg}
     if "grid" in cfg:
         kwargs["grid"] = _parse_grid(cfg["grid"])
     return ig.IntegratorSettings(**kwargs)
 
 
 def _parse_analysis(cfg: dict, allowed: frozenset) -> AnalysisOptions:
-    _reject_unknown(cfg, allowed, "analysis")
+    _check_keys(cfg, allowed, "analysis")
     kwargs = {}
     if "ks" in cfg:
         kwargs["ks"] = _as_numbers(cfg["ks"], "analysis.ks")
@@ -198,7 +328,7 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
 
     Each kind accepts the keys its ``PLAN_KINDS`` entry names; defaults
     are filled, any other key is rejected by name, and vector lengths
-    are checked against the spectrum.
+    are checked against the spectrum's size before it is built.
     """
     try:
         cfg = json.loads(text)
@@ -208,17 +338,12 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
         raise ConfigurationError("config must be a JSON object")
 
     kind = cfg.get("kind", expected_kind)
-    if not isinstance(kind, str) or kind not in PLAN_KINDS:
-        raise ConfigurationError(f"config.kind must be one of {tuple(PLAN_KINDS)}, got {kind!r}")
+    entry = _lookup_kind(PLAN_KINDS, kind, "config")
     if expected_kind is not None and kind != expected_kind:
         raise ConfigurationError(
             f"config.kind is {kind!r} but the subcommand expects {expected_kind!r}"
         )
-    entry = PLAN_KINDS[kind]
-    _reject_unknown(cfg, entry.required | entry.optional | {"kind"}, "config")
-    missing = sorted(entry.required - set(cfg))
-    if missing:
-        raise ConfigurationError(f"config.{missing[0]} is required")
+    _check_keys(cfg, entry.required | entry.optional | {"kind"}, "config", entry.required)
 
     settings = _parse_settings(cfg.get("settings", {}))
     options = _parse_analysis(cfg.get("analysis", {}), entry.analysis)
@@ -235,9 +360,10 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
             raise ConfigurationError("grid_ps must be finite and nonnegative")
         return ExperimentPlan(grid_gammas=gammas, grid_ps=ps, **plan_kwargs)
 
-    spec = spectrum_from_config(cfg["spectrum"])
-    nl = nonlinearity_from_config(cfg["m"])
-    dis = dissipation_from_config(cfg["b"])
+    lengths = {name: len(_as_list(cfg[name], name)) for name in ("u0", "u1") if name in cfg}
+    spec = _model_section("spectrum", cfg["spectrum"], lengths=lengths)
+    nl = _model_section("m", cfg["m"])
+    dis = _model_section("b", cfg["b"])
     u0 = as_modal(spec, cfg["u0"], "u0")
     u1 = as_modal(spec, cfg["u1"], "u1") if "u1" in cfg else None
     eps = _parse_eps(cfg["eps"], "config.eps") if "eps" in cfg else None

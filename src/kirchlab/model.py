@@ -21,17 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .spectral import (
-    ConfigurationError,
-    Spectrum,
-    _as_list,
-    _as_number,
-    _as_numbers,
-    _reject_unknown,
-    apply_A,
-    as_modal,
-    sigma_half,
-)
+from .spectral import ConfigurationError, Spectrum, apply_A, as_modal, sigma_half
 
 __all__ = [
     "PowerNonlinearity",
@@ -44,8 +34,6 @@ __all__ = [
     "p_gamma",
     "classify_regime",
     "compute_w0",
-    "nonlinearity_from_config",
-    "dissipation_from_config",
 ]
 
 PARABOLIC = "parabolic"
@@ -262,45 +250,3 @@ def compute_w0(spec: Spectrum, nl: Nonlinearity, dis: Dissipation, u0, u1) -> np
     u1v = as_modal(spec, u1, "u1")
     sigma0 = sigma_half(spec.eigenvalues, u0v)
     return u1v + (nl.value(sigma0) / dis.b0) * apply_A(spec, u0v)
-
-
-def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
-    """Build a nonlinearity from {"kind": "power", "gamma": g} or
-    {"kind": "table", "points": [[s, m], ...], "mu": optional}."""
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("m must be a mapping")
-    kind = cfg.get("kind")
-    if kind == "power":
-        _reject_unknown(cfg, {"kind", "gamma"}, "m")
-        if "gamma" not in cfg:
-            raise ConfigurationError("m.gamma is required")
-        return PowerNonlinearity(_as_number(cfg["gamma"], "m.gamma"))
-    if kind == "table":
-        _reject_unknown(cfg, {"kind", "points", "mu"}, "m")
-        if "points" not in cfg:
-            raise ConfigurationError("m.points is required")
-        pts = tuple(
-            _as_numbers(pt, f"m.points[{i}]", 2)
-            for i, pt in enumerate(_as_list(cfg["points"], "m.points"))
-        )
-        return LipschitzTable(pts, _as_number(cfg["mu"], "m.mu") if "mu" in cfg else None)
-    raise ConfigurationError(f"m.kind must be 'power' or 'table', got {kind!r}")
-
-
-def dissipation_from_config(cfg: dict) -> Dissipation:
-    """Build a dissipation from {"kind": "power", "p": p} or
-    {"kind": "constant", "delta": d}."""
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("b must be a mapping")
-    kind = cfg.get("kind")
-    if kind == "power":
-        _reject_unknown(cfg, {"kind", "p"}, "b")
-        if "p" not in cfg:
-            raise ConfigurationError("b.p is required")
-        return PowerLawDissipation(_as_number(cfg["p"], "b.p"))
-    if kind == "constant":
-        _reject_unknown(cfg, {"kind", "delta"}, "b")
-        if "delta" not in cfg:
-            raise ConfigurationError("b.delta is required")
-        return ConstantDissipation(_as_number(cfg["delta"], "b.delta"))
-    raise ConfigurationError(f"b.kind must be 'power' or 'constant', got {kind!r}")

@@ -21,7 +21,6 @@ __all__ = [
     "modal_sums",
     "apply_A",
     "coercivity",
-    "spectrum_from_config",
 ]
 
 
@@ -118,82 +117,3 @@ def apply_A(spec: Spectrum, x) -> np.ndarray:
 def coercivity(spec: Spectrum) -> float:
     """Smallest eigenvalue; strictly positive iff the operator is coercive."""
     return float(spec.eigenvalues[0])
-
-
-def spectrum_from_config(cfg: dict) -> Spectrum:
-    """Build a spectrum from its configuration mapping.
-
-    Two forms are accepted:
-      {"kind": "explicit", "values": [l1, ..., lN]}
-      {"kind": "power", "a": a, "q": q, "n": N}   # lambda_k = a * k^q
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("spectrum must be a mapping")
-    kind = cfg.get("kind")
-    if kind == "explicit":
-        _reject_unknown(cfg, {"kind", "values"}, "spectrum")
-        if "values" not in cfg:
-            raise ConfigurationError("spectrum.values is required")
-        return Spectrum(np.array(_as_numbers(cfg["values"], "spectrum.values")))
-    if kind == "power":
-        _reject_unknown(cfg, {"kind", "a", "q", "n"}, "spectrum")
-        missing = sorted({"a", "q", "n"} - set(cfg))
-        if missing:
-            raise ConfigurationError(f"spectrum.{missing[0]} is required")
-        a = _as_number(cfg["a"], "spectrum.a")
-        q = _as_number(cfg["q"], "spectrum.q")
-        n = _as_integer(cfg["n"], "spectrum.n")
-        if n < 1:
-            raise ConfigurationError("spectrum.n must be at least 1")
-        if a < 0.0:
-            raise ConfigurationError("spectrum.a must be nonnegative")
-        k = np.arange(1, n + 1, dtype=float)
-        return Spectrum(a * k**q)
-    raise ConfigurationError(f"spectrum.kind must be 'explicit' or 'power', got {kind!r}")
-
-
-def _reject_unknown(cfg: dict, allowed: set, context: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigurationError(f"{context} must be a mapping")
-    extra = sorted(set(cfg) - allowed)
-    if extra:
-        raise ConfigurationError(f"unknown key {extra[0]!r} in {context}")
-
-
-# Plan field readers. JSON gives numbers as int or float; strings,
-# booleans, null and containers where a number belongs are errors that
-# name the field, never a silent conversion.
-
-def _as_number(value, name: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
-    raise ConfigurationError(f"{name} must be a number, got {value!r}")
-
-
-def _as_integer(value, name: str) -> int:
-    x = _as_number(value, name)
-    if not x.is_integer():
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(x)
-
-
-def _as_flag(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _as_list(value, name: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{name} must be a list")
-    return list(value)
-
-
-def _as_numbers(value, name: str, length: int | None = None) -> tuple:
-    items = _as_list(value, name)
-    if length is not None and len(items) != length:
-        raise ConfigurationError(f"{name} must hold exactly {length} numbers")
-    return tuple(_as_number(v, f"{name}[{i}]") for i, v in enumerate(items))

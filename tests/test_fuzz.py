@@ -2,7 +2,8 @@
 plan either runs to a documented exit code or is rejected with exit 3,
 a plan with no corrupted number is never rejected, and no exception
 escapes. Kinds, subcommands and the keys each kind accepts come from
-``harness.PLAN_KINDS``."""
+``harness.PLAN_KINDS``, and the model sections' kinds from
+``harness.MODEL_SECTIONS``."""
 
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kirchlab.cli as cli
-from kirchlab.harness import PLAN_KINDS
+from kirchlab.harness import MODEL_SECTIONS, PLAN_KINDS
 
 SECTIONS = {"settings", "analysis"}
 
@@ -36,25 +37,37 @@ def numeric_leaves(node, path=()):
     return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
 
 
+# One draw per (section, kind) of ``harness.MODEL_SECTIONS``: the keys
+# besides "kind", for a spectrum of n modes.
+SECTION_DRAWS = {
+    ("spectrum", "explicit"): lambda draw, n: {
+        "values": sorted(draw(st.lists(unit(0.0, 16.0), min_size=n, max_size=n)))
+    },
+    ("spectrum", "power"): lambda draw, n: {
+        "a": draw(unit(0.0, 2.0)), "q": draw(unit(-1.5, 1.5)), "n": n
+    },
+    ("m", "power"): lambda draw, n: {"gamma": draw(unit(0.25, 1.5))},
+    ("m", "table"): lambda draw, n: {"points": [[0.0, draw(unit(0.0, 2.0))], [1.0, 1.0]]},
+    ("b", "power"): lambda draw, n: {"p": draw(unit(0.0, 2.0))},
+    ("b", "constant"): lambda draw, n: {"delta": draw(unit(0.01, 2.0))},
+}
+
+
+def test_section_draws_cover_the_table():
+    table = {(section, kind) for section, kinds in MODEL_SECTIONS.items() for kind in kinds}
+    assert set(SECTION_DRAWS) == table
+
+
 @st.composite
 def model_keys(draw):
     """spectrum, m, b and vectors of one length for u0 and u1."""
     n = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        values = draw(st.lists(unit(0.0, 16.0), min_size=n, max_size=n))
-        spectrum = {"kind": "explicit", "values": sorted(values)}
-    else:
-        spectrum = {"kind": "power", "a": draw(unit(0.0, 2.0)), "q": draw(unit(0.0, 1.5)), "n": n}
-    if draw(st.booleans()):
-        m = {"kind": "power", "gamma": draw(unit(0.25, 1.5))}
-    else:
-        m = {"kind": "table", "points": [[0.0, draw(unit(0.0, 2.0))], [1.0, 1.0]]}
-    if draw(st.booleans()):
-        b = {"kind": "power", "p": draw(unit(0.0, 2.0))}
-    else:
-        b = {"kind": "constant", "delta": draw(unit(0.01, 2.0))}
+    model = {}
+    for section, kinds in MODEL_SECTIONS.items():
+        kind = draw(st.sampled_from(list(kinds)))
+        model[section] = {"kind": kind, **SECTION_DRAWS[section, kind](draw, n)}
     vector = st.lists(unit(), min_size=n, max_size=n)
-    return {"spectrum": spectrum, "m": m, "b": b, "u0": draw(vector), "u1": draw(vector)}
+    return {**model, "u0": draw(vector), "u1": draw(vector)}
 
 
 @st.composite

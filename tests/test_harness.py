@@ -85,6 +85,23 @@ INVALID_PLANS = {
     "u0_nested": ("simulate", simulate_config(u0=[[1.0], [0.5]]), "u0 must be a flat list"),
     "gamma_string": ("simulate", simulate_config(m={"kind": "power", "gamma": "2"}), "m.gamma"),
     "kind_not_a_string": ("simulate", {"kind": ["simulate"]}, "config.kind"),
+    # A section kind is looked up only when it is a string: a list key
+    # would make the lookup raise TypeError.
+    "spectrum_kind_list": (
+        "simulate", simulate_config(spectrum={"kind": ["power"], "values": [1.0, 4.0]}),
+        r"spectrum\.kind must be one of",
+    ),
+    "m_kind_null": (
+        "simulate", simulate_config(m={"kind": None, "gamma": 1.0}), r"m\.kind must be one of",
+    ),
+    "b_kind_number": (
+        "simulate", simulate_config(b={"kind": 1, "p": 0.5}), r"b\.kind must be one of",
+    ),
+    # The vectors are measured against n before n eigenvalues are allocated.
+    "spectrum_n_beyond_u0": (
+        "simulate", simulate_config(spectrum={"kind": "power", "a": 1.0, "q": 1.0, "n": 10**15}),
+        r"u0 has length 2, spectrum has 1000000000000000 modes",
+    ),
     "eps_list_not_list": ("sweep", sweep_config(0.1), "config.eps_list"),
     "coercive_string": (
         "verify", simulate_config(kind="verify", analysis={"coercive": "false"}),
@@ -228,6 +245,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="decreasing"):
             load_config(json.dumps(cfg))
 
+    def test_readme_schema_names_every_section_kind_and_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        schema = readme.split("### Configuration schema", 1)[1].split("\n### ", 1)[0]
+        for section, kinds in harness.MODEL_SECTIONS.items():
+            bullet = schema.split(f"\n- `{section}`:", 1)[1].split("\n- ", 1)[0]
+            forms = dict(re.findall(r'\{"kind": "(\w+)"([^}]*)\}', bullet))
+            assert list(forms) == list(kinds), section
+            for kind, entry in kinds.items():
+                assert re.findall(r'"(\w+)":', forms[kind]) == list(entry.keys), (section, kind)
+
     @pytest.mark.parametrize("name", sorted(INVALID_PLANS))
     def test_invalid_data_rejected(self, name):
         _, cfg, field = INVALID_PLANS[name]
@@ -312,6 +339,24 @@ class TestRunPlan:
         report = json.loads((bundle.directory / "limit_report.json").read_text())
         assert report["verdict"] == "pass"
         assert report["max_deviation"] <= 1e-6
+
+    def test_accumulating_power_spectrum_runs_as_its_list(self, tmp_path):
+        # lambda_k = k^-2 sorted ascending, so u0 lists k = 50 first.
+        cfg = {
+            "kind": "limit",
+            "spectrum": {"kind": "power", "a": 1.0, "q": -2.0, "n": 50},
+            "m": {"kind": "power", "gamma": 1.0},
+            "b": {"kind": "power", "p": 0.5},
+            "u0": [k**-1.0 for k in range(50, 0, -1)],
+            "settings": {"grid": {"kind": "log", "count": 101, "t_end": 10.0}},
+        }
+        listed = {**cfg, "spectrum": {"kind": "explicit",
+                                      "values": [k**-2.0 for k in range(50, 0, -1)]}}
+        bundles = [run_plan(load_config(json.dumps(c)), tmp_path / side)
+                   for c, side in ((cfg, "power"), (listed, "explicit"))]
+        assert [b.exit_code for b in bundles] == [0, 0]
+        files = [b.manifest["files"] for b in bundles]
+        assert files[0] == files[1]
 
     def test_solver_stats_in_manifest(self, tmp_path):
         bundle = run_plan(load_config(json.dumps(simulate_config())), tmp_path)

@@ -155,6 +155,17 @@ def test_config_power_rule():
     np.testing.assert_allclose(spec.eigenvalues, [2.0, 8.0, 18.0])
 
 
+def test_config_power_rule_q_negative_ascending():
+    spec = spectrum_from_config({"kind": "power", "a": 1, "q": -2, "n": 4})
+    np.testing.assert_array_equal(spec.eigenvalues, [4**-2, 3**-2, 2**-2, 1])
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 2.0])
+def test_config_power_rule_q_nonnegative_unchanged(q):
+    spec = spectrum_from_config({"kind": "power", "a": 0.7, "q": q, "n": 50})
+    np.testing.assert_array_equal(spec.eigenvalues, 0.7 * np.arange(1, 51, dtype=float) ** q)
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigurationError, match="extra"):
         spectrum_from_config({"kind": "explicit", "values": [1], "extra": 1})
