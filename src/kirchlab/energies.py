@@ -9,16 +9,16 @@ analysis layer needs to see where a run degenerates.
 The modal norms of a trajectory come from ``modal_sums`` tables and
 the coefficients m, M, m' and b are evaluated on whole columns of them.
 Those norms, like the solvers' sigma (``spectral.sigma_half``), are sums
-of nonnegative terms, which cannot cancel, so they are plain sums.
-Compensated sums (math.fsum) remain only in the Gram difference inside
-P_eps (``_gram``), where cancellation does occur. On the benchmark
-plans the plain row sums move the channels by at most 2.3e-15 relative;
-the tests bound the difference at 1e-12.
+of nonnegative terms, which cannot cancel, so they are plain sums. So
+is the Gram difference inside P_eps: it is formed as
+sigma |A^(1/2)r|^2, with r the part of u' orthogonal to u, instead of
+as a difference of near-equal products. On the benchmark plans the
+plain row sums move the channels by at most 2.3e-15 relative; the tests
+bound the difference at 1e-12.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +69,11 @@ def energy_suite(
     (E_k, P_par, v) are kept.
 
     The modal norms come from one ``modal_sums`` table per trajectory.
-    P_eps contains a difference of near-equal products, so the Gram
-    difference feeding it is formed from compensated sums per sample.
+    P_eps = ((eps / c) |A^(1/2)r|^2 + |Au|^2) / sigma, where
+    r = u' - ((A^(1/2)u, A^(1/2)u') / sigma) u is the part of u'
+    orthogonal to u, so sigma |A^(1/2)r|^2 is the Gram difference
+    sigma |A^(1/2)u'|^2 - (A^(1/2)u, A^(1/2)u')^2 without cancellation,
+    and P_eps >= P_par holds exactly.
     """
     parabolic = eps == 0.0
     half_ks = [k / 2.0 for k in ks]
@@ -89,13 +92,11 @@ def energy_suite(
             # on deeply decayed samples even while c and sigma stay positive.
             c_sq = c * c
             out["G_eps"] = np.where(c_sq > 0.0, v / c_sq, UNDEFINED)
-            sigma_sq = sigma * sigma
-            defined = (c > 0.0) & (sigma > 0.0) & (sigma_sq > 0.0)
-            gram = np.zeros_like(sigma)
-            for i in np.flatnonzero(defined):
-                gram[i] = _gram(spec.eigenvalues, traj.u[i], traj.uprime[i])
-            p_eps = (eps / c) * gram / sigma_sq + one_u / sigma
-            out["P_eps"] = np.where(defined, p_eps, UNDEFINED)
+            cross = np.einsum("ij,ij,j->i", traj.u, traj.uprime, spec.eigenvalues)
+            r = traj.uprime - (cross / sigma)[:, None] * traj.u
+            norm_r = modal_sums(spec, r, [0.5])[:, 0]
+            p_eps = ((eps / c) * norm_r + one_u) / sigma
+            out["P_eps"] = np.where((c > 0.0) & (sigma > 0.0), p_eps, UNDEFINED)
             den_q = c_sq * sigma
             out["Q_eps"] = np.where(den_q > 0.0, v / den_q, UNDEFINED)
         for k, u_k in zip(ks, norm_u):
@@ -104,14 +105,6 @@ def energy_suite(
     out["c_eps"] = c
     out["v"] = v
     return EnergySeries(traj.times.copy(), out)
-
-
-def _gram(lam: np.ndarray, u: np.ndarray, uprime: np.ndarray) -> float:
-    """|A^(1/2)u|^2 |A^(1/2)u'|^2 - (A^(1/2)u, A^(1/2)u')^2 from compensated
-    sums, all three: by Cauchy-Schwarz a nonnegative difference of
-    near-equal products, so plain sums could leave only rounding noise."""
-    cross = math.fsum(lam * u * uprime)
-    return math.fsum(lam * u * u) * math.fsum(lam * uprime * uprime) - cross * cross
 
 
 def apriori_margin(

@@ -775,7 +775,8 @@ def run_plan(
     """Execute a plan into out_dir/<config hash>/ and write the manifest.
 
     A ``ConfigurationError`` raised by the runner removes the half-written
-    bundle directory before it propagates.
+    bundle directory before it propagates. So does a ``MemoryError``: a
+    plan too large for memory is reported as a configuration error.
     """
     start = time.perf_counter()
     outdir = Path(out_dir) / plan_hash(plan)
@@ -797,9 +798,11 @@ def run_plan(
     runner_start = time.perf_counter()
     try:
         verdicts, trajectories = runner(plan, outdir, jobs or os.cpu_count() or 1, stage)
-    except ConfigurationError:
+    except (ConfigurationError, MemoryError) as exc:
         shutil.rmtree(outdir, ignore_errors=True)
-        raise
+        if isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"plan too large for memory: {exc}") from exc
     timings["diagnostics"] = time.perf_counter() - runner_start - sum(timings.values())
     statuses = {key: tr.status for key, tr in trajectories.items()}
     stats = {key: tr.stats and asdict(tr.stats) for key, tr in trajectories.items()}

@@ -92,11 +92,11 @@ class OutputGrid:
 
     def __post_init__(self):
         if self.kind not in ("log", "linear"):
-            raise ConfigurationError("grid.kind must be 'log' or 'linear'")
+            raise ConfigurationError("settings.grid.kind must be 'log' or 'linear'")
         if self.count < 2:
-            raise ConfigurationError("grid.count must be at least 2")
+            raise ConfigurationError("settings.grid.count must be at least 2")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ConfigurationError("grid.t_end must be positive")
+            raise ConfigurationError("settings.grid.t_end must be positive")
 
     def times(self) -> np.ndarray:
         if self.kind == "log":

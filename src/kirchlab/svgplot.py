@@ -67,14 +67,13 @@ class LineChart:
         self.ylabel = ylabel
         self.logx = logx
         self.logy = logy
-        self.lines = []
-        self.points = []
+        self.series = []
 
     def add_line(self, xs, ys, label=""):
-        self.lines.append((list(map(float, xs)), list(map(float, ys)), label))
+        self.series.append((False, list(map(float, xs)), list(map(float, ys)), label, None))
 
     def add_points(self, xs, ys, label="", color=None):
-        self.points.append((list(map(float, xs)), list(map(float, ys)), label, color))
+        self.series.append((True, list(map(float, xs)), list(map(float, ys)), label, color))
 
     def _visible(self, x, y):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -86,19 +85,12 @@ class LineChart:
         return True
 
     def render(self) -> str:
-        xs_all, ys_all = [], []
-        for xs, ys, _ in self.lines:
-            for x, y in zip(xs, ys):
-                if self._visible(x, y):
-                    xs_all.append(x)
-                    ys_all.append(y)
-        for xs, ys, _, _ in self.points:
-            for x, y in zip(xs, ys):
-                if self._visible(x, y):
-                    xs_all.append(x)
-                    ys_all.append(y)
-        x_lo, x_hi = _span(xs_all, self.logx)
-        y_lo, y_hi = _span(ys_all, self.logy)
+        # Lines are drawn, coloured and listed in the legend before point sets.
+        series = sorted(self.series, key=lambda s: s[0])
+        visible = [[(x, y) for x, y in zip(xs, ys) if self._visible(x, y)]
+                   for _, xs, ys, _, _ in series]
+        x_lo, x_hi = _span([x for pts in visible for x, _ in pts], self.logx)
+        y_lo, y_hi = _span([y for pts in visible for _, y in pts], self.logy)
 
         px = lambda x: _transform(x, x_lo, x_hi, _ML, _W - _MR, self.logx)
         py = lambda y: _transform(y, y_lo, y_hi, _H - _MB, _MT, self.logy)
@@ -147,32 +139,20 @@ class LineChart:
             )
 
         legend_y = _MT + 14
-        for idx, (xs, ys, label) in enumerate(self.lines):
-            color = _PALETTE[idx % len(_PALETTE)]
-            pts = [
-                f"{_fmt(px(x))},{_fmt(py(y))}"
-                for x, y in zip(xs, ys)
-                if self._visible(x, y)
-            ]
-            if pts:
+        for idx, ((is_points, _, _, label, color), pts) in enumerate(zip(series, visible)):
+            color = color or _PALETTE[idx % len(_PALETTE)]
+            if is_points:
+                out.extend(
+                    f'<rect x="{_fmt(px(x) - 3)}" y="{_fmt(py(y) - 3)}" '
+                    f'width="6" height="6" fill="{color}"/>'
+                    for x, y in pts
+                )
+            elif pts:
+                coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
                 out.append(
-                    f'<polyline points="{" ".join(pts)}" fill="none" '
+                    f'<polyline points="{coords}" fill="none" '
                     f'stroke="{color}" stroke-width="1.4"/>'
                 )
-            if label:
-                out.append(
-                    f'<text x="{_W - _MR - 8}" y="{legend_y}" text-anchor="end" '
-                    f'font-size="11" fill="{color}">{label}</text>'
-                )
-                legend_y += 14
-        for idx, (xs, ys, label, color) in enumerate(self.points):
-            color = color or _PALETTE[(len(self.lines) + idx) % len(_PALETTE)]
-            for x, y in zip(xs, ys):
-                if self._visible(x, y):
-                    out.append(
-                        f'<rect x="{_fmt(px(x) - 3)}" y="{_fmt(py(y) - 3)}" '
-                        f'width="6" height="6" fill="{color}"/>'
-                    )
             if label:
                 out.append(
                     f'<text x="{_W - _MR - 8}" y="{legend_y}" text-anchor="end" '

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import kirchlab as kl
 from kirchlab import (
@@ -61,18 +62,36 @@ class TestEnergySuite:
         assert "H_eps" not in s and "G_eps" not in s
 
     def test_gram_determinant_lower_bound(self):
-        # The Cauchy-Schwarz numerator keeps P_eps above |Au|^2/|A^{1/2}u|^2.
+        # The Gram term is a sum of nonnegative terms, so P_eps >= P_par
+        # holds exactly, also where u' is nearly parallel to u.
         rng = np.random.default_rng(3)
-        spec = Spectrum(np.sort(rng.uniform(0.1, 5.0, 4)))
-        u = rng.normal(size=(6, 4))
-        up = rng.normal(size=(6, 4))
-        traj = make_traj(spec, np.arange(6.0), u, up)
-        s = energy_suite(traj, spec, PowerNonlinearity(1.0), 0.3, ks=(0,))
-        lam = spec.eigenvalues
-        for i in range(6):
-            sigma = float(lam @ (u[i] ** 2))
-            ratio = float(lam**2 @ (u[i] ** 2)) / sigma
-            assert s["P_eps"][i] >= ratio * (1.0 - 1e-12)
+        for n in (1, 4, 64):
+            spec = Spectrum(np.sort(rng.uniform(0.1, 5.0, n)))
+            u = rng.normal(size=(40, n))
+            up = rng.normal(size=(40, n))
+            up[::2] = rng.uniform(-2.0, 2.0, (20, 1)) * u[::2] + 1e-9 * up[::2]
+            traj = make_traj(spec, np.arange(40.0), u, up)
+            s = energy_suite(traj, spec, PowerNonlinearity(1.0), rng.uniform(0.01, 10.0), ks=(0,))
+            assert np.all(np.isfinite(s["P_eps"]))
+            assert np.all(s["P_eps"] >= s["P_par"])
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_near_parallel_velocity_against_mpmath(self, delta):
+        # eps / m = 4e12 multiplies the Gram term, which is of order
+        # delta^2 against products of order 1: a difference of those
+        # products would keep only its rounding error.
+        import mpmath
+
+        spec = Spectrum([1.0, 1.0])
+        u, up = [1.0, 1.0], [1.0, 1.0 + delta]
+        s = energy_suite(make_traj(spec, [0.0], [u], [up]), spec,
+                         LipschitzTable(((0.0, 1e-12),)), 4.0, ks=(0,))
+        with mpmath.workdps(50):
+            U, V = map(mpmath.matrix, (u, up))
+            sigma, cross = (U.T * U)[0], (U.T * V)[0]
+            gram = sigma * (V.T * V)[0] - cross**2
+            ref = 4 / mpmath.mpf(1e-12) * gram / sigma**2 + 1
+            assert abs(s["P_eps"][0] - ref) <= 1e-14 * ref
 
     def test_undefined_sentinels(self):
         spec = Spectrum([1.0])

@@ -109,6 +109,10 @@ INVALID_PLANS = {
     ),
     # No silent coercion: fractional counts and a negative mu.
     "count_fractional": ("simulate", grid_config(count=2.7), "settings.grid.count"),
+    # Range errors name the plan path, like the type errors for the same keys.
+    "grid_kind_unknown": ("simulate", grid_config(kind="cubic"), r"settings\.grid\.kind must be"),
+    "grid_count_one": ("simulate", grid_config(count=1), r"settings\.grid\.count must be at least"),
+    "grid_t_end_zero": ("simulate", grid_config(t_end=0), r"settings\.grid\.t_end must be positive"),
     "mu_negative": (
         "simulate",
         simulate_config(m={"kind": "table", "points": [[0.0, 1.0]], "mu": -1}),
@@ -662,6 +666,22 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "config error: data rejected mid-run" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["simulate", "limit", "corrector"])
+    def test_plan_too_large_for_memory_exit_3_without_bundle(self, tmp_path, capsys, kind):
+        # 10**12 samples fail to allocate at once on any host.
+        cfg = grid_config(count=10**12)
+        cfg["kind"] = kind
+        if kind == "limit":
+            del cfg["eps"], cfg["u1"]
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "runs"
+        assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config error: plan too large for memory" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 

@@ -1222,8 +1222,9 @@ class TestDirectStiffPath:
 
 
 class TestPlainModalSums:
-    """The solvers and the corrector launch sum only nonnegative terms
-    lambda_k u_k^2, so none of them calls math.fsum."""
+    """The package sums only nonnegative terms such as lambda_k u_k^2:
+    the solvers, the corrector launch and the energy channels, P_eps's
+    Gram term included. So no path calls math.fsum."""
 
     @pytest.fixture(autouse=True)
     def no_fsum(self, monkeypatch):
@@ -1248,3 +1249,9 @@ class TestPlainModalSums:
     def test_corrector_launch_velocity(self):
         spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
         assert np.all(np.isfinite(compute_w0(spec, nl, dis, u0, u1)))
+
+    def test_energy_suite(self):
+        spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
+        traj = solve_hyperbolic(spec, nl, dis, 1e-2, u0, u1, settings(count=21, t_end=0.5))
+        series = kl.energy_suite(traj, spec, nl, 1e-2)
+        assert np.all(np.isfinite(series["P_eps"]))

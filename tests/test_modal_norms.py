@@ -52,7 +52,7 @@ def ref_energy_suite(traj, lam, nl, eps, ks):
                     else math.nan
                 )
             row["G_eps"] = v / (c * c) if c * c > 0.0 else math.nan
-            if c > 0.0 and sigma > 0.0 and sigma * sigma > 0.0:
+            if c > 0.0 and sigma > 0.0:
                 cross = math.fsum(lam * u * up)
                 gram = sigma * fsum_norm(lam, up, 1) - cross * cross
                 row["P_eps"] = (eps / c) * gram / (sigma * sigma) + one_u / sigma
