@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .energies import EnergySeries
 from .integrate import CorrectorTrajectory, Trajectory
@@ -304,7 +305,7 @@ def _check(entry: BoundEntry, times, values, window):
     passed = margin >= 0.0
     if not passed:
         t, v = _masked(times, weighted, window)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
+        cum = cumulative_trapezoid(v, t, initial=0.0)
         passed = cum[-1] > 0.0 and (cum[-1] - cum[t.size // 2]) <= 0.01 * cum[-1]
     return fit.exponent, margin, passed
 
@@ -386,10 +387,8 @@ def perturbation_errors(
 
     f1 = (1.0 + t) ** p * (ch["r_prime_sq"] + ch["half_rho_sq"])
     f2 = (1.0 + t) ** (2.0 * p + 1.0) * (ch["half_r_prime_sq"] + ch["one_rho_sq"])
-    for name, f in (("cum_int_p", f1), ("cum_int_2p1", f2)):
-        ch[name] = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t)))
-        )
+    ch["cum_int_p"] = cumulative_trapezoid(f1, t, initial=0.0)
+    ch["cum_int_2p1"] = cumulative_trapezoid(f2, t, initial=0.0)
     return EnergySeries(t.copy(), ch)
 
 

@@ -31,22 +31,24 @@ took (``SolverStats``).
   N; TestNewtonHooks fails if a Newton matrix ever reaches scipy's own
   LU or is not a scalar.
 
-The overdamped members of a stiff eps sweep share one Radau run
-(``sweep_runs``, ``solve_hyperbolic_shared``): their states are
-stacked, and the Newton matrix is block-diagonal with one block per
-member. Where a lone run and a shared run go through the same code
-(``_integrate``, ``_StiffnessTerm``, ``_second_order_radau``), the lone
-run keeps its own branch: a flat modal vector and ``y @ y``. Row sums
-over a member axis add in another order and cost an extra numpy call,
-and the branch keeps every lone run bit-identical to a run without
-that axis.
+An eps sweep is one call, ``solve_hyperbolic_sweep``. The overdamped
+members of a stiff sweep share one Radau run (``_sweep_runs``,
+``_shared_run``): their states are stacked, and the Newton matrix is
+block-diagonal with one block per member. Where a lone run and a
+shared run go through the same code (``_integrate``,
+``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its
+own branch: a flat modal vector and ``y @ y``. Row sums over a member
+axis add in another order and cost an extra numpy call, and the branch
+keeps every lone run bit-identical to a run without that axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +68,7 @@ __all__ = [
     "BLEW_UP",
     "STEP_UNDERFLOW",
     "solve_hyperbolic",
-    "solve_hyperbolic_shared",
-    "sweep_runs",
+    "solve_hyperbolic_sweep",
     "solve_parabolic_reparam",
     "solve_parabolic_direct",
     "corrector",
@@ -84,19 +85,23 @@ _MIN_REL_TOL = 100.0 * float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class OutputGrid:
     """Sampling grid on [0, t_end]. Log grids are uniform in log(1+t),
-    which matches decay laws that are polynomial in (1+t)."""
+    which matches decay laws that are polynomial in (1+t). The default
+    count is about 400 samples per decade of (1+t)."""
 
     kind: str = "log"
-    count: int = 801
+    count: int | None = None
     t_end: float = 100.0
 
     def __post_init__(self):
         if self.kind not in ("log", "linear"):
             raise ConfigurationError("settings.grid.kind must be 'log' or 'linear'")
-        if self.count < 2:
-            raise ConfigurationError("settings.grid.count must be at least 2")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ConfigurationError("settings.grid.t_end must be positive")
+        if self.count is None:
+            count = max(2, int(round(400.0 * math.log10(1.0 + self.t_end))) + 1)
+            object.__setattr__(self, "count", count)
+        if self.count < 2:
+            raise ConfigurationError("settings.grid.count must be at least 2")
 
     def times(self) -> np.ndarray:
         if self.kind == "log":
@@ -155,8 +160,8 @@ class SolverStats:
     scipy's stepper does not report rejected steps, so the three DP5
     step counts are ``None`` there, and DP5 evaluates no Jacobian.
     ``members`` is the number of eps values the run integrated side by
-    side: 1 for a lone run, k for a shared Radau run
-    (``solve_hyperbolic_shared``), whose counts are those of the whole
+    side: 1 for a lone run, k for a shared Radau run of a sweep
+    (``solve_hyperbolic_sweep``), whose counts are those of the whole
     stacked run.
     """
 
@@ -560,31 +565,24 @@ def _max_shared(rel_tol: float, members: int) -> int:
     return most
 
 
-def sweep_runs(
-    spec: Spectrum,
-    nl: Nonlinearity,
-    dis: Dissipation,
-    eps_values,
-    u0,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> list:
+def _sweep_runs(spec, nl, dis, eps_values, u0, settings) -> list:
     """Stepper runs of an eps sweep, as tuples of indices into ``eps_values``.
 
     Once one member is stiff enough for a lone Radau run (``_stepper``),
     every member that is overdamped at the horizon (``_overdamped``)
-    goes into one shared run (``solve_hyperbolic_shared``), listed first
-    because it is the dearest; every other member is a lone DP5 run.
-    Radau's work barely depends on eps, so an overdamped member costs
-    the shared run less than its own stability-bound DP5 steps, even
-    below the lone threshold. An underdamped member's oscillation would
-    set the shared run's steps, and DP5's work grows like B(t_end)/eps,
-    so a shared explicit run would make its cheap members pay for the
-    steps of the dearest one. More shared members than ``rel_tol``
-    allows (``_max_shared``) are split into several shared runs. The
-    runs do not depend on how many workers will take them, so neither
-    do the samples.
+    goes into one shared run (``_shared_run``), listed first because it
+    is the dearest; every other member is a lone DP5 run. Radau's work
+    barely depends on eps, so an overdamped member costs the shared run
+    less than its own stability-bound DP5 steps, even below the lone
+    threshold. An underdamped member's oscillation would set the shared
+    run's steps, and DP5's work grows like B(t_end)/eps, so a shared
+    explicit run would make its cheap members pay for the steps of the
+    dearest one. More shared members than ``rel_tol`` allows
+    (``_max_shared``) are split into several shared runs. The runs do
+    not depend on how many workers will take them, so neither do the
+    samples.
     """
-    m0 = nl.value(sigma_half(spec.eigenvalues, as_modal(spec, u0, "u0")))
+    m0 = _launch_stiffness(nl, spec.eigenvalues, as_modal(spec, u0, "u0"))
     lam_max, t_end = spec.lambda_max, settings.grid.t_end
     joins = [_overdamped(eps, lam_max, m0, dis, t_end) for eps in eps_values]
     if all(_stepper(eps, lam_max, m0, dis, t_end) == "dp5" for eps in eps_values):
@@ -595,55 +593,32 @@ def sweep_runs(
     return runs + [(i,) for i, joined in enumerate(joins) if not joined]
 
 
-def solve_hyperbolic_shared(
-    spec: Spectrum,
-    nl: Nonlinearity,
-    dis: Dissipation,
-    eps_values,
-    u0,
-    u1,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> list:
-    """Integrate one problem at several eps values in one Radau run.
+def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
+    """One run of ``_sweep_runs``: one ``Trajectory`` per eps value.
 
-    Returns one ``Trajectory`` per eps value. The members' states are
-    stacked, each as its pair (u, u'), and stepped together, with
-    ``rel_tol / sqrt(k)`` and ``abs_tol / sqrt(k)`` for k members:
-    scipy's error norm is the RMS over all components, so an accepted
-    step has sum_i RMS_i^2 <= 1 and every member meets its own tolerance
-    on every step. The Newton matrix is block-diagonal, and each block
-    is solved in closed form as in a lone run (``_second_order_newton``).
-    Every member reports the shared run's ``SolverStats`` (``members =
-    k``).
+    A single eps value is ``solve_hyperbolic``'s lone run. Several,
+    overdamped at the horizon and no more than ``rel_tol`` allows, are
+    stepped together in one Radau run: the members' states are stacked,
+    each as its pair (u, u'), with ``rel_tol / sqrt(k)`` and ``abs_tol /
+    sqrt(k)`` for k members. scipy's error norm is the RMS over all
+    components, so an accepted step has sum_i RMS_i^2 <= 1 and every
+    member meets its own tolerance on every step. The Newton matrix is
+    block-diagonal, and each block is solved in closed form as in a lone
+    run (``_second_order_newton``). Every member reports the shared
+    run's ``SolverStats`` (``members = k``).
 
     A shared run that does not complete (one member blows up by its own
     norm, or the steps underflow) is rerun member by member, so
     statuses, stopping times and samples are then those of lone runs.
-    A single eps value is ``solve_hyperbolic``'s lone run, and none is a
-    ``ConfigurationError``. Several must all be overdamped at the
-    horizon (``_overdamped``), and no more than ``rel_tol`` allows;
-    ``sweep_runs`` groups a sweep so.
     """
-    eps_values = tuple(eps_values)
-    for eps in eps_values:
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ConfigurationError("eps must be positive")
     k = len(eps_values)
-    if k == 0:
-        raise ConfigurationError("a shared run needs at least one eps value")
     if k == 1:
         return [solve_hyperbolic(spec, nl, dis, eps_values[0], u0, u1, settings)]
-    if _max_shared(settings.rel_tol, k) < k:
-        raise ConfigurationError(f"rel_tol {settings.rel_tol!r} is too small for {k} members")
 
     u0v = as_modal(spec, u0, "u0")
     u1v = as_modal(spec, u1, "u1")
     lam = spec.eigenvalues
     n = spec.size
-    m0 = _launch_stiffness(nl, lam, u0v)
-    t_end = settings.grid.t_end
-    if not all(_overdamped(eps, spec.lambda_max, m0, dis, t_end) for eps in eps_values):
-        raise ConfigurationError("a shared run takes only eps values overdamped at the horizon")
     shape = (k, 2, n)
     eps_col = np.array(eps_values)[:, None]
 
@@ -668,6 +643,43 @@ def solve_hyperbolic_shared(
         Trajectory(spec, times, samples[:, i, 0], samples[:, i, 1], status, stats=stats)
         for i in range(k)
     ]
+
+
+def solve_hyperbolic_sweep(
+    spec: Spectrum,
+    nl: Nonlinearity,
+    dis: Dissipation,
+    eps_values,
+    u0,
+    u1,
+    settings: IntegratorSettings = IntegratorSettings(),
+    jobs: int = 1,
+) -> list:
+    """Integrate one problem at several eps values: one ``Trajectory``
+    per eps value, in the order given.
+
+    The members are grouped into stepper runs (``_sweep_runs``): the
+    overdamped members of a stiff sweep share Radau runs
+    (``_shared_run``), every other member is a lone run. The runs go to
+    up to ``jobs`` worker processes; the samples do not depend on how
+    many.
+    """
+    eps_values = tuple(eps_values)
+    for eps in eps_values:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigurationError("eps must be positive")
+    runs = _sweep_runs(spec, nl, dis, eps_values, u0, settings)
+    groups = [tuple(eps_values[i] for i in run) for run in runs]
+    shared_run = functools.partial(_shared_run, spec, nl, dis, u0=u0, u1=u1, settings=settings)
+    # The fork start method launches every worker on the first submit.
+    workers = min(jobs, len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(shared_run, groups))
+    else:
+        results = [shared_run(group) for group in groups]
+    members = dict(zip(sum(runs, ()), sum(results, [])))
+    return [members[i] for i in range(len(eps_values))]
 
 
 def solve_parabolic_reparam(

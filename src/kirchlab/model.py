@@ -95,14 +95,16 @@ class LipschitzTable:
         pts = tuple((float(s), float(m)) for s, m in self.points)
         if len(pts) < 1:
             raise ConfigurationError("table needs at least one breakpoint")
+        if not all(math.isfinite(s) and math.isfinite(m) for s, m in pts):
+            raise ConfigurationError("table breakpoints and values must be finite")
         sigmas = [s for s, _ in pts]
         values = [m for _, m in pts]
         if sigmas[0] != 0.0:
             raise ConfigurationError("table grid must start at sigma = 0")
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise ConfigurationError("table grid must be strictly increasing")
-        if any(m < 0.0 or not math.isfinite(m) for m in values):
-            raise ConfigurationError("table values must be finite and nonnegative")
+        if any(m < 0.0 for m in values):
+            raise ConfigurationError("table values must be nonnegative")
         mu = min(values) if self.mu is None else float(self.mu)
         if not mu >= 0.0 or any(m < mu for m in values):
             raise ConfigurationError("table values must dominate mu >= 0")

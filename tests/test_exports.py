@@ -1,5 +1,8 @@
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ MODULES = ["kirchlab"] + [
     f"kirchlab.{info.name}" for info in pkgutil.iter_modules(kirchlab.__path__)
 ]
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
@@ -17,3 +22,30 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def _bench_module(name, monkeypatch):
+    """A module of bench/ loaded by path, without writing its bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_finds_what_it_needs(monkeypatch):
+    # The benchmark wraps kirchlab's functions by name and runs its
+    # plans through load_config; a src/ change that breaks either shows
+    # here, not only when the benchmark runs.
+    spans = _bench_module("spans", monkeypatch)
+    workloads = _bench_module("workloads", monkeypatch)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, *_ in spans._targets(kirchlab)
+        if not hasattr(owner, attr)
+    ]
+    assert missing == []
+    for workload in workloads.WORKLOADS:
+        for size in workloads.SIZES:
+            for text in workloads.make_plans(workload, 0, size):
+                kirchlab.load_config(text)

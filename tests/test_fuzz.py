@@ -1,7 +1,8 @@
 """Fuzz of load_config -> run_plan through the CLI on tiny plans: every
 plan either runs to a documented exit code or is rejected with exit 3,
-a plan with no corrupted number is never rejected, and no exception
-escapes. Kinds, subcommands and the keys each kind accepts come from
+a plan with no corrupted number is never rejected, one with a
+non-finite number always is, and no exception escapes. Kinds,
+subcommands and the keys each kind accepts come from
 ``harness.PLAN_KINDS``, and the model sections' kinds from
 ``harness.MODEL_SECTIONS``."""
 
@@ -98,11 +99,12 @@ def plans(draw, kind):
         "settings": st.fixed_dictionaries({
             "rel_tol": st.sampled_from([1e-10, 1e-6, 1e-13]),
             "blowup_threshold": st.sampled_from([1e8, 1.0]),
-            "grid": st.fixed_dictionaries({
-                "kind": st.sampled_from(["log", "linear"]),
-                "count": st.integers(2, 21),
-                "t_end": st.floats(0.01, 2.0),
-            }),
+            # Without a count the grid takes the default density, at most
+            # 192 samples on these horizons.
+            "grid": st.fixed_dictionaries(
+                {"kind": st.sampled_from(["log", "linear"]), "t_end": st.floats(0.01, 2.0)},
+                optional={"count": st.integers(2, 21)},
+            ),
         }),
         "analysis": analysis_section(entry.analysis),
         "eps": st.one_of(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]), unit(1e-3, 1.0)),
@@ -117,15 +119,16 @@ def plans(draw, kind):
     for key in sorted(keys):
         cfg[key] = model[key] if key in model else draw(values[key])
     # One plan in four gets one number replaced by a value the loader
-    # must reject or the run must survive.
-    corrupted = draw(st.integers(0, 3)) == 0 and bool(numeric_leaves(cfg))
-    if corrupted:
+    # must reject or the run must survive; None if none is.
+    corruption = None
+    if draw(st.integers(0, 3)) == 0 and numeric_leaves(cfg):
         *parents, key = draw(st.sampled_from(numeric_leaves(cfg)))
         node = cfg
         for part in parents:
             node = node[part]
-        node[key] = draw(st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-15, 1e6]))
-    return cfg, corrupted
+        corruption = draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-15, 1e6]))
+        node[key] = corruption
+    return cfg, corruption
 
 
 # Every example draws one plan of each kind: a drawn kind would leave
@@ -134,7 +137,7 @@ def plans(draw, kind):
 @given(st.data())
 def test_cli_runs_or_rejects_every_plan(data):
     for kind, entry in PLAN_KINDS.items():
-        cfg, corrupted = data.draw(plans(kind), label=kind)
+        cfg, corruption = data.draw(plans(kind), label=kind)
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             path = Path(tmp) / "plan.json"
@@ -142,4 +145,8 @@ def test_cli_runs_or_rejects_every_plan(data):
             runs = str(Path(tmp) / "runs")
             code = cli.main([entry.subcommand, "--config", str(path), "--out", runs, "--jobs", "1"])
             assert code in (0, 1, 2, 3)
-            assert corrupted or code != 3
+            if corruption is None:
+                assert code != 3
+            elif not math.isfinite(corruption):
+                # Every plan number must be finite.
+                assert code == 3

@@ -113,6 +113,34 @@ INVALID_PLANS = {
     "grid_kind_unknown": ("simulate", grid_config(kind="cubic"), r"settings\.grid\.kind must be"),
     "grid_count_one": ("simulate", grid_config(count=1), r"settings\.grid\.count must be at least"),
     "grid_t_end_zero": ("simulate", grid_config(t_end=0), r"settings\.grid\.t_end must be positive"),
+    # The default count is derived only from a checked t_end.
+    **{
+        f"grid_t_end_{name}_no_count": (
+            "simulate",
+            simulate_config(settings={"grid": {"t_end": t_end}}),
+            r"settings\.grid\.t_end must be",
+        )
+        for name, t_end in (("negative", -2.0), ("infinite", math.inf), ("nan", math.nan))
+    },
+    # Every plan number is finite, in every field.
+    "table_breakpoint_nan": (
+        "simulate",
+        simulate_config(m={"kind": "table", "points": [[0, 1], [1, 2], [math.nan, 3]]}),
+        r"m\.points\[2\]\[0\] must be a finite number",
+    ),
+    "table_breakpoint_infinite": (
+        "simulate",
+        simulate_config(m={"kind": "table", "points": [[0, 1], [1, 2], [math.inf, 3]]}),
+        r"m\.points\[2\]\[0\] must be a finite number",
+    ),
+    "spectrum_q_minus_infinity": (
+        "simulate",
+        simulate_config(
+            spectrum={"kind": "power", "a": 1.0, "q": -math.inf, "n": 3},
+            u0=[1.0, 0.5, 0.25], u1=[0.0, 0.0, 0.0],
+        ),
+        r"spectrum\.q must be a finite number",
+    ),
     "mu_negative": (
         "simulate",
         simulate_config(m={"kind": "table", "points": [[0.0, 1.0]], "mu": -1}),
@@ -276,6 +304,16 @@ class TestLoadConfig:
         # about 400 samples per decade of (1+t): two decades here
         assert plan.settings.grid.count == 801
 
+    def test_one_default_grid(self):
+        # A plan without settings samples [0, 100] as densely as a plan
+        # that gives only that horizon: log(101) is 2.004 decades.
+        cfg = simulate_config()
+        del cfg["settings"]
+        default = load_config(json.dumps(cfg)).settings.grid
+        cfg["settings"] = {"grid": {"t_end": 100}}
+        assert load_config(json.dumps(cfg)).settings.grid == default
+        assert (default.kind, default.count, default.t_end) == ("log", 803, 100.0)
+
 
 class TestRunPlan:
     def test_simulate_bundle(self, tmp_path):
@@ -437,7 +475,7 @@ class TestRunPlan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ig, "ProcessPoolExecutor", RecordingPool)
         run_plan(load_config(json.dumps(SWEEP_PLAN)), tmp_path, jobs=jobs)
         assert made == pools
 

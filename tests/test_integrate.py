@@ -24,10 +24,11 @@ from kirchlab import (
     corrector,
     residual_norm,
     solve_hyperbolic,
-    solve_hyperbolic_shared,
+    solve_hyperbolic_sweep,
     solve_parabolic_direct,
     solve_parabolic_reparam,
 )
+from kirchlab.integrate import _shared_run
 from kirchlab.spectral import sigma_half
 
 from helpers import hamiltonian, stiffness_matrix
@@ -725,9 +726,7 @@ def _stiff_runs(kind):
     if kind == "direct":
         return [solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))]
     spec, nl, dis, u0, u1 = SWEEP_SHAPE
-    return solve_hyperbolic_shared(
-        spec, nl, dis, STIFF_EPS, u0, u1, settings(count=101, t_end=10.0)
-    )
+    return _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, settings(count=101, t_end=10.0))
 
 
 # Radau runs at N = 1024 on short horizons (lambda_k = k, u0 ~ k^-2,
@@ -749,7 +748,7 @@ def _large_n_run(kind):
     if kind == "direct":
         table = LipschitzTable(((0.0, 1.5), (1.0, 1.0)))
         return [solve_parabolic_direct(spec, table, PowerLawDissipation(1.5), 1.0 / _LAM**2, s)]
-    return solve_hyperbolic_shared(spec, nl, dis, (3e-5, 1e-5, 3e-6), u0, np.zeros(_N), s)
+    return _shared_run(spec, nl, dis, (3e-5, 1e-5, 3e-6), u0, np.zeros(_N), s)
 
 
 class TestNewtonHooks:
@@ -943,7 +942,7 @@ def sweep_runs_t10():
     """(shared, lone) runs of the STIFF_EPS members, t_end 10, 401 samples."""
     spec, nl, dis, u0, u1 = SWEEP_SHAPE
     s = settings(count=401, t_end=10.0)
-    shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+    shared = _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
     lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
     return shared, lone
 
@@ -966,8 +965,8 @@ def bench_sweep(request):
     spec, nl, dis = SWEEP_SHAPE[:3]
     u0, u1 = (np.array(v) for v in BENCH_SWEEP_DATA[request.param])
     s = settings(count=401, t_end=10.0)
-    runs = kl.integrate.sweep_runs(spec, nl, dis, BENCH_EPS, u0, s)
-    shared = solve_hyperbolic_shared(spec, nl, dis, [BENCH_EPS[i] for i in runs[0]], u0, u1, s)
+    runs = kl.integrate._sweep_runs(spec, nl, dis, BENCH_EPS, u0, s)
+    shared = _shared_run(spec, nl, dis, [BENCH_EPS[i] for i in runs[0]], u0, u1, s)
     return request.param, runs, shared, u0, u1
 
 
@@ -1020,7 +1019,7 @@ class TestSharedRun:
     def test_one_member_is_the_lone_run(self, shape):
         spec, nl, dis, u0, u1 = SHAPES[shape]
         s = settings(count=201, t_end=10.0)
-        (got,) = solve_hyperbolic_shared(spec, nl, dis, [1e-4], u0, u1, s)
+        (got,) = _shared_run(spec, nl, dis, [1e-4], u0, u1, s)
         assert_same_run(got, solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, s))
         assert got.stats.method == "radau" and got.stats.members == 1
 
@@ -1070,7 +1069,7 @@ class TestSharedRun:
             for eps in STIFF_EPS
         )
         s = settings(count=101, t_end=10.0, blowup_threshold=1.0)
-        shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        shared = _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
         stacked = sum(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1) for t in shared)
         assert np.max(stacked) > s.blowup_threshold
         for traj in shared:
@@ -1081,7 +1080,7 @@ class TestSharedRun:
         # only the two smaller eps cross 0.55, so the shared run stops.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         s = settings(count=101, t_end=10.0, blowup_threshold=0.55)
-        shared = solve_hyperbolic_shared(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        shared = _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
         lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
         assert [t.status for t in lone] == [COMPLETED, BLEW_UP, BLEW_UP]
         for got, want in zip(shared, lone):
@@ -1098,13 +1097,11 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_values = (3e-4, 1e-4, 3e-5)
         s = settings(count=51, t_end=1.0, rel_tol=rel_tol)
-        assert kl.integrate.sweep_runs(spec, nl, dis, eps_values, u0, s) == runs
-        with pytest.raises(kl.ConfigurationError, match="too small"):
-            solve_hyperbolic_shared(spec, nl, dis, eps_values, u0, u1, s)
+        assert kl.integrate._sweep_runs(spec, nl, dis, eps_values, u0, s) == runs
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             for run in runs:
-                shared = solve_hyperbolic_shared(
+                shared = _shared_run(
                     spec, nl, dis, [eps_values[i] for i in run], u0, u1, s
                 )
                 for traj in shared:
@@ -1119,27 +1116,15 @@ class TestSharedRun:
         assert most == 1 or rel_tol / math.sqrt(most) >= floor
         assert most == max(members, 1) or rel_tol / math.sqrt(most + 1) < floor
 
-    def test_dp5_member_rejected(self):
-        # eps 1e-2 is underdamped at t_end 10 and goes to DP5; a shared run
-        # takes only overdamped members.
-        spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        with pytest.raises(kl.ConfigurationError, match="overdamped"):
-            solve_hyperbolic_shared(spec, nl, dis, (1e-2, 1e-4), u0, u1, settings(t_end=10.0))
-
-    def test_no_members_rejected(self):
-        spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        with pytest.raises(kl.ConfigurationError, match="at least one"):
-            solve_hyperbolic_shared(spec, nl, dis, [], u0, u1, settings(t_end=10.0))
-
     def test_sweep_routing(self):
         # The eps-sweep benchmark members: eps 3e-3 (B/eps 1543, below the
         # lone threshold) is overdamped and joins the three Radau members;
         # eps 1e-2 is underdamped and stays a lone DP5 run.
         spec, nl, dis, u0, _ = SWEEP_SHAPE
         eps_list = (1e-2, 3e-3) + STIFF_EPS
-        runs = kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
+        runs = kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
         assert runs == [(1, 2, 3, 4), (0,)]
-        assert kl.integrate.sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
+        assert kl.integrate._sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
             (0,), (1,)
         ]
 
@@ -1151,12 +1136,12 @@ class TestSharedRun:
         s = settings(count=101, t_end=10.0)
         lam_max, m0 = spec.lambda_max, 1.0
         assert all(kl.integrate._overdamped(e, lam_max, m0, dis, 10.0) for e in eps_list)
-        assert kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0,), (1,)]
+        assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0,), (1,)]
         assert all(
             solve_hyperbolic(spec, nl, dis, e, u0, u1, s).stats.method == "dp5" for e in eps_list
         )
 
-    def test_underdamped_member_never_joins(self, monkeypatch):
+    def test_underdamped_member_never_joins(self):
         # N = 8, lambda = k^2, m = s, t_end 10: overdamped only for
         # eps <= 2e-3, so eps 1e-1 stays a lone DP5 run (389 steps). Forced
         # into the shared run, its oscillation sets the steps of all
@@ -1164,13 +1149,48 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
         eps_list = (1e-1, 1e-3, 1e-4)
         s = settings(count=101, t_end=10.0)
-        assert kl.integrate.sweep_runs(spec, nl, dis, eps_list, u0, s) == [(1, 2), (0,)]
-        with pytest.raises(kl.ConfigurationError, match="overdamped"):
-            solve_hyperbolic_shared(spec, nl, dis, eps_list, u0, u1, s)
-        shared = solve_hyperbolic_shared(spec, nl, dis, eps_list[1:], u0, u1, s)
-        monkeypatch.setattr(kl.integrate, "_overdamped", lambda *args: True)
-        forced = solve_hyperbolic_shared(spec, nl, dis, eps_list, u0, u1, s)
+        assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(1, 2), (0,)]
+        shared = _shared_run(spec, nl, dis, eps_list[1:], u0, u1, s)
+        forced = _shared_run(spec, nl, dis, eps_list, u0, u1, s)
         assert shared[0].stats.accepted < forced[0].stats.accepted
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_returns_members_in_given_order(self, jobs):
+        # The bench members out of order: the shared run takes members
+        # 0, 2, 3 and 4 in that order, eps 1e-2 (member 1) is a lone DP5
+        # run, and each member is its run's trajectory.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        eps_list = (3e-4, 1e-2, 1e-4, 3e-3, 1e-3)
+        s = settings(count=101, t_end=10.0)
+        runs = kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s)
+        assert runs == [(0, 2, 3, 4), (1,)]
+        got = solve_hyperbolic_sweep(spec, nl, dis, eps_list, u0, u1, s, jobs)
+        assert len(got) == len(eps_list)
+        for run in runs:
+            want = _shared_run(spec, nl, dis, tuple(eps_list[i] for i in run), u0, u1, s)
+            for i, traj in zip(run, want):
+                assert_same_run(got[i], traj)
+                assert got[i].stats.members == len(run)
+
+    def test_sweep_on_degenerate_data_warns(self):
+        # u0 = 0: m0 vanishes, every member is overdamped and B/eps passes
+        # the lone threshold, so both share one Radau run, which does not
+        # look at the launch stiffness itself.
+        eps_list = (1e-4, 1e-5)
+        with pytest.warns(UserWarning, match="degenerate"):
+            got = solve_hyperbolic_sweep(
+                Spectrum([1.0, 2.0]), PowerNonlinearity(1.0), P0, eps_list,
+                [0.0, 0.0], [0.0, 0.0], settings(count=11, t_end=1.0),
+            )
+        for traj in got:
+            assert traj.status == COMPLETED and traj.stats.members == 2
+            assert np.all(traj.u == 0.0) and np.all(traj.uprime == 0.0)
+
+    def test_sweep_rejects_nonpositive_eps(self):
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        for eps in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(kl.ConfigurationError, match="eps"):
+                solve_hyperbolic_sweep(spec, nl, dis, (1e-2, eps), u0, u1, settings(t_end=1.0))
 
     def test_bench_sweep_layout_and_work(self, bench_sweep):
         # Counts, not seconds: a routing change shows on any host.

@@ -56,6 +56,11 @@ class TestNonlinearity:
             LipschitzTable(((0.0, 1.0), (0.0, 2.0)))  # strictly increasing
         with pytest.raises(ConfigurationError):
             LipschitzTable(((0.0, -1.0),))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                LipschitzTable(((0.0, 1.0), (1.0, 2.0), (bad, 3.0)))  # a breakpoint
+            with pytest.raises(ConfigurationError, match="finite"):
+                LipschitzTable(((0.0, 1.0), (1.0, bad)))  # a value
 
     @pytest.mark.parametrize(
         "nl",
