@@ -200,74 +200,74 @@ def predicted_bounds(
     coercive: bool,
     hyperbolic_run: bool = False,
 ) -> BoundSet:
-    """Decay bounds implied by the regime classification.
+    """Decay bounds implied by the regime classification, grouped by
+    quantity in the order E_half, E_one, V.
 
-    Outside the parabolic regime the set is empty. Inside it, the four
-    blocks are keyed by nondegenerate-vs-power nonlinearity and by
-    coercivity; a degenerate table in the parabolic regime carries no
-    closed-form prediction and also yields an empty set. For
-    second-order runs of nondegenerate models the weighted-sup and
-    integral bounds of the global decay theory are appended.
+    Outside the parabolic regime the set is empty. Inside it, the
+    first-order limit's table is keyed by nondegenerate-vs-power
+    nonlinearity and by coercivity; a degenerate table carries no
+    closed-form prediction (empty set). A second-order run of a
+    nondegenerate model (mu > 0) is held to the hyperbolic decay theory
+    alone: polynomial and weighted integral upper bounds.
+
+    Unstated hypotheses: (1) eps is small. At p = 1 with constant m
+    every channel of a second-order run decays like (1+t)^(-1/eps), so
+    the E_one bounds need eps < 1/4 and those of E_half and V eps < 1/2;
+    at equality the polynomial bounds hold, the integral ones do not.
+    (2) The noncoercive power upper bound -(p+1)/(gamma+1), sharp at beta = 1,
+    assumes beta = (c-1)/a > 1 for lambda_j = j^-a, lambda_j u0_j^2 ~ j^-c.
     """
     regime = classify_regime(nl, dis, coercive)
     if regime.tag != "parabolic":
         return BoundSet((), regime)
     p = dis.p
     q = p + 1.0
-    entries = []
-
-    if isinstance(nl, PowerNonlinearity):
-        g = nl.gamma
-        if coercive:
-            entries += [
-                BoundEntry("E_half", "poly_lower", -q / g),
-                BoundEntry("E_half", "poly_upper", -q / g),
-                BoundEntry("E_one", "poly_lower", -q / g),
-                BoundEntry("E_one", "poly_upper", -q / g),
-                BoundEntry("V", "poly_upper", -(2.0 + q / g)),
-            ]
-        else:
-            entries += [
-                BoundEntry("E_half", "poly_lower", -q / g),
-                BoundEntry("E_half", "poly_upper", -q / (g + 1.0)),
-                BoundEntry("E_one", "poly_upper", -q / g),
-                BoundEntry(
-                    "V",
-                    "poly_upper",
-                    -(2.0 * g * g + (1.0 - p) * g + p + 1.0) / (g * g + g),
-                ),
-            ]
-    elif nl.mu > 0.0:
-        if coercive:
-            entries += [
-                BoundEntry("E_half", "exp_lower", q),
-                BoundEntry("E_half", "exp_upper", q),
-                BoundEntry("E_one", "exp_lower", q),
-                BoundEntry("E_one", "exp_upper", q),
-                BoundEntry("V", "exp_lower", q, weight_exponent=2.0 * p),
-                BoundEntry("V", "exp_upper", q, weight_exponent=2.0 * p),
-            ]
-        else:
-            entries += [
-                BoundEntry("E_half", "exp_lower", q),
-                BoundEntry("E_half", "poly_upper", -q),
-                BoundEntry("E_one", "poly_upper", -2.0 * q),
-                BoundEntry("V", "poly_upper", -2.0),
-            ]
-    # else: degenerate table, parabolic only at p = 0, no rate table.
+    power = isinstance(nl, PowerNonlinearity)
+    g = nl.gamma if power else None
 
     if hyperbolic_run and nl.mu > 0.0:
-        entries += [
+        entries = (
+            BoundEntry("E_half", "poly_upper", -q),
+            BoundEntry("E_half", "integral_upper", 0.0, weight_exponent=p),
+            BoundEntry("E_one", "poly_upper", -2.0 * q),
+            BoundEntry("E_one", "integral_upper", 0.0, weight_exponent=2.0 * p + 1.0),
+            BoundEntry("V", "poly_upper", -2.0),
+            BoundEntry("V", "integral_upper", 0.0, weight_exponent=p),
+        )
+    elif power and coercive:
+        entries = (
+            BoundEntry("E_half", "poly_lower", -q / g),
+            BoundEntry("E_half", "poly_upper", -q / g),
+            BoundEntry("E_one", "poly_lower", -q / g),
+            BoundEntry("E_one", "poly_upper", -q / g),
+            BoundEntry("V", "poly_upper", -(2.0 + q / g)),
+        )
+    elif power:
+        entries = (
+            BoundEntry("E_half", "poly_lower", -q / g),
+            BoundEntry("E_half", "poly_upper", -q / (g + 1.0)),
+            BoundEntry("E_one", "poly_upper", -q / g),
+            BoundEntry("V", "poly_upper", -(2.0 * g * g + (1.0 - p) * g + p + 1.0) / (g * g + g)),
+        )
+    elif nl.mu > 0.0 and coercive:
+        entries = (
+            BoundEntry("E_half", "exp_lower", q),
+            BoundEntry("E_half", "exp_upper", q),
+            BoundEntry("E_one", "exp_lower", q),
+            BoundEntry("E_one", "exp_upper", q),
+            BoundEntry("V", "exp_lower", q, weight_exponent=2.0 * p),
+            BoundEntry("V", "exp_upper", q, weight_exponent=2.0 * p),
+        )
+    elif nl.mu > 0.0:
+        entries = (
+            BoundEntry("E_half", "exp_lower", q),
             BoundEntry("E_half", "poly_upper", -q),
             BoundEntry("E_one", "poly_upper", -2.0 * q),
             BoundEntry("V", "poly_upper", -2.0),
-            BoundEntry("E_half", "integral_upper", 0.0, weight_exponent=p),
-            BoundEntry("V", "integral_upper", 0.0, weight_exponent=p),
-            BoundEntry("E_one", "integral_upper", 0.0, weight_exponent=2.0 * p + 1.0),
-        ]
-
-    # Drop duplicates while preserving order.
-    return BoundSet(tuple(dict.fromkeys(entries)), regime)
+        )
+    else:  # degenerate table: parabolic only at p = 0, no rate table
+        entries = ()
+    return BoundSet(entries, regime)
 
 
 TOL_EXPONENT = 0.07  # slack of a fitted decay exponent against a predicted one
@@ -324,16 +324,12 @@ def verify_bounds(
     Integral bounds pass when the weighted integrand decays strictly
     faster than 1/(1+t) or the cumulative integral has visibly
     converged. Quantities undefined over the window are skipped.
-    Entries are grouped by quantity, in order of first mention.
+    Entries are reported in the order of the bound set.
     """
     if window is None:
         window = default_window(series.times)
-    first = {}
-    for e in bounds.entries:
-        first.setdefault(e.quantity, len(first))
-
     entries = []
-    for e in sorted(bounds.entries, key=lambda b: first[b.quantity]):
+    for e in bounds.entries:
         values = series.channels.get(_QUANTITY_CHANNEL.get(e.quantity))
         result = None if values is None else _check(e, series.times, values, window)
         fitted, margin, passed = result or (None, math.nan, False)

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .spectral import ConfigurationError, Spectrum, apply_A, as_modal, sigma_half
+from .spectral import ConfigurationError, Spectrum, as_modal, sigma_half
 
 __all__ = [
     "PowerNonlinearity",
@@ -246,9 +246,12 @@ def compute_w0(spec: Spectrum, nl: Nonlinearity, dis: Dissipation, u0, u1) -> np
 
     w0 = u1 + m(|A^(1/2)u0|^2) * A u0 / b(0), which is exactly the jump
     between the initial velocity of the second-order problem and the
-    initial velocity inherited by the first-order limit problem.
+    initial velocity inherited by the first-order limit problem. Formed
+    as the reparametrized limit forms u'(0), so the jump cancels exactly.
     """
     u0v = as_modal(spec, u0, "u0")
     u1v = as_modal(spec, u1, "u1")
     sigma0 = sigma_half(spec.eigenvalues, u0v)
-    return u1v + (nl.value(sigma0) / dis.b0) * apply_A(spec, u0v)
+    with np.errstate(over="ignore"):  # m saturates at inf, as in the solvers
+        rate0 = (nl.value(np.array([sigma0])) / dis.b(np.zeros(1)))[0]
+    return u1v + (rate0 * spec.eigenvalues) * u0v

@@ -7,6 +7,7 @@ them is reproducible from its seed.
 import math
 
 import numpy as np
+from scipy.special import spherical_jn, spherical_yn
 
 import kirchlab as kl
 from kirchlab.spectral import as_modal, sigma_half
@@ -70,3 +71,33 @@ def stiffness_matrix(nl, lam, u, scale):
     kappa = 2.0 * dm / scale if math.isfinite(dm) else 0.0
     w = lam * u
     return np.diag(nl.value(sigma) * lam / scale) + kappa * np.outer(w, w)
+
+
+def bessel_p1(lam, u0, u1, j, t):
+    """Closed form (u, u') of eps u'' + (1+t)^-1 u' + lambda u = 0 at
+    eps = 1/(2j), the second-order problem at p = 1 with m == 1.
+
+    Each mode is u_k = s^(1-j) [A j_(j-1)(w_k s) + B y_(j-1)(w_k s)] with
+    s = 1+t and w_k = sqrt(2 j lambda_k), spherical Bessel functions of
+    the first and second kind; A and B match u0 and u1 at s = 1. Needs
+    every lambda_k > 0.
+    """
+    lam, u0, u1 = (np.asarray(x, dtype=float) for x in (lam, u0, u1))
+    w = np.sqrt(2.0 * j * lam)
+    n = j - 1
+
+    def basis(s):
+        # The two basis solutions and their t-derivatives, one row per time.
+        x = np.multiply.outer(s, w)
+        jn, yn = spherical_jn(n, x), spherical_yn(n, x)
+        djn, dyn = spherical_jn(n, x, derivative=True), spherical_yn(n, x, derivative=True)
+        pw = (s ** (1.0 - j))[:, None]
+        dpw = ((1.0 - j) * s ** -float(j))[:, None]
+        return pw * jn, pw * yn, dpw * jn + pw * w * djn, dpw * yn + pw * w * dyn
+
+    fj, fy, dfj, dfy = (f[0] for f in basis(np.ones(1)))
+    det = fj * dfy - fy * dfj
+    a = (u0 * dfy - u1 * fy) / det
+    b = (fj * u1 - dfj * u0) / det
+    fj, fy, dfj, dfy = basis(1.0 + np.asarray(t, dtype=float))
+    return a * fj + b * fy, a * dfj + b * dfy

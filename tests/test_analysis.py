@@ -29,6 +29,8 @@ from kirchlab.integrate import (
     Trajectory,
 )
 
+from helpers import bessel_p1
+
 M_ONE = LipschitzTable(((0.0, 1.0),))
 P0 = PowerLawDissipation(0.0)
 
@@ -277,20 +279,55 @@ class TestVerifyBranches:
         assert one.verdict == "skipped" and one.fitted_exponent is None
         assert math.isnan(one.margin) and one.to_dict()["margin"] is None
 
-    def test_entries_grouped_by_first_mention(self):
-        # Extras of a hyperbolic run revisit quantities that came earlier.
-        nl = LipschitzTable(((0.0, 1.0),), mu=1.0)
-        bounds = predicted_bounds(nl, PowerLawDissipation(0.5), True, hyperbolic_run=True)
-        assert [e.quantity for e in bounds.entries][:7] == [
-            "E_half", "E_half", "E_one", "E_one", "V", "V", "E_half",
-        ]
+    @pytest.mark.parametrize("hyperbolic_run", [False, True])
+    @pytest.mark.parametrize("coercive", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nl", [
+        PowerNonlinearity(0.5),
+        PowerNonlinearity(2.0),
+        LipschitzTable(((0.0, 1.0), (1.0, 3.0))),
+        LipschitzTable(((0.0, 0.0), (1.0, 1.0))),
+    ], ids=["power-0.5", "power-2", "table", "degenerate-table"])
+    def test_sets_grouped_by_quantity(self, nl, p, coercive, hyperbolic_run):
+        # Every table is written in report order, and a second-order run of
+        # a nondegenerate model carries no bound of the limit's exp law.
+        bounds = predicted_bounds(nl, PowerLawDissipation(p), coercive, hyperbolic_run)
+        order = [("E_half", "E_one", "V").index(e.quantity) for e in bounds.entries]
+        assert order == sorted(order)
+        if hyperbolic_run and nl.mu > 0.0:
+            assert bounds.entries and not any(e.kind.startswith("exp") for e in bounds.entries)
         t = log_times(1e4, 200)
         channels = {name: (1.0 + t) ** -1.0 for name in ("E_1", "E_2", "v")}
         got = verify_bounds(EnergySeries(t, channels), bounds, self.WINDOW).entries
-        kinds = ["exp_lower", "exp_upper", "poly_upper", "integral_upper"]
-        assert [(e.quantity, e.kind) for e in got] == [
-            (q, k) for q in ("E_half", "E_one", "V") for k in kinds
-        ]
+        assert [(e.quantity, e.kind) for e in got] == [(e.quantity, e.kind) for e in bounds.entries]
+
+
+class TestClosedFormP1:
+    """The hyperbolic table against the closed form at p = 1, m == 1,
+    eps = 1/(2j), where every channel decays like (1+t)^(-1/eps)."""
+
+    @pytest.mark.parametrize("j, failing", [
+        (5, []),
+        (2, [("E_one", "integral_upper")]),
+        (1, [
+            ("E_half", "integral_upper"),
+            ("E_one", "poly_upper"),
+            ("E_one", "integral_upper"),
+            ("V", "integral_upper"),
+        ]),
+    ])
+    def test_eps_hypothesis(self, j, failing):
+        # E_one's bounds need eps < 1/4, those of E_half and V eps < 1/2.
+        spec = Spectrum([1.0, 4.0])
+        t = log_times(1e4, 1601)
+        u, up = bessel_p1(spec.eigenvalues, [1.0, 0.5], [0.0, 0.0], j, t)
+        traj = Trajectory(spec, t, u, up, COMPLETED)
+        series = energy_suite(traj, spec, M_ONE, 1.0 / (2 * j), ks=(1, 2))
+        bounds = predicted_bounds(M_ONE, PowerLawDissipation(1.0), True, hyperbolic_run=True)
+        report = verify_bounds(series, bounds)
+        assert report.window == pytest.approx((99.01, 1e4))
+        assert [(e.quantity, e.kind) for e in report.entries if e.verdict == "fail"] == failing
+        assert all(e.verdict in ("pass", "fail") for e in report.entries)
 
 
 class TestPerturbationErrors:

@@ -574,6 +574,27 @@ class TestRunPlan:
         assert report["worst"] == "pass"
         assert bundle.exit_code == 0
 
+    def test_verify_p1_second_order_plan(self, tmp_path):
+        # m == 1 at p = 1 and eps 0.1: every channel decays like (1+t)^-10,
+        # and the run is checked against the hyperbolic table alone.
+        cfg = {
+            "kind": "verify",
+            "spectrum": {"kind": "explicit", "values": [1.0, 4.0]},
+            "m": {"kind": "table", "points": [[0.0, 1.0]]},
+            "b": {"kind": "power", "p": 1.0},
+            "eps": 0.1,
+            "u0": [1.0, 0.5],
+            "u1": [0.0, 0.0],
+            "settings": {"grid": {"kind": "log", "count": 1601, "t_end": 1e4}},
+        }
+        bundle = run_plan(load_config(json.dumps(cfg)), tmp_path)
+        report = json.loads((bundle.directory / "verify_report.json").read_text())
+        assert [(e["quantity"], e["kind"]) for e in report["entries"]] == [
+            (q, k) for q in ("E_half", "E_one", "V") for k in ("poly_upper", "integral_upper")
+        ]
+        assert report["worst"] == "pass"
+        assert bundle.exit_code == 0
+
     def test_trajectory_csv_roundtrips_doubles_exactly(self, tmp_path):
         import numpy as np
 

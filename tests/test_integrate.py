@@ -31,7 +31,7 @@ from kirchlab import (
 from kirchlab.integrate import _shared_run
 from kirchlab.spectral import sigma_half
 
-from helpers import hamiltonian, stiffness_matrix
+from helpers import bessel_p1, hamiltonian, stiffness_matrix
 
 M_ONE = LipschitzTable(((0.0, 1.0),))  # m == 1
 P0 = PowerLawDissipation(0.0)
@@ -447,6 +447,29 @@ class TestCorrector:
         )
         assert np.all(corr.theta[0] == 0.0)
         np.testing.assert_array_equal(corr.theta_prime[0], w0)
+
+    def test_jump_cancels_exactly(self):
+        # r'(0) = u1 - u'(0) - w0, with u'(0) from the reparametrized limit,
+        # vanishes in floats: w0 is formed as the limit forms u'(0).
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(rng.integers(1, 65))
+            spec = Spectrum(np.sort(rng.uniform(0.0, 50.0, n)))
+            if rng.random() < 0.5:
+                nl = PowerNonlinearity(float(rng.choice([0.5, 1.0, 1.5, 2.3])))
+            else:
+                grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 40.0, 3))])
+                nl = LipschitzTable(tuple(zip(grid, rng.uniform(0.5, 3.0, 4))))
+            if rng.random() < 0.5:
+                dis = PowerLawDissipation(float(rng.choice([0.0, 0.5, 1.0, 1.5])))
+            else:
+                dis = kl.ConstantDissipation(float(rng.uniform(0.1, 3.0)))
+            u0, u1 = rng.normal(size=n), rng.normal(size=n)
+            s = settings(count=int(rng.integers(2, 901)), t_end=1.0)
+            par = solve_parabolic_reparam(spec, nl, dis, u0, s)
+            np.testing.assert_array_equal(
+                u1 - par.uprime[0] - compute_w0(spec, nl, dis, u0, u1), 0.0
+            )
 
 
 class TestResidual:
@@ -898,6 +921,49 @@ class TestNewtonHooks:
         assert fast.stats.method == ref.stats.method == "radau"
         assert abs(fast.stats.rhs_evals - ref.stats.rhs_evals) <= 0.02 * ref.stats.rhs_evals
         assert np.max(np.abs(fast.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+
+
+class TestClosedFormP1:
+    """Second-order runs against the closed form at p = 1 with m == 1 and
+    eps = 1/(2j) (``bessel_p1``), within 1e-9 |(u0, u1)| at every sample."""
+
+    SPEC, DIS = Spectrum([1.0, 4.0]), PowerLawDissipation(1.0)
+    U0, U1 = np.array([1.0, 0.5]), np.array([0.3, -0.2])
+    SETTINGS = settings(count=201, t_end=100.0)
+
+    def assert_matches(self, traj, j):
+        assert traj.status == COMPLETED
+        u, up = bessel_p1(self.SPEC.eigenvalues, self.U0, self.U1, j, traj.times)
+        tol = 1e-9 * np.linalg.norm(np.concatenate([self.U0, self.U1]))
+        assert np.max(np.abs(traj.u - u)) <= tol
+        assert np.max(np.abs(traj.uprime - up)) <= tol
+
+    def run(self, j):
+        return solve_hyperbolic(
+            self.SPEC, M_ONE, self.DIS, 1.0 / (2 * j), self.U0, self.U1, self.SETTINGS
+        )
+
+    @pytest.mark.parametrize("j", [1, 2, 5, 10])
+    def test_lone_dp5(self, j):
+        traj = self.run(j)
+        assert traj.stats.method == "dp5"
+        self.assert_matches(traj, j)
+
+    def test_lone_radau(self, monkeypatch):
+        force_stepper(monkeypatch, "radau")
+        traj = self.run(5)
+        assert traj.stats.method == "radau"
+        self.assert_matches(traj, 5)
+
+    def test_shared_run(self):
+        js = (1, 2, 5)
+        trajs = _shared_run(
+            self.SPEC, M_ONE, self.DIS, [1.0 / (2 * j) for j in js], self.U0, self.U1,
+            self.SETTINGS,
+        )
+        for traj, j in zip(trajs, js):
+            assert (traj.stats.method, traj.stats.members) == ("radau", 3)
+            self.assert_matches(traj, j)
 
 
 def radau_reference(spec, nl, dis, eps, u0, u1, times, rtol=1e-13):
