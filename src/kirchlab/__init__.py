@@ -31,12 +31,9 @@ from .harness import (
     AnalysisOptions,
     ArtifactBundle,
     ExperimentPlan,
-    dissipation_from_config,
     load_config,
-    nonlinearity_from_config,
     plan_hash,
     run_plan,
-    spectrum_from_config,
 )
 from .integrate import (
     BLEW_UP,
@@ -64,12 +61,7 @@ from .model import (
     compute_w0,
     p_gamma,
 )
-from .spectral import (
-    ConfigurationError,
-    Spectrum,
-    apply_A,
-    coercivity,
-)
+from .spectral import ConfigurationError, Spectrum
 
 __version__ = "0.1.0"
 
@@ -77,9 +69,6 @@ __all__ = [
     "__version__",
     "ConfigurationError",
     "Spectrum",
-    "apply_A",
-    "coercivity",
-    "spectrum_from_config",
     "PowerNonlinearity",
     "LipschitzTable",
     "PowerLawDissipation",
@@ -88,8 +77,6 @@ __all__ = [
     "p_gamma",
     "classify_regime",
     "compute_w0",
-    "nonlinearity_from_config",
-    "dissipation_from_config",
     "OutputGrid",
     "IntegratorSettings",
     "SolverStats",

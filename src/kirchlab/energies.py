@@ -25,7 +25,7 @@ import numpy as np
 
 from .integrate import Trajectory
 from .model import Dissipation, Nonlinearity
-from .spectral import Spectrum, modal_sums
+from .spectral import modal_sums
 
 __all__ = [
     "UNDEFINED",
@@ -54,7 +54,6 @@ class EnergySeries:
 
 def energy_suite(
     traj: Trajectory,
-    spec: Spectrum,
     nl: Nonlinearity,
     eps: float,
     ks=(0, 1),
@@ -75,6 +74,7 @@ def energy_suite(
     sigma |A^(1/2)u'|^2 - (A^(1/2)u, A^(1/2)u')^2 without cancellation,
     and P_eps >= P_par holds exactly.
     """
+    spec = traj.spectrum
     parabolic = eps == 0.0
     half_ks = [k / 2.0 for k in ks]
     next_ks = [] if parabolic else [(k + 1.0) / 2.0 for k in ks]
@@ -109,7 +109,6 @@ def energy_suite(
 
 def apriori_margin(
     traj: Trajectory,
-    spec: Spectrum,
     nl: Nonlinearity,
     dis: Dissipation,
     eps: float,
@@ -125,6 +124,7 @@ def apriori_margin(
     sits inside the tractable regime when lhs_basic <= b at every sample
     past the boundary layer (t >= 10 eps); see ``apriori_satisfied``.
     """
+    spec = traj.spectrum
     sigma, au_sq = modal_sums(spec, traj.u, [0.5, 1.0]).T
     norm_au = np.sqrt(au_sq)
     norm_up = np.sqrt(modal_sums(spec, traj.uprime, [0.0])[:, 0])

@@ -42,7 +42,7 @@ from .model import (
     classify_regime,
     p_gamma,
 )
-from .spectral import ConfigurationError, Spectrum, as_modal, coercivity
+from .spectral import ConfigurationError, Spectrum, as_modal
 
 __all__ = [
     "AnalysisOptions",
@@ -55,9 +55,6 @@ __all__ = [
     "plan_hash",
     "PLAN_KINDS",
     "MODEL_SECTIONS",
-    "spectrum_from_config",
-    "nonlinearity_from_config",
-    "dissipation_from_config",
 ]
 
 
@@ -89,7 +86,7 @@ class ExperimentPlan:
     def coercive_flag(self) -> bool:
         if self.analysis.coercive is not None:
             return self.analysis.coercive
-        return self.spectrum is not None and coercivity(self.spectrum) > 0.0
+        return self.spectrum is not None and bool(self.spectrum.eigenvalues[0] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -256,21 +253,6 @@ def _model_section(section: str, cfg, **context):
     fields = {key: read(cfg[key], f"{section}.{key}") for key, read in entry.keys.items()
               if key in cfg}
     return entry.build(**fields, **context)
-
-
-def spectrum_from_config(cfg: dict) -> Spectrum:
-    """Build a spectrum from its plan section."""
-    return _model_section("spectrum", cfg, lengths={})
-
-
-def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
-    """Build a nonlinearity from its plan section, ``m``."""
-    return _model_section("m", cfg)
-
-
-def dissipation_from_config(cfg: dict) -> Dissipation:
-    """Build a dissipation from its plan section, ``b``."""
-    return _model_section("b", cfg)
 
 
 def _parse_eps(value, context: str) -> float:
@@ -471,8 +453,8 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple
         traj = ig.solve_hyperbolic(
             plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
         )
-    series = en.energy_suite(traj, plan.spectrum, plan.nl, plan.eps, plan.analysis.ks)
-    margins = en.apriori_margin(traj, plan.spectrum, plan.nl, plan.dis, plan.eps)
+    series = en.energy_suite(traj, plan.nl, plan.eps, plan.analysis.ks)
+    margins = en.apriori_margin(traj, plan.nl, plan.dis, plan.eps)
     floor = ana.hamiltonian_floor(series, plan.dis, plan.eps)
 
     with stage("csv"):
@@ -485,7 +467,7 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple
     slack = 10.0 * plan.settings.rel_tol
     monotone = bool(np.all(H[1:] <= H[:-1] * (1.0 + slack)))
     residual = (
-        ig.residual_norm(traj, plan.spectrum, plan.nl, plan.dis, plan.eps)
+        ig.residual_norm(traj, plan.nl, plan.dis, plan.eps)
         if traj.times.size >= 3
         else None
     )
@@ -518,7 +500,7 @@ def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     with stage("solve"):
         t_r = ig.solve_parabolic_reparam(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
         t_d = ig.solve_parabolic_direct(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
-    series = en.energy_suite(t_r, plan.spectrum, plan.nl, 0.0, plan.analysis.ks)
+    series = en.energy_suite(t_r, plan.nl, 0.0, plan.analysis.ks)
     with stage("csv"):
         write_trajectory_csv(outdir / "parabolic_reparam.csv", t_r)
         write_trajectory_csv(outdir / "parabolic_direct.csv", t_d)
@@ -692,7 +674,7 @@ def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
             traj = ig.solve_parabolic_reparam(
                 plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
             )
-    series = en.energy_suite(traj, plan.spectrum, plan.nl, plan.eps if hyperbolic else 0.0, ks)
+    series = en.energy_suite(traj, plan.nl, plan.eps if hyperbolic else 0.0, ks)
     bounds = ana.predicted_bounds(plan.nl, plan.dis, coercive, hyperbolic_run=hyperbolic)
     status_key = "hyperbolic" if hyperbolic else "parabolic"
 

@@ -797,7 +797,7 @@ def corrector(
     theta_prime = w0[None, :] * decay[:, None]
 
     if dis.p == 0.0:
-        d = dis.b0
+        d = dis.b(0.0)
         integral = (eps / d) * (-np.expm1(-d * ts / eps))
     else:
         integrand = lambda s: math.exp(-dis.primitive(s) / eps)
@@ -812,7 +812,6 @@ def corrector(
 
 def residual_norm(
     traj: Trajectory,
-    spec: Spectrum,
     nl: Nonlinearity,
     dis: Dissipation,
     eps: float,
@@ -830,7 +829,7 @@ def residual_norm(
     lambda_k=k^2, m(s)=s, 801 log samples to t=100) it reads 0.0137 at
     eps=1e-1 and 0.0442 at eps=1e-2 for solutions accurate to 1e-12.
     """
-    ts = traj.times
+    spec, ts = traj.spectrum, traj.times
     if ts.size < 3:
         raise ValueError("residual needs at least 3 samples")
     # Divided difference of u (first order) or u' (second order) at every

@@ -150,10 +150,6 @@ class PowerLawDissipation:
         if not (math.isfinite(self.p) and self.p >= 0.0):
             raise ConfigurationError("p must be a nonnegative finite real")
 
-    @property
-    def b0(self) -> float:
-        return 1.0
-
     def b(self, t):
         return (1.0 + t) ** (-self.p)
 
@@ -176,10 +172,6 @@ class ConstantDissipation:
     @property
     def p(self) -> float:
         return 0.0
-
-    @property
-    def b0(self) -> float:
-        return self.delta
 
     def b(self, t):
         return np.full(t.shape, self.delta) if isinstance(t, np.ndarray) else self.delta

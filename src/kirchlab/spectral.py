@@ -19,8 +19,6 @@ __all__ = [
     "as_modal",
     "sigma_half",
     "modal_sums",
-    "apply_A",
-    "coercivity",
 ]
 
 
@@ -106,14 +104,3 @@ def modal_sums(spec: Spectrum, x: np.ndarray, orders) -> np.ndarray:
     """
     weights = spec.eigenvalues[:, None] ** (2.0 * np.asarray(orders, dtype=float))
     return np.einsum("ij,ij,jk->ik", x, x, weights)
-
-
-def apply_A(spec: Spectrum, x) -> np.ndarray:
-    """Diagonal action of the operator: coefficient k maps to lambda_k x_k."""
-    xv = as_modal(spec, x, "x")
-    return spec.eigenvalues * xv
-
-
-def coercivity(spec: Spectrum) -> float:
-    """Smallest eigenvalue; strictly positive iff the operator is coercive."""
-    return float(spec.eigenvalues[0])

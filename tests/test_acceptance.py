@@ -218,7 +218,7 @@ def test_criterion_4_hamiltonian_monotonicity_and_floor(book):
 
         # Independent recomputation of the Hamiltonian from the CSV.
         spec = kl.Spectrum(lam)
-        nl = kl.nonlinearity_from_config(m_cfg)
+        nl = kl.harness._model_section("m", m_cfg)
         data = load_csv(bundle.directory / "trajectory.csv")
         n = spec.size
         u = np.column_stack([data[f"u_{k+1}"] for k in range(n)])

@@ -160,7 +160,7 @@ class TestVerifyBounds:
     def _series_from_run(nl, dis, spec, u0, t_end=1e5):
         s = IntegratorSettings(grid=OutputGrid("log", 2001, t_end))
         traj = kl.solve_parabolic_reparam(spec, nl, dis, u0, s)
-        return kl.energy_suite(traj, spec, nl, 0.0, ks=(0, 1, 2))
+        return kl.energy_suite(traj, nl, 0.0, ks=(0, 1, 2))
 
     def test_closed_form_sandwich_passes(self):
         nl = PowerNonlinearity(1.0)
@@ -322,12 +322,47 @@ class TestClosedFormP1:
         t = log_times(1e4, 1601)
         u, up = bessel_p1(spec.eigenvalues, [1.0, 0.5], [0.0, 0.0], j, t)
         traj = Trajectory(spec, t, u, up, COMPLETED)
-        series = energy_suite(traj, spec, M_ONE, 1.0 / (2 * j), ks=(1, 2))
+        series = energy_suite(traj, M_ONE, 1.0 / (2 * j), ks=(1, 2))
         bounds = predicted_bounds(M_ONE, PowerLawDissipation(1.0), True, hyperbolic_run=True)
         report = verify_bounds(series, bounds)
         assert report.window == pytest.approx((99.01, 1e4))
         assert [(e.quantity, e.kind) for e in report.entries if e.verdict == "fail"] == failing
         assert all(e.verdict in ("pass", "fail") for e in report.entries)
+
+    def test_sweep_error_series(self):
+        # The remainders of a solved sweep against the same norms of the
+        # closed forms: u_eps from bessel_p1, the limit
+        # u = u0 exp(-lambda((1+t)^2 - 1)/2) and theta' = w0 (1+t)^(-2j).
+        spec = Spectrum([1.0, 4.0])
+        lam = spec.eigenvalues
+        u0, u1 = np.array([1.0, 0.5]), np.array([0.3, -0.2])
+        dis = PowerLawDissipation(1.0)
+        js = (1, 2, 5, 10)
+        s = IntegratorSettings(grid=OutputGrid("log", 201, 100.0))
+        t = s.grid.times()
+        hyps = kl.solve_hyperbolic_sweep(spec, M_ONE, dis, [1.0 / (2 * j) for j in js], u0, u1, s)
+        par = kl.solve_parabolic_reparam(spec, M_ONE, dis, u0, s)
+        u = u0 * np.exp(-np.multiply.outer((1.0 + t) ** 2 - 1.0, lam) / 2.0)
+        up = -lam * (1.0 + t)[:, None] * u
+        w0 = u1 + lam * u0
+        tol = 1e-9 * (u0 @ u0 + u1 @ u1)
+        for j, hyp in zip(js, hyps):
+            eps = 1.0 / (2 * j)
+            corr = kl.corrector(spec, M_ONE, dis, eps, u0, u1, t)
+            es = perturbation_errors(hyp, par, corr, dis)
+            u_eps, up_eps = bessel_p1(lam, u0, u1, j, t)
+            rho = u_eps - u
+            r_prime = up_eps - up - np.multiply.outer((1.0 + t) ** (-2.0 * j), w0)
+            expected = {
+                "rho_sq": rho**2 @ np.ones(2),
+                "half_rho_sq": rho**2 @ lam,
+                "one_rho_sq": rho**2 @ lam**2,
+                "r_prime_sq": r_prime**2 @ np.ones(2),
+                "half_r_prime_sq": r_prime**2 @ lam,
+            }
+            for name, ref in expected.items():
+                np.testing.assert_allclose(es[name], ref, rtol=0.0, atol=tol,
+                                           err_msg=f"{name}, j={j}")
 
 
 class TestPerturbationErrors:
@@ -386,7 +421,7 @@ class TestHamiltonianFloor:
         spec = Spectrum([1.0])
         traj = Trajectory(spec, np.array([0.0, 1.0]), np.zeros((2, 1)),
                           np.zeros((2, 1)), COMPLETED)
-        series = energy_suite(traj, spec, PowerNonlinearity(1.0), 0.5)
+        series = energy_suite(traj, PowerNonlinearity(1.0), 0.5)
         fs = hamiltonian_floor(series, P0, 0.5)
         np.testing.assert_array_equal(fs["H"], 0.0)
         np.testing.assert_array_equal(fs["floor"], 0.0)
@@ -398,7 +433,7 @@ class TestHamiltonianFloor:
         eps = 0.5
         s = IntegratorSettings(grid=OutputGrid("linear", 41, 2.0))
         traj = kl.solve_hyperbolic(spec, nl, P0, eps, [1.0], [0.0], s)
-        fs = hamiltonian_floor(energy_suite(traj, spec, nl, eps), P0, eps)
+        fs = hamiltonian_floor(energy_suite(traj, nl, eps), P0, eps)
         np.testing.assert_allclose(
             fs["floor"], fs["H"][0] * np.exp(-2.0 * traj.times / eps), rtol=1e-12
         )
@@ -411,7 +446,7 @@ class TestHamiltonianFloor:
         eps = 0.1
         s = IntegratorSettings(grid=OutputGrid("log", 401, 100.0))
         traj = kl.solve_hyperbolic(spec, nl, dis, eps, [1.0], [0.5], s)
-        fs = hamiltonian_floor(energy_suite(traj, spec, nl, eps), dis, eps)
+        fs = hamiltonian_floor(energy_suite(traj, nl, eps), dis, eps)
         # total dissipation is below 1, so the terminal floor is at least
         # H0 e^{-20} and the margin stays nonnegative
         assert fs["floor"][-1] >= fs["H"][0] * math.exp(-2.0 / eps) * (1.0 - 1e-12)

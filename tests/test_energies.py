@@ -43,7 +43,7 @@ class TestEnergySuite:
     def test_single_mode_values(self):
         spec = Spectrum([1.0])
         traj = make_traj(spec, [0.0], [[1.0]], [[0.0]])
-        s = energy_suite(traj, spec, PowerNonlinearity(1.0), 1.0, ks=(0,))
+        s = energy_suite(traj, PowerNonlinearity(1.0), 1.0, ks=(0,))
         assert s["c_eps"][0] == 1.0
         assert s["E_eps_0"][0] == 1.0
         assert s["G_eps"][0] == 0.0
@@ -56,7 +56,7 @@ class TestEnergySuite:
         t = np.linspace(0.0, 3.0, 7)
         u = np.exp(-t)[:, None]
         traj = make_traj(spec, t, u, -u)
-        s = energy_suite(traj, spec, M_ONE, 0.0, ks=(0, 1))
+        s = energy_suite(traj, M_ONE, 0.0, ks=(0, 1))
         np.testing.assert_allclose(s["E_0"], np.exp(-2 * t))
         np.testing.assert_allclose(s["P_par"], 1.0)
         assert "H_eps" not in s and "G_eps" not in s
@@ -71,7 +71,7 @@ class TestEnergySuite:
             up = rng.normal(size=(40, n))
             up[::2] = rng.uniform(-2.0, 2.0, (20, 1)) * u[::2] + 1e-9 * up[::2]
             traj = make_traj(spec, np.arange(40.0), u, up)
-            s = energy_suite(traj, spec, PowerNonlinearity(1.0), rng.uniform(0.01, 10.0), ks=(0,))
+            s = energy_suite(traj, PowerNonlinearity(1.0), rng.uniform(0.01, 10.0), ks=(0,))
             assert np.all(np.isfinite(s["P_eps"]))
             assert np.all(s["P_eps"] >= s["P_par"])
 
@@ -84,7 +84,7 @@ class TestEnergySuite:
 
         spec = Spectrum([1.0, 1.0])
         u, up = [1.0, 1.0], [1.0, 1.0 + delta]
-        s = energy_suite(make_traj(spec, [0.0], [u], [up]), spec,
+        s = energy_suite(make_traj(spec, [0.0], [u], [up]),
                          LipschitzTable(((0.0, 1e-12),)), 4.0, ks=(0,))
         with mpmath.workdps(50):
             U, V = map(mpmath.matrix, (u, up))
@@ -96,7 +96,7 @@ class TestEnergySuite:
     def test_undefined_sentinels(self):
         spec = Spectrum([1.0])
         traj = make_traj(spec, [0.0, 1.0], [[1.0], [0.0]], [[0.0], [1.0]])
-        s = energy_suite(traj, spec, PowerNonlinearity(1.0), 1.0, ks=(0,))
+        s = energy_suite(traj, PowerNonlinearity(1.0), 1.0, ks=(0,))
         # second sample has sigma = 0 hence c_eps = 0
         assert math.isnan(s["P_par"][1])
         assert math.isnan(s["G_eps"][1])
@@ -109,9 +109,9 @@ class TestEnergySuite:
         spec = Spectrum(np.sort(rng.uniform(0.1, 3.0, 3)))
         u = rng.normal(size=(4, 3))
         up = rng.normal(size=(4, 3))
-        a = energy_suite(make_traj(spec, np.arange(4.0), u, up), spec,
+        a = energy_suite(make_traj(spec, np.arange(4.0), u, up),
                          PowerNonlinearity(2.0), 0.7, ks=(0, 1))
-        b = energy_suite(make_traj(spec, np.arange(4.0), -u, -up), spec,
+        b = energy_suite(make_traj(spec, np.arange(4.0), -u, -up),
                          PowerNonlinearity(2.0), 0.7, ks=(0, 1))
         for name in a.channels:
             np.testing.assert_array_equal(a[name], b[name])
@@ -119,7 +119,7 @@ class TestEnergySuite:
     def test_velocity_channel(self):
         spec = Spectrum([1.0, 2.0])
         traj = make_traj(spec, [0.0], [[0.0, 0.0]], [[3.0, 4.0]])
-        s = energy_suite(traj, spec, M_ONE, 0.0, ks=(0,))
+        s = energy_suite(traj, M_ONE, 0.0, ks=(0,))
         assert s["v"][0] == 25.0
 
 
@@ -168,7 +168,7 @@ class TestDissipationIdentities:
         spec = Spectrum([2.5])
         s = IntegratorSettings(grid=OutputGrid("log", 101, 10.0))
         traj = kl.solve_parabolic_reparam(spec, PowerNonlinearity(1.0), P0, [1.0], s)
-        series = energy_suite(traj, spec, PowerNonlinearity(1.0), 0.0, ks=(0,))
+        series = energy_suite(traj, PowerNonlinearity(1.0), 0.0, ks=(0,))
         np.testing.assert_allclose(series["P_par"], 2.5, rtol=1e-12)
 
 
@@ -176,7 +176,7 @@ class TestApriori:
     def test_constant_m_zero_lhs(self):
         spec = Spectrum([1.0])
         traj = make_traj(spec, [0.0, 1.0], [[1.0], [0.5]], [[0.1], [0.2]])
-        m = apriori_margin(traj, spec, M_ONE, P0, 0.5)
+        m = apriori_margin(traj, M_ONE, P0, 0.5)
         np.testing.assert_array_equal(m["lhs_basic"], 0.0)
         np.testing.assert_array_equal(m["b"], 1.0)
 
@@ -188,7 +188,7 @@ class TestApriori:
         up = rng.normal(size=(5, 3))
         traj = make_traj(spec, np.arange(5.0), u, up)
         for gamma in (0.5, 2.0):
-            m = apriori_margin(traj, spec, PowerNonlinearity(gamma), P0, 0.01)
+            m = apriori_margin(traj, PowerNonlinearity(gamma), P0, 0.01)
             np.testing.assert_allclose(m["lhs_basic"], gamma * m["lhs_basic_plus"], rtol=1e-12)
 
     def test_reference_run_inside_regime(self):
@@ -198,11 +198,11 @@ class TestApriori:
         eps = 1e-3
         s = IntegratorSettings(grid=OutputGrid("log", 401, 50.0))
         traj = kl.solve_hyperbolic(spec, nl, dis, eps, [1.0], [0.0], s)
-        margins = apriori_margin(traj, spec, nl, dis, eps)
+        margins = apriori_margin(traj, nl, dis, eps)
         assert apriori_satisfied(margins, eps)
 
     def test_degenerate_samples_are_nan(self):
         spec = Spectrum([1.0])
         traj = make_traj(spec, [0.0], [[0.0]], [[1.0]])
-        m = apriori_margin(traj, spec, PowerNonlinearity(0.5), P0, 0.1)
+        m = apriori_margin(traj, PowerNonlinearity(0.5), P0, 0.1)
         assert math.isnan(m["lhs_basic"][0]) and math.isnan(m["lhs_basic_plus"][0])

@@ -245,6 +245,20 @@ class TestLoadConfig:
         assert plan.settings.rel_tol == 1e-10
         assert plan.spectrum.size == 2
 
+    def test_coercive_flag(self):
+        # Coercive iff the smallest eigenvalue is positive, unless
+        # analysis.coercive says otherwise; a grid plan has no spectrum.
+        def flag(values, **analysis):
+            cfg = simulate_config(kind="verify", spectrum={"kind": "explicit", "values": values},
+                                  **({"analysis": analysis} if analysis else {}))
+            return load_config(json.dumps(cfg)).coercive_flag()
+
+        assert flag([0.0, 1.0]) is False and flag([0.5, 1.0]) is True
+        assert flag([0.0, 1.0], coercive=True) is True
+        assert flag([0.5, 1.0], coercive=False) is False
+        grid = {"kind": "regime_grid", "grid_gammas": [2.0], "grid_ps": [0.9]}
+        assert load_config(json.dumps(grid)).coercive_flag() is False
+
     def test_sweep_valid(self):
         cfg = simulate_config(kind="sweep_eps", eps_list=[1e-2, 1e-3, 1e-4, 1e-5])
         del cfg["eps"]

@@ -14,6 +14,7 @@ from kirchlab import (
     BLEW_UP,
     COMPLETED,
     STEP_UNDERFLOW,
+    ConstantDissipation,
     IntegratorSettings,
     LipschitzTable,
     OutputGrid,
@@ -397,17 +398,18 @@ class TestParabolicDirect:
 
 class TestCorrector:
     def test_constant_b_closed_form(self):
-        # eps=0.1, w0=(1): theta = 0.1(1-e^{-10t}), theta' = e^{-10t}.
+        # b == delta, eps=0.1, w0=(1): theta' = e^{-delta t/eps} and
+        # theta = (eps/delta)(1-e^{-delta t/eps}).
         times = np.linspace(0.0, 2.0, 21)
-        corr = corrector(
-            Spectrum([1.0]), PowerNonlinearity(1.0), P0, 0.1, [0.0], [1.0], times
-        )
-        np.testing.assert_allclose(
-            corr.theta[:, 0], 0.1 * (1.0 - np.exp(-10.0 * times)), rtol=1e-12, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            corr.theta_prime[:, 0], np.exp(-10.0 * times), rtol=1e-12, atol=1e-300
-        )
+        for dis, delta in ((P0, 1.0), (ConstantDissipation(2.5), 2.5)):
+            corr = corrector(
+                Spectrum([1.0]), PowerNonlinearity(1.0), dis, 0.1, [0.0], [1.0], times
+            )
+            decay = np.exp(-delta * times / 0.1)
+            np.testing.assert_allclose(
+                corr.theta[:, 0], (0.1 / delta) * (1.0 - decay), rtol=1e-12, atol=1e-15
+            )
+            np.testing.assert_allclose(corr.theta_prime[:, 0], decay, rtol=1e-12, atol=1e-300)
 
     def test_zero_velocity_jump(self):
         times = np.linspace(0.0, 1.0, 5)
@@ -481,26 +483,26 @@ class TestResidual:
             np.zeros((3, 1)),
             COMPLETED,
         )
-        assert residual_norm(traj, Spectrum([1.0]), PowerNonlinearity(1.0), P0, 1.0) == 0.0
+        assert residual_norm(traj, PowerNonlinearity(1.0), P0, 1.0) == 0.0
 
     def test_oscillator_self_consistency(self):
         traj = solve_hyperbolic(
             Spectrum([1.0]), M_ONE, P0, 1.0, [1.0], [0.0], settings("log", 801, 20.0)
         )
-        assert residual_norm(traj, Spectrum([1.0]), M_ONE, P0, 1.0) <= 1e-4
+        assert residual_norm(traj, M_ONE, P0, 1.0) <= 1e-4
 
     def test_detects_corruption(self):
         traj = solve_hyperbolic(
             Spectrum([1.0]), M_ONE, P0, 1.0, [1.0], [0.0], settings("log", 801, 20.0)
         )
         traj.u[len(traj.times) // 2, 0] += 0.1
-        assert residual_norm(traj, Spectrum([1.0]), M_ONE, P0, 1.0) > 1e-2
+        assert residual_norm(traj, M_ONE, P0, 1.0) > 1e-2
 
     def test_parabolic_residual(self):
         traj = solve_parabolic_reparam(
             Spectrum([1.0]), PowerNonlinearity(1.0), P0, [1.0], settings("log", 801, 100.0)
         )
-        assert residual_norm(traj, Spectrum([1.0]), PowerNonlinearity(1.0), P0, 0.0) <= 1e-4
+        assert residual_norm(traj, PowerNonlinearity(1.0), P0, 0.0) <= 1e-4
 
     def test_too_few_samples(self):
         traj = kl.Trajectory(
@@ -508,7 +510,7 @@ class TestResidual:
             COMPLETED,
         )
         with pytest.raises(ValueError):
-            residual_norm(traj, Spectrum([1.0]), PowerNonlinearity(1.0), P0, 1.0)
+            residual_norm(traj, PowerNonlinearity(1.0), P0, 1.0)
 
 
 def force_stepper(monkeypatch, method):
@@ -1339,5 +1341,5 @@ class TestPlainModalSums:
     def test_energy_suite(self):
         spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
         traj = solve_hyperbolic(spec, nl, dis, 1e-2, u0, u1, settings(count=21, t_end=0.5))
-        series = kl.energy_suite(traj, spec, nl, 1e-2)
+        series = kl.energy_suite(traj, nl, 1e-2)
         assert np.all(np.isfinite(series["P_eps"]))

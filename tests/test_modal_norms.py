@@ -142,7 +142,7 @@ CASES = [(n, kind) for n in (1, 8, 512) for kind in KINDS]
 @pytest.mark.parametrize("eps", [0.3, 0.0])
 def test_energy_suite_matches_reference(n, kind, eps):
     traj, spec, nl = random_case(n, kind)
-    got = energy_suite(traj, spec, nl, eps, KS)
+    got = energy_suite(traj, nl, eps, KS)
     ref = ref_energy_suite(traj, spec.eigenvalues, nl, eps, KS)
     assert list(got.channels) == list(ref)
     assert np.isnan(ref["P_par"][3])
@@ -155,7 +155,7 @@ def test_energy_suite_matches_reference(n, kind, eps):
 @pytest.mark.parametrize("n,kind", CASES)
 def test_apriori_margin_matches_reference(n, kind):
     traj, spec, nl = random_case(n, kind)
-    got = apriori_margin(traj, spec, nl, DIS, 0.3)
+    got = apriori_margin(traj, nl, DIS, 0.3)
     basic, plus, rhs = ref_apriori(traj, spec.eigenvalues, nl, DIS, 0.3)
     assert np.isnan(basic[3]) and np.isnan(plus[3])
     np.testing.assert_allclose(got["lhs_basic"], basic, rtol=RTOL, atol=0.0)
@@ -167,7 +167,7 @@ def test_apriori_margin_matches_reference(n, kind):
 def test_hamiltonian_floor_matches_reference(n, kind):
     traj, spec, nl = random_case(n, kind)
     eps = 0.3
-    got = hamiltonian_floor(energy_suite(traj, spec, nl, eps), DIS, eps)
+    got = hamiltonian_floor(energy_suite(traj, nl, eps), DIS, eps)
     H = ref_hamiltonian(traj, spec.eigenvalues, nl, eps)
     floor = H[0] * np.exp([-2.0 * DIS.primitive(t) / eps for t in traj.times])
     np.testing.assert_allclose(got["H"], H, rtol=RTOL, atol=0.0)
@@ -180,6 +180,6 @@ def test_hamiltonian_floor_matches_reference(n, kind):
 @pytest.mark.parametrize("eps", [0.3, 0.0])
 def test_residual_norm_matches_reference(n, kind, eps):
     traj, spec, nl = random_case(n, kind)
-    got = residual_norm(traj, spec, nl, DIS, eps)
+    got = residual_norm(traj, nl, DIS, eps)
     ref = ref_residual(traj, spec.eigenvalues, nl, DIS, eps)
     assert got == pytest.approx(ref, rel=RTOL, abs=0.0)

@@ -13,10 +13,9 @@ from kirchlab import (
     Spectrum,
     classify_regime,
     compute_w0,
-    dissipation_from_config,
-    nonlinearity_from_config,
     p_gamma,
 )
+from kirchlab.harness import _model_section
 
 
 class TestNonlinearity:
@@ -288,20 +287,18 @@ class TestCorrectorVelocity:
 
 
 def test_config_parsers():
-    nl = nonlinearity_from_config({"kind": "power", "gamma": 2.0})
+    nl = _model_section("m", {"kind": "power", "gamma": 2.0})
     assert isinstance(nl, PowerNonlinearity) and nl.gamma == 2.0
-    tab = nonlinearity_from_config(
-        {"kind": "table", "points": [[0.0, 1.0], [1.0, 2.0]], "mu": 1.0}
-    )
+    tab = _model_section("m", {"kind": "table", "points": [[0.0, 1.0], [1.0, 2.0]], "mu": 1.0})
     assert isinstance(tab, LipschitzTable) and tab.mu == 1.0
-    dis = dissipation_from_config({"kind": "power", "p": 0.5})
+    dis = _model_section("b", {"kind": "power", "p": 0.5})
     assert isinstance(dis, PowerLawDissipation) and dis.p == 0.5
-    con = dissipation_from_config({"kind": "constant", "delta": 2.0})
+    con = _model_section("b", {"kind": "constant", "delta": 2.0})
     assert isinstance(con, ConstantDissipation) and con.delta == 2.0
     with pytest.raises(ConfigurationError, match="gamma"):
-        nonlinearity_from_config({"kind": "power"})
+        _model_section("m", {"kind": "power"})
     with pytest.raises(ConfigurationError):
-        dissipation_from_config({"kind": "power", "p": 0.5, "q": 1})
+        _model_section("b", {"kind": "power", "p": 0.5, "q": 1})
 
 
 def test_table_mu_defaults_to_min_and_rejects_negative():
@@ -326,7 +323,7 @@ def test_table_mu_defaults_to_min_and_rejects_negative():
 )
 def test_nonlinearity_config_bad_values_named(cfg, field):
     with pytest.raises(ConfigurationError, match=field):
-        nonlinearity_from_config(cfg)
+        _model_section("m", cfg)
 
 
 @pytest.mark.parametrize(
@@ -335,4 +332,4 @@ def test_nonlinearity_config_bad_values_named(cfg, field):
 )
 def test_dissipation_config_bad_values_named(cfg, field):
     with pytest.raises(ConfigurationError, match=field):
-        dissipation_from_config(cfg)
+        _model_section("b", cfg)

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kirchlab import (
-    ConfigurationError,
-    Spectrum,
-    apply_A,
-    coercivity,
-    spectrum_from_config,
-)
+from kirchlab import ConfigurationError, Spectrum
+from kirchlab.harness import _model_section
 from kirchlab.spectral import as_modal, modal_sums, sigma_half
 
 from helpers import sobolev_norm_sq
@@ -63,23 +58,9 @@ def test_sigma_half_matches_compensated_sum(n):
     assert abs(sigma_half(lam, u) - exact) <= 1e-13 * exact
 
 
-def test_apply_A_examples():
-    np.testing.assert_array_equal(apply_A(Spectrum([1.0, 4.0]), [1.0, 1.0]), [1.0, 4.0])
-    np.testing.assert_array_equal(apply_A(Spectrum([0.0]), [7.0]), [0.0])
-    np.testing.assert_array_equal(apply_A(Spectrum([2.0]), [3.0]), [6.0])
-
-
-def test_coercivity_examples():
-    assert coercivity(Spectrum([1.0, 2.0, 3.0])) == 1.0
-    assert coercivity(Spectrum([0.0, 1.0])) == 0.0
-    assert coercivity(Spectrum([0.25, 100.0])) == 0.25
-
-
 def test_length_mismatch_rejected():
     with pytest.raises(ConfigurationError, match="length"):
         sobolev_norm_sq(Spectrum([1.0, 2.0]), [1.0], 0.5)
-    with pytest.raises(ConfigurationError):
-        apply_A(Spectrum([1.0]), [1.0, 2.0])
 
 
 @pytest.mark.parametrize("x", [[[1.0], [0.5]], ["a", 1.0], [1.0, None], [1.0, [2.0]], 3.0])
@@ -128,17 +109,9 @@ def test_interpolation_inequality(sv):
 
 
 @given(spectrum_and_vector())
-def test_apply_A_norm_identity(sv):
-    spec, x = sv
-    lhs = sobolev_norm_sq(spec, apply_A(spec, x), 0.0)
-    rhs = sobolev_norm_sq(spec, x, 1.0)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
-
-
-@given(spectrum_and_vector())
 def test_coercive_lower_bound(sv):
     spec, x = sv
-    nu = coercivity(spec)
+    nu = spec.eigenvalues[0]
     if nu > 0.0:
         half = sobolev_norm_sq(spec, x, 0.5)
         full = sobolev_norm_sq(spec, x, 0.0)
@@ -146,29 +119,29 @@ def test_coercive_lower_bound(sv):
 
 
 def test_config_explicit():
-    spec = spectrum_from_config({"kind": "explicit", "values": [1, 2, 3]})
+    spec = _model_section("spectrum", {"kind": "explicit", "values": [1, 2, 3]}, lengths={})
     np.testing.assert_array_equal(spec.eigenvalues, [1.0, 2.0, 3.0])
 
 
 def test_config_power_rule():
-    spec = spectrum_from_config({"kind": "power", "a": 2.0, "q": 2.0, "n": 3})
+    spec = _model_section("spectrum", {"kind": "power", "a": 2.0, "q": 2.0, "n": 3}, lengths={})
     np.testing.assert_allclose(spec.eigenvalues, [2.0, 8.0, 18.0])
 
 
 def test_config_power_rule_q_negative_ascending():
-    spec = spectrum_from_config({"kind": "power", "a": 1, "q": -2, "n": 4})
+    spec = _model_section("spectrum", {"kind": "power", "a": 1, "q": -2, "n": 4}, lengths={})
     np.testing.assert_array_equal(spec.eigenvalues, [4**-2, 3**-2, 2**-2, 1])
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 2.0])
 def test_config_power_rule_q_nonnegative_unchanged(q):
-    spec = spectrum_from_config({"kind": "power", "a": 0.7, "q": q, "n": 50})
+    spec = _model_section("spectrum", {"kind": "power", "a": 0.7, "q": q, "n": 50}, lengths={})
     np.testing.assert_array_equal(spec.eigenvalues, 0.7 * np.arange(1, 51, dtype=float) ** q)
 
 
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigurationError, match="extra"):
-        spectrum_from_config({"kind": "explicit", "values": [1], "extra": 1})
+        _model_section("spectrum", {"kind": "explicit", "values": [1], "extra": 1}, lengths={})
 
 
 @pytest.mark.parametrize(
@@ -183,4 +156,4 @@ def test_config_unknown_key_rejected():
 )
 def test_config_bad_values_named(cfg, field):
     with pytest.raises(ConfigurationError, match=field):
-        spectrum_from_config(cfg)
+        _model_section("spectrum", cfg, lengths={})
