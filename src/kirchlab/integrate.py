@@ -1,19 +1,22 @@
 """Time integration for the second-order problem, its first-order limit,
 and the boundary-layer corrector.
 
-Every solve steps a scipy integrator through one loop, ``_integrate``,
-and identical inputs give bit-identical outputs. Steps follow the
-integrator's own control and are not clamped to the output grid: each
-output time inside an accepted step is read from that step's dense
-output, and an output time that is also a step end takes the state
-itself. Every run reports which stepper it used and how much work it
-took (``SolverStats``).
+Every solve steps one of two integrators through one loop,
+``_integrate``, and identical inputs give bit-identical outputs. Steps
+follow the integrator's own control and are not clamped to the output
+grid: each output time inside an accepted step is read from that
+step's dense output, and an output time that is also a step end takes
+the state itself. Every run reports which stepper it used and how much
+work it took (``SolverStats``).
 
-- scipy's RK45, the Dormand-Prince 5(4) pair (Hairer-Norsett-Wanner,
-  Solving ODEs I, II.4; samples are its quartic interpolants), for the
-  reparametrized clock and for every N-dimensional run that is not
-  stiff. Second-order steps are capped at a fixed fraction of the
-  fastest oscillation period of the current state.
+- kirchlab's own DP5 stepper, ``_DormandPrince``: the Dormand-Prince
+  5(4) pair (Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.5; samples
+  are its quartic interpolants) with scipy's RK45 step control, bit for
+  bit, but without scipy's per-step wrappers. It runs the
+  reparametrized clock and every N-dimensional run that is not stiff,
+  and counts its rejected steps. Second-order steps are capped at a
+  fixed fraction of the fastest oscillation period of the current
+  state.
 - scipy's Radau IIA of order 5 (Hairer-Wanner, Solving ODEs II, IV.8)
   with an analytic Jacobian, for the runs whose explicit steps would be
   stability-bound: overdamped second-order runs at small eps, and
@@ -115,10 +118,12 @@ class OutputGrid:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and guards for both steppers.
+    """Tolerances and guards for both steppers, kirchlab's DP5 and
+    scipy's Radau.
 
     rel_tol must be at least 100 machine epsilons, the floor below which
-    scipy's steppers would silently raise it. max_step_factor applies to
+    scipy's Radau and RK45 (whose step control DP5 repeats) would
+    silently raise it. max_step_factor applies to
     second-order DP5 runs only: it caps their steps at
     c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of the
     fastest oscillation period; m is the stiffness coefficient
@@ -146,18 +151,20 @@ class IntegratorSettings:
 class SolverStats:
     """Work done by one run of a stepper.
 
-    ``method`` is ``"dp5"`` or ``"radau"``. Both count right-hand side
-    evaluations and accepted steps. DP5 also counts rejected steps and
-    files each accepted step under the bound that set its size, the
-    step cap or the error control, so ``accepted == cap_limited +
-    error_limited``. Radau counts its Jacobian evaluations and, in
+    ``method`` is ``"dp5"`` (kirchlab's own stepper, ``_DormandPrince``)
+    or ``"radau"`` (scipy's). Both count right-hand side evaluations and
+    accepted steps. DP5 also counts its rejected attempts as it makes
+    them and files each accepted step under the bound that set its size,
+    the step cap or the error control, so ``accepted == cap_limited +
+    error_limited`` and ``rhs_evals == 2 + 6 * (accepted + rejected)``.
+    Radau counts its Jacobian evaluations and, in
     ``lu_decompositions``, the factorisations of its Newton matrices.
     These are closed-form solves set up from the scalar c = MU/h
     (``_closed_form_radau``), not LU, and the Jacobian is only recorded
     in parts, never formed. Both are counted where scipy counts them,
     so the counts equal those of a run with the true Jacobian and dense
     LU.
-    scipy's stepper does not report rejected steps, so the three DP5
+    scipy's Radau does not report rejected steps, so the three DP5
     step counts are ``None`` there, and DP5 evaluates no Jacobian.
     ``members`` is the number of eps values the run integrated side by
     side: 1 for a lone run, k for a shared Radau run of a sweep
@@ -215,15 +222,117 @@ def _row_dot(a, b):
     return np.add.reduce(a * b, axis=1, keepdims=True)
 
 
-def _integrate(solver, out_times, blowup_threshold=None, step_cap=None, members=1):
-    """Step a scipy ``OdeSolver`` through every time in ``out_times``.
+class _DormandPrince:
+    """Dormand-Prince 5(4) with scipy's RK45 step control (Hairer-Norsett-
+    Wanner, Solving ODEs I, II.4-II.5), without scipy's per-step wrappers.
+
+    It repeats RK45's arithmetic operation for operation, so states,
+    dense-output samples and counts are RK45's bit for bit
+    (TestDormandPrince): RK45's tableau, Hairer's initial step as in
+    scipy's ``select_initial_step``, the RMS error norm, safety factor
+    0.9, step factors in [0.2, 10] with exponent -1/5, a smallest step
+    of 10 ulp(t) and the quartic dense output.
+
+    ``step_cap()``, if given, sets ``max_step`` at launch and after each
+    accepted step, right after the FSAL stage (the step's last ``rhs``
+    call), so a cap built from values the right-hand side computes reads
+    them at the accepted state at no extra evaluation. The stepper
+    counts its rejected attempts and, in ``cap_limited``, the accepted
+    steps at least cap * (1 - 1e-12) long (the tolerance absorbs the
+    rounding of t_new - t).
+    """
+
+    # (stage, its row of A, its node) for stages 1..5 of RK45's tableau.
+    _STAGES = tuple(
+        (s, a[:s], c) for s, (a, c) in enumerate(zip(RK45.A[1:], RK45.C[1:]), start=1)
+    )
+
+    def __init__(self, rhs, y0, settings: IntegratorSettings, step_cap=None):
+        self.rhs, self.step_cap = rhs, step_cap
+        self.max_step = math.inf if step_cap is None else step_cap()
+        self.t_end, self.rtol, self.atol = settings.grid.t_end, settings.rel_tol, settings.abs_tol
+        self.t, self.y, self.n = 0.0, y0, y0.size
+        self.t_old = self.y_old = None
+        self.status = "running"  # or "failed", as scipy's solvers say it
+        self.rejected = self.cap_limited = 0
+        self.K = np.empty((RK45.n_stages + 1, y0.size))
+        self._root_n = y0.size ** 0.5
+        self.f = f0 = rhs(0.0, y0)
+        # Hairer's initial step, as scipy's select_initial_step.
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = self._norm(y0 / scale), self._norm(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, self.t_end)
+        d2 = self._norm((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        self.h_abs = min(100 * h0, h1, self.t_end)
+        self.nfev = 2
+
+    def _norm(self, x):
+        # RMS norm as scipy's: np.linalg.norm takes the same square root of
+        # x.dot(x). It stays a numpy float, so an infinite norm divides as
+        # in scipy (0.0 / 0.0 is NaN with a warning, not ZeroDivisionError).
+        return np.sqrt(x.dot(x)) / self._root_n
+
+    def step(self):
+        """One accepted step, or ``status = "failed"`` once the step
+        would fall below 10 ulp(t)."""
+        t, y, K, cap, rhs = self.t, self.y, self.K, self.max_step, self.rhs
+        min_step = 10 * math.ulp(t)
+        h_abs = cap if self.h_abs > cap else max(self.h_abs, min_step)
+        rejected = 0
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = min(t + h_abs, self.t_end)
+            h = t_new - t
+            K[0] = self.f
+            for s, a, c in self._STAGES:
+                K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, RK45.B)
+            K[-1] = f_new = rhs(t + h, y_new)
+            self.nfev += 6
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._norm(np.dot(K.T, RK45.E) * h / scale)
+            if error_norm < 1:
+                break
+            h_abs = h * max(0.2, 0.9 * error_norm ** -0.2)
+            rejected += 1
+        factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+        self.h_abs = h * (min(1, factor) if rejected else factor)
+        self.rejected += rejected
+        if h >= cap * (1.0 - 1e-12):
+            self.cap_limited += 1
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        if self.step_cap is not None:
+            self.max_step = self.step_cap()
+
+    def dense_output(self):
+        """RK45's quartic interpolant on the last accepted step, as a
+        function of an array of times."""
+        t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
+        Q = self.K.T.dot(RK45.P)
+
+        def interpolant(times):
+            x = np.cumprod(np.tile((times - t_old) / h, (Q.shape[1], 1)), axis=0)
+            y = h * np.dot(Q, x)
+            y += y_old[:, None]
+            return y
+
+        return interpolant
+
+
+def _integrate(solver, out_times, blowup_threshold=None, members=1):
+    """Step a ``_DormandPrince`` or a scipy ``Radau`` through every time
+    in ``out_times``.
 
     Output times inside an accepted step are read from the step's dense
-    output; one that is the step end takes the state. ``step_cap()``, if
-    given, becomes the solver's ``max_step`` after each accepted step.
-    RK45's last ``rhs`` call in a step is the FSAL stage at the accepted
-    state, so a cap built from values the right-hand side already
-    computes costs no extra evaluation.
+    output; one that is the step end takes the state.
 
     Returns (times, samples, status, t_stop, stats). Blow-up (squared
     state norm above the threshold) and a solver failure end the run
@@ -236,23 +345,19 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None, members=
     samples[0] = solver.y
     status = COMPLETED
     t_stop = None
-    accepted = cap_limited = 0
+    accepted = 0
     i_out = 1
     if math.isnan(solver.h_abs):
-        # scipy takes a NaN first step from a non-finite launch derivative
-        # and would retry it forever.
+        # Both steppers take a NaN first step from a non-finite launch
+        # derivative and would retry it forever.
         status, t_stop = STEP_UNDERFLOW, solver.t
     while status == COMPLETED and i_out < out_times.size:
-        cap = solver.max_step
         solver.step()
         if solver.status == "failed":
             status, t_stop = STEP_UNDERFLOW, solver.t
             break
         accepted += 1
         t, y = solver.t, solver.y
-        # The tolerance absorbs the rounding of t_new - t.
-        if t - solver.t_old >= cap * (1.0 - 1e-12):
-            cap_limited += 1
         if blowup_threshold is not None:
             if members == 1:
                 norm_sq = float(y @ y)
@@ -262,12 +367,8 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None, members=
             if norm_sq > blowup_threshold:
                 status, t_stop = BLEW_UP, t
                 break
-        if step_cap is not None:
-            # An undocumented attribute that scipy's RungeKutta reads on
-            # every step; TestStepCap fails if that ever stops.
-            solver.max_step = step_cap()
-        j = int(np.searchsorted(out_times, t, side="right"))
-        if j > i_out:
+        if t >= out_times[i_out]:  # most steps reach no output time
+            j = int(np.searchsorted(out_times, t, side="right"))
             samples[i_out:j] = solver.dense_output()(out_times[i_out:j]).T
             if out_times[j - 1] == t:
                 samples[j - 1] = y
@@ -284,11 +385,9 @@ def _integrate(solver, out_times, blowup_threshold=None, step_cap=None, members=
             members,
         )
     else:
-        # RK45 reuses the last stage (FSAL): one launch evaluation, one
-        # initial-step probe, six per attempted step.
-        rejected = (solver.nfev - 2) // 6 - accepted
         stats = SolverStats(
-            "dp5", solver.nfev, accepted, rejected, cap_limited, accepted - cap_limited
+            "dp5", solver.nfev, accepted, solver.rejected, solver.cap_limited,
+            accepted - solver.cap_limited,
         )
     return times, samples, status, t_stop, stats
 
@@ -479,14 +578,18 @@ def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Rada
     )
 
 
-def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray) -> float:
-    """m(|A^(1/2)u0|^2), with a warning where it vanishes."""
+_DEGENERATE = "initial stiffness coefficient vanishes"
+
+
+def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray, stacklevel) -> float:
+    """m(|A^(1/2)u0|^2), with a warning where it vanishes. ``stacklevel``
+    counts the frames up to the public solver's caller, whose line the
+    warning names."""
     m0 = nl.value(sigma_half(lam, u0))
     if m0 == 0.0:
         warnings.warn(
-            "initial stiffness coefficient vanishes (really degenerate data); "
-            "no existence theory applies",
-            stacklevel=3,
+            f"{_DEGENERATE} (really degenerate data); no existence theory applies",
+            stacklevel=stacklevel,
         )
     return m0
 
@@ -503,9 +606,9 @@ def solve_hyperbolic(
     """Integrate eps u'' + b(t) u' + m(|A^(1/2)u|^2) A u = 0.
 
     The state is the first-order pair (u, u'). Stiff runs (see
-    ``_stepper``) use Radau IIA, all others RK45 (DP5). Blow-up
-    (squared state norm above the threshold) and step underflow are
-    reported through the trajectory status, not raised. Coefficients
+    ``_stepper``) use Radau IIA, all others DP5 (``_DormandPrince``).
+    Blow-up (squared state norm above the threshold) and step underflow
+    are reported through the trajectory status, not raised. Coefficients
     whose initial data vanish stay exactly zero: the right-hand side is
     diagonal, and the Radau Jacobian couples such a mode to no other.
     """
@@ -516,20 +619,17 @@ def solve_hyperbolic(
     lam = spec.eigenvalues
     n = spec.size
 
-    m_now = _launch_stiffness(nl, lam, u0v)
+    m_now = _launch_stiffness(nl, lam, u0v, stacklevel=3)
 
     def rhs(t, y):
         nonlocal m_now
         u = y[:n]
         w = y[n:]
         m_now = nl.value(sigma_half(lam, u))
-        out = np.empty(2 * n)
-        out[:n] = w
-        out[n:] = -(dis.b(t) * w + m_now * (lam * u)) / eps
-        return out
+        return np.concatenate((w, (dis.b(t) * w + m_now * (lam * u)) / -eps))
 
-    # m_now is m at the state of the latest rhs call; _integrate reads the
-    # cap right after the FSAL stage, i.e. at the newly accepted state.
+    # m_now is m at the state of the latest rhs call: at launch, the launch
+    # state, and after each accepted step, the new state (_DormandPrince).
     factor, lam_max = settings.max_step_factor, spec.lambda_max
 
     def step_cap():
@@ -538,17 +638,11 @@ def solve_hyperbolic(
     y0 = np.concatenate([u0v, u1v])
     t_end = settings.grid.t_end
     if _stepper(eps, lam_max, m_now, dis, t_end) == "radau":
-        solver, cap = _second_order_radau(rhs, y0, nl, lam, dis, eps, settings), None
+        solver = _second_order_radau(rhs, y0, nl, lam, dis, eps, settings)
     else:
-        # The cap at the launch state: RK45's set-up moves m_now off it.
-        # Assigned, not passed, because scipy rejects the 0.0 that an
-        # overflowing m gives; that run then fails its first step.
-        launch_cap = step_cap()
-        solver = RK45(rhs, 0.0, y0, t_end, rtol=settings.rel_tol, atol=settings.abs_tol)
-        cap = step_cap
-        solver.max_step = launch_cap
+        solver = _DormandPrince(rhs, y0, settings, step_cap)
     times, samples, status, t_stop, stats = _integrate(
-        solver, settings.grid.times(), settings.blowup_threshold, cap
+        solver, settings.grid.times(), settings.blowup_threshold
     )
     return Trajectory(
         spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
@@ -582,7 +676,7 @@ def _sweep_runs(spec, nl, dis, eps_values, u0, settings) -> list:
     not depend on how many workers will take them, so neither do the
     samples.
     """
-    m0 = _launch_stiffness(nl, spec.eigenvalues, as_modal(spec, u0, "u0"))
+    m0 = _launch_stiffness(nl, spec.eigenvalues, as_modal(spec, u0, "u0"), stacklevel=4)
     lam_max, t_end = spec.lambda_max, settings.grid.t_end
     joins = [_overdamped(eps, lam_max, m0, dis, t_end) for eps in eps_values]
     if all(_stepper(eps, lam_max, m0, dis, t_end) == "dp5" for eps in eps_values):
@@ -610,10 +704,12 @@ def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
     A shared run that does not complete (one member blows up by its own
     norm, or the steps underflow) is rerun member by member, so
     statuses, stopping times and samples are then those of lone runs.
+    Lone runs do not repeat the degenerate-data warning, which
+    ``solve_hyperbolic_sweep`` gives once for the whole sweep.
     """
     k = len(eps_values)
     if k == 1:
-        return [solve_hyperbolic(spec, nl, dis, eps_values[0], u0, u1, settings)]
+        return _lone_runs(spec, nl, dis, eps_values, u0, u1, settings)
 
     u0v = as_modal(spec, u0, "u0")
     u1v = as_modal(spec, u1, "u1")
@@ -637,12 +733,20 @@ def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
         solver, settings.grid.times(), settings.blowup_threshold, members=k
     )
     if status != COMPLETED:
-        return [solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings) for eps in eps_values]
+        return _lone_runs(spec, nl, dis, eps_values, u0, u1, settings)
     samples = samples.reshape((times.size,) + shape)
     return [
         Trajectory(spec, times, samples[:, i, 0], samples[:, i, 1], status, stats=stats)
         for i in range(k)
     ]
+
+
+def _lone_runs(spec, nl, dis, eps_values, u0, u1, settings) -> list:
+    """``solve_hyperbolic`` at each eps value, without its degenerate-data
+    warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _DEGENERATE, UserWarning)
+        return [solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings) for eps in eps_values]
 
 
 def solve_hyperbolic_sweep(
@@ -662,7 +766,7 @@ def solve_hyperbolic_sweep(
     overdamped members of a stiff sweep share Radau runs
     (``_shared_run``), every other member is a lone run. The runs go to
     up to ``jobs`` worker processes; the samples do not depend on how
-    many.
+    many. Degenerate data (m vanishing at u0) warn once per sweep.
     """
     eps_values = tuple(eps_values)
     for eps in eps_values:
@@ -711,10 +815,7 @@ def solve_parabolic_reparam(
     def rhs(t, y):
         return np.array([nl.value(sigma_of_alpha(y[0])) / dis.b(t)])
 
-    solver = RK45(
-        rhs, 0.0, np.array([0.0]), settings.grid.t_end,
-        rtol=settings.rel_tol, atol=settings.abs_tol,
-    )
+    solver = _DormandPrince(rhs, np.array([0.0]), settings)
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     alpha = samples[:, 0]
     u = u0v[None, :] * np.exp(-np.outer(alpha, lam))
@@ -736,7 +837,7 @@ def solve_parabolic_direct(
     Cross-validation oracle for the reparametrized solver: same
     adaptive driver, but the full coefficient vector is the state.
     Stiff runs (see ``_direct_stepper``) use Radau IIA with the
-    Jacobian -K, K the stiffness term over b(t); all others RK45 (DP5).
+    Jacobian -K, K the stiffness term over b(t); all others DP5.
     """
     u0v = as_modal(spec, u0, "u0")
     lam = spec.eigenvalues
@@ -746,9 +847,8 @@ def solve_parabolic_direct(
         return -(mval / dis.b(t)) * (lam * y)
 
     t_end = settings.grid.t_end
-    tols = {"rtol": settings.rel_tol, "atol": settings.abs_tol}
     if _direct_stepper(spec.lambda_max, nl.mu, dis, t_end) == "dp5":
-        solver = RK45(rhs, 0.0, u0v, t_end, **tols)
+        solver = _DormandPrince(rhs, u0v, settings)
     else:
         stiff = None  # K at the latest linearisation point
 
@@ -758,7 +858,8 @@ def solve_parabolic_direct(
 
         # The Newton matrix is K + c I.
         solver = _closed_form_radau(
-            rhs, u0v, t_end, linearise, lambda c: stiff.shifted_solver(c), **tols
+            rhs, u0v, t_end, linearise, lambda c: stiff.shifted_solver(c),
+            settings.rel_tol, settings.abs_tol,
         )
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])

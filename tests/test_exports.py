@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -25,11 +26,18 @@ def test_every_exported_name_resolves(name):
 
 
 def _bench_module(name, monkeypatch):
-    """A module of bench/ loaded by path, without writing its bytecode."""
+    """A module of bench/ loaded by path, without writing its bytecode.
+    The bench modules it imports by name leave sys.modules, and its
+    entry leaves sys.path, at teardown."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for added in set(sys.modules) - before:
+        if Path(getattr(sys.modules[added], "__file__", None) or "").parent == BENCH:
+            monkeypatch.setitem(sys.modules, added, sys.modules.pop(added))
     return module
 
 
@@ -45,7 +53,17 @@ def test_bench_finds_what_it_needs(monkeypatch):
         if not hasattr(owner, attr)
     ]
     assert missing == []
+    # Probes go before every call of these; a hook that is gone is
+    # skipped silently, so the probes would thin without a failure.
+    run = _bench_module("run", monkeypatch)
+    gone = [(module, attr) for module, attr in run.probe.HOOKS
+            if not hasattr(getattr(kirchlab, module), attr)]
+    assert gone == []
     for workload in workloads.WORKLOADS:
         for size in workloads.SIZES:
             for text in workloads.make_plans(workload, 0, size):
-                kirchlab.load_config(text)
+                plan = kirchlab.load_config(text)
+                # What --trace 1 reads of every second-order solve.
+                for eps in {"simulate": (plan.eps,), "sweep_eps": plan.eps_list}.get(plan.kind, ()):
+                    steps = run.cap_steps(plan, eps)
+                    assert math.isfinite(steps) and steps > 0.0

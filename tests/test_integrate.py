@@ -150,15 +150,24 @@ class TestHyperbolic:
         assert traj.times[-1] == traj.t_stop
         assert np.all(np.diff(traj.times) > 0.0)
 
-    @pytest.mark.parametrize("solver", ["hyperbolic", "reparam", "direct"])
+    @pytest.mark.parametrize("solver", ["hyperbolic", "hyperbolic-radau", "reparam", "direct"])
     def test_overflowing_m_at_launch_reported(self, solver):
         # m(2) = 2^1e6 overflows: the launch derivative is not finite
         # (inf * 0 on the zero mode), so no step can be taken.
         args = (Spectrum([0.0, 2.0]), PowerNonlinearity(1e6), P0)
         s = settings(count=5, t_end=1.0)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             if solver == "hyperbolic":
                 traj = solve_hyperbolic(*args, 0.1, [0.0, 1.0], [0.0, 0.0], s)
+            elif solver == "hyperbolic-radau":
+                # sigma overflows, so m0 = m(inf) = 0 sends the run to Radau,
+                # and the launch derivative is 0 * inf.
+                nl = LipschitzTable(((0.0, 1.0), (1.0, 0.0)))
+                with pytest.warns(UserWarning, match="vanishes"):
+                    traj = solve_hyperbolic(
+                        Spectrum([1e10]), nl, ConstantDissipation(1.0), 1e-6, [1e300], [0.0], s
+                    )
+                assert traj.stats.method == "radau"
             elif solver == "reparam":
                 traj = solve_parabolic_reparam(*args, [0.0, 1.0], s)
             else:
@@ -281,6 +290,102 @@ class TestStepCap:
                 [hamiltonian(spec, nl.nl, eps, u, up) for u, up in zip(traj.u, traj.uprime)]
             )
             assert np.all(H[1:] <= H[:-1] * (1.0 + 10.0 * s.rel_tol))
+
+
+class TwinStepper(kl.integrate._DormandPrince):
+    """kirchlab's DP5 stepper with scipy's RK45 stepped beside it on the
+    same right-hand side. After every step the two must agree bit for
+    bit: time, state, rhs count, rejected attempts and the dense output
+    at interior times. The cap is handed to RK45 after each step as
+    solve_hyperbolic hands it to its stepper; the right-hand side's
+    last call is then RK45's FSAL stage, at the same state as ours."""
+
+    def __init__(self, rhs, y0, s, step_cap=None):
+        super().__init__(rhs, y0, s, step_cap)
+        self.ref = RK45(rhs, 0.0, y0, s.grid.t_end, rtol=s.rel_tol, atol=s.abs_tol)
+        self.ref.max_step = self.max_step
+        self.steps = 0
+        np.testing.assert_array_equal(self.h_abs, self.ref.h_abs)  # NaN too
+
+    def step(self):
+        super().step()
+        ref = self.ref
+        ref.step()
+        self.steps += 1
+        if self.step_cap is not None:
+            ref.max_step = self.step_cap()
+        assert self.t == ref.t and self.t_old == ref.t_old
+        np.testing.assert_array_equal(self.y, ref.y)
+        assert self.nfev == ref.nfev
+        # RK45 evaluates twice at launch and six times per attempt.
+        assert self.rejected == (ref.nfev - 2) // 6 - self.steps
+        inside = self.t_old + (self.t - self.t_old) * np.array([0.1, 0.5, 0.9])
+        np.testing.assert_array_equal(self.dense_output()(inside), ref.dense_output()(inside))
+
+
+class TestDormandPrince:
+    """``_DormandPrince`` is scipy's RK45, bit for bit, in each of its
+    three uses: the second-order run with its moving cap, the reparam
+    clock and the direct limit run."""
+
+    @pytest.fixture
+    def twin(self, monkeypatch):
+        made = []
+
+        def make(*args):
+            made.append(TwinStepper(*args))
+            return made[-1]
+
+        monkeypatch.setattr(kl.integrate, "_DormandPrince", make)
+        return made
+
+    def check(self, twin, traj):
+        (stepper,) = twin
+        assert traj.status == COMPLETED and stepper.ref.status == "finished"
+        assert traj.stats.accepted == stepper.steps
+        return traj.stats
+
+    def test_hyperbolic_decay_shape(self, twin):
+        # The hyperbolic-decay benchmark shape at eps 1e-1: 1056 steps,
+        # 144 of them set by the cap, one rejected.
+        spec = Spectrum(np.arange(1, 9, dtype=float) ** 2)
+        u0 = 1.0 / np.arange(1, 9) ** 2
+        u1 = 0.5 * np.ones(8) / math.sqrt(8.0)
+        traj = solve_hyperbolic(
+            spec, PowerNonlinearity(1.0), PowerLawDissipation(0.5), 1e-1, u0, u1,
+            settings(count=201),
+        )
+        stats = self.check(twin, traj)
+        assert stats.cap_limited > 0 and stats.error_limited > 0 and stats.rejected > 0
+
+    def test_reparam_clock(self, twin):
+        traj = solve_parabolic_reparam(
+            Spectrum([1.0, 3.0, 7.0]), PowerNonlinearity(1.5), PowerLawDissipation(0.5),
+            [1.0, -0.6, 0.3], settings(count=201),
+        )
+        self.check(twin, traj)
+
+    def test_direct_run(self, twin):
+        # Stability-bound on DP5 (50 t_end = 1500 stays below the Radau
+        # threshold), so steps are rejected all along the run.
+        nl = LipschitzTable(((0.0, 1.0), (1.0, 2.0)))
+        traj = solve_parabolic_direct(
+            Spectrum([1.0, 50.0]), nl, P0, [1.0, 1.0], settings(count=201, t_end=30.0)
+        )
+        assert self.check(twin, traj).rejected > 10
+
+    def test_overflowing_launch_derivative(self, twin):
+        # f0 / scale = -1e163 squares past the float range: the launch
+        # norm is infinite, the first step probe is 0 and the first step
+        # is scipy's smallest, 10 ulp(0); the state then blows up.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            traj = solve_hyperbolic(
+                Spectrum([1.0]), PowerNonlinearity(1.0), ConstantDissipation(1.0), 0.1,
+                [1e50], [0.0], settings(count=5, t_end=1.0),
+            )
+        (stepper,) = twin
+        assert traj.status == BLEW_UP and stepper.steps == traj.stats.accepted == 1
+        assert traj.t_stop == 10 * math.ulp(0.0)
 
 
 class TestParabolicReparam:
@@ -1253,6 +1358,26 @@ class TestSharedRun:
         for traj in got:
             assert traj.status == COMPLETED and traj.stats.members == 2
             assert np.all(traj.u == 0.0) and np.all(traj.uprime == 0.0)
+
+    def test_degenerate_sweep_warns_once_at_the_callers_line(self):
+        # Every member is a lone DP5 run (B/eps at most 1000): the sweep
+        # warns, its lone runs through solve_hyperbolic do not. A lone
+        # solve_hyperbolic call warns at its caller's line too.
+        spec, nl, u0, u1 = Spectrum([1.0, 4.0]), PowerNonlinearity(1.0), [0.0, 0.0], [0.3, -0.2]
+        s = settings(count=11, t_end=1.0)
+        eps_list = (1e-1, 1e-2, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert kl.integrate._sweep_runs(spec, nl, P0, eps_list, u0, s) == [(0,), (1,), (2,)]
+        for solve in (
+            lambda: solve_hyperbolic_sweep(spec, nl, P0, eps_list, u0, u1, s),
+            lambda: solve_hyperbolic(spec, nl, P0, 1e-1, u0, u1, s),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve()
+            assert len(caught) == 1
+            assert "degenerate" in str(caught[0].message) and caught[0].filename == __file__
 
     def test_sweep_rejects_nonpositive_eps(self):
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
