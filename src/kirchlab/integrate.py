@@ -17,22 +17,20 @@ work it took (``SolverStats``).
   and counts its rejected steps. Second-order steps are capped at a
   fixed fraction of the fastest oscillation period of the current
   state.
-- scipy's Radau IIA of order 5 (Hairer-Wanner, Solving ODEs II, IV.8)
-  with an analytic Jacobian, for the runs whose explicit steps would be
-  stability-bound: overdamped second-order runs at small eps, and
-  direct first-order runs whose decay rate lambda m / b outgrows the
-  horizon. Samples are collocation interpolants. Both Jacobians are a
-  diagonal part plus one rank-one term, so each Newton system is
-  solved in closed form, by block elimination and Sherman-Morrison
-  (Golub-Van Loan, Matrix Computations, 2.1): O(N) operations per
-  factorisation and per solve, in place of scipy's dense LU. No
-  matrix is formed: ``jac`` records the Jacobian's diagonal and rank-one
-  parts (``_StiffnessTerm``), and scipy, which uses J and I only to
-  form the Newton matrix MU/h I - J, gets I = 1 and J = 0, so the hooks
-  receive the scalar c = MU/h and solve with the recorded parts
-  (``_closed_form_radau``). Work and memory are O(N) per step at any
-  N; TestNewtonHooks fails if a Newton matrix ever reaches scipy's own
-  LU or is not a scalar.
+- kirchlab's own Radau IIA stepper of order 5, ``_RadauIIA``
+  (Hairer-Wanner, Solving ODEs II, IV.8; samples are its collocation
+  cubics) with scipy's Radau step control, bit for bit, but without
+  scipy's per-step wrappers, and with an analytic Jacobian. It runs the
+  runs whose explicit steps would be stability-bound: overdamped
+  second-order runs at small eps, and direct first-order runs whose
+  decay rate lambda m / b outgrows the horizon, and counts its rejected
+  steps. Both Jacobians are a diagonal part plus one rank-one term, so
+  each Newton system is solved in closed form, by block elimination
+  and Sherman-Morrison (Golub-Van Loan, Matrix Computations, 2.1): O(N)
+  operations per factorisation and per solve, in place of a dense LU.
+  No matrix is formed: the Jacobian is kept as its diagonal and
+  rank-one parts (``_StiffnessTerm``), so work and memory are O(N) per
+  step at any N.
 
 An eps sweep is one call, ``solve_hyperbolic_sweep``. The overdamped
 members of a stiff sweep share one Radau run (``_sweep_runs``,
@@ -42,7 +40,9 @@ shared run go through the same code (``_integrate``,
 ``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its
 own branch: a flat modal vector and ``y @ y``. Row sums over a member
 axis add in another order and cost an extra numpy call, and the branch
-keeps every lone run bit-identical to a run without that axis.
+keeps every lone run bit-identical to a run without that axis. A shared
+run evaluates the three collocation stages of a Newton iteration in one
+call, row by row; a lone run evaluates them one by one, on floats.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, Radau, quad
-from scipy.sparse import csc_matrix
+from scipy.integrate import RK45, quad
 
 from .model import Dissipation, Nonlinearity, compute_w0
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums, sigma_half
@@ -82,7 +81,8 @@ COMPLETED = "completed"
 BLEW_UP = "blew_up"
 STEP_UNDERFLOW = "step_underflow"
 
-_MIN_REL_TOL = 100.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_MIN_REL_TOL = 100.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,11 @@ class OutputGrid:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and guards for both steppers, kirchlab's DP5 and
-    scipy's Radau.
+    """Tolerances and guards for both steppers, DP5 and Radau.
 
     rel_tol must be at least 100 machine epsilons, the floor below which
-    scipy's Radau and RK45 (whose step control DP5 repeats) would
-    silently raise it. max_step_factor applies to
+    scipy's RK45 and Radau, whose step controls DP5 and Radau repeat,
+    would silently raise it. max_step_factor applies to
     second-order DP5 runs only: it caps their steps at
     c * sqrt(eps / (lambda_max * m + eps)), a fixed fraction of the
     fastest oscillation period; m is the stiffness coefficient
@@ -151,21 +150,21 @@ class IntegratorSettings:
 class SolverStats:
     """Work done by one run of a stepper.
 
-    ``method`` is ``"dp5"`` (kirchlab's own stepper, ``_DormandPrince``)
-    or ``"radau"`` (scipy's). Both count right-hand side evaluations and
-    accepted steps. DP5 also counts its rejected attempts as it makes
-    them and files each accepted step under the bound that set its size,
-    the step cap or the error control, so ``accepted == cap_limited +
-    error_limited`` and ``rhs_evals == 2 + 6 * (accepted + rejected)``.
-    Radau counts its Jacobian evaluations and, in
-    ``lu_decompositions``, the factorisations of its Newton matrices.
-    These are closed-form solves set up from the scalar c = MU/h
-    (``_closed_form_radau``), not LU, and the Jacobian is only recorded
-    in parts, never formed. Both are counted where scipy counts them,
-    so the counts equal those of a run with the true Jacobian and dense
-    LU.
-    scipy's Radau does not report rejected steps, so the three DP5
-    step counts are ``None`` there, and DP5 evaluates no Jacobian.
+    ``method`` is ``"dp5"`` (``_DormandPrince``) or ``"radau"``
+    (``_RadauIIA``), both kirchlab's own steppers. Both count right-hand
+    side evaluations, accepted steps and rejected attempts. DP5 also
+    files each accepted step under the bound that set its size, the step
+    cap or the error control, so ``accepted == cap_limited +
+    error_limited`` and ``rhs_evals == 2 + 6 * (accepted + rejected)``;
+    Radau's steps are not capped, and these two counts are ``None``
+    there. Radau rejects a step that fails the error test or whose
+    Newton iteration does not converge with a fresh Jacobian (the step
+    is halved). It counts its Jacobian evaluations and, in
+    ``lu_decompositions``, the factorisations of its Newton matrices
+    c I - J, c = MU/h: closed-form solves, not LU, of a Jacobian kept in
+    parts, counted where scipy's Radau counts its Jacobians and LU
+    factorisations, so the counts equal those of a run with the true
+    Jacobian and dense LU. DP5 evaluates no Jacobian.
     ``members`` is the number of eps values the run integrated side by
     side: 1 for a lone run, k for a shared Radau run of a sweep
     (``solve_hyperbolic_sweep``), whose counts are those of the whole
@@ -242,6 +241,7 @@ class _DormandPrince:
     rounding of t_new - t).
     """
 
+    method = "dp5"
     # (stage, its row of A, its node) for stages 1..5 of RK45's tableau.
     _STAGES = tuple(
         (s, a[:s], c) for s, (a, c) in enumerate(zip(RK45.A[1:], RK45.C[1:]), start=1)
@@ -327,8 +327,248 @@ class _DormandPrince:
         return interpolant
 
 
+class _RadauIIA:
+    """Radau IIA of order 5 with scipy's Radau step control (Hairer-Wanner,
+    Solving ODEs II, IV.8), without scipy's per-step wrappers and with
+    closed-form Newton solves.
+
+    It repeats scipy 1.17.1's ``Radau`` operation for operation, so
+    states, dense-output samples and counts are scipy's bit for bit
+    (TestRadauIIA): the tableau and its eigen-transformation as scipy's
+    source writes them, Hairer's initial step for an order-3 error
+    estimate, ``newton_tol``, the simplified Newton iteration of the
+    collocation system (at most 6 iterations, stopped by the rate
+    test), the embedded error estimate with its extra evaluation after a
+    rejection, the step factors of ``_predict_factor``, the Jacobian
+    refresh rules and the cubic collocation interpolant, which also
+    starts the Newton iteration of the next step.
+
+    ``newton(t, y)`` linearises the right-hand side at (t, y) and returns
+    ``factor(c)``, the solver of (c I - J) x = r for c = MU/h real or
+    complex; ``njev`` and ``nlu`` count the calls of the two, where
+    scipy counts its Jacobians and LU factorisations. ``stages(times,
+    Y)``, if given, evaluates the right-hand side at the three
+    collocation stages in one call, row i of the (3, n) array Y at
+    times[i]; each stage counts as one evaluation. The stepper counts
+    its rejected attempts: steps that fail the error test and steps
+    halved because Newton did not converge with a fresh Jacobian.
+    """
+
+    method = "radau"
+    S6 = 6 ** 0.5
+    C = np.array([(4 - S6) / 10, (4 + S6) / 10, 1])
+    E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
+    MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+    MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+                  - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+    T = np.array([
+        [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+        [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+        [1, 1, 0]])
+    TI = np.array([
+        [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+        [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+        [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+    TI_REAL = TI[0]
+    TI_COMPLEX = TI[1] + 1j * TI[2]
+    P = np.array([
+        [13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6],
+        [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
+        [1/3, -8/3, 10/3]])
+    NEWTON_MAXITER = 6
+
+    def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages=None):
+        self.rhs, self.jac, self.stages = rhs, newton, stages or self._each_stage
+        self.t_end, self.rtol, self.atol = t_end, rtol, atol
+        self.t, self.y, self.n = 0.0, y0, y0.size
+        self.t_old = self.y_old = self.Q = None
+        self.status = "running"  # or "failed", as scipy's solvers say it
+        self.rejected = 0
+        self.f = f0 = rhs(0.0, y0)
+        # Hairer's initial step for an order-3 error estimate, as scipy's
+        # select_initial_step.
+        scale = atol + np.abs(y0) * rtol
+        d0, d1 = self._norm(y0 / scale), self._norm(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_end)
+        d2 = self._norm((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.25
+        self.h_abs = min(100 * h0, h1, t_end)
+        self.h_abs_old = self.error_norm_old = None
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self.J = newton(0.0, y0)
+        self.nfev, self.njev, self.nlu = 2, 1, 0
+        self.current_jac = True
+        self.LU_real = self.LU_complex = None
+
+    def _norm(self, x):
+        # RMS norm as scipy's (see _DormandPrince._norm), of a state or of
+        # the (3, n) Newton increment.
+        x = x.ravel()
+        return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+    def _each_stage(self, times, Y):
+        F = np.empty(Y.shape)
+        for i in range(3):
+            F[i] = self.rhs(times[i], Y[i])
+        return F
+
+    def _collocation(self, t, y, h, Z0, scale, LU_real, LU_complex):
+        """scipy's solve_collocation_system: (converged, iterations, Z,
+        rate) of the simplified Newton iteration from Z0."""
+        maxiter, tol = self.NEWTON_MAXITER, self.newton_tol
+        M_real = self.MU_REAL / h
+        M_complex = self.MU_COMPLEX / h
+        W = self.TI.dot(Z0)
+        Z = Z0
+        times = t + h * self.C
+        dW_norm_old = None
+        dW = np.empty_like(W)
+        converged = False
+        rate = None
+        for k in range(maxiter):
+            # y + Z0 is Fortran-ordered, and numpy would then sum a stacked
+            # right-hand side's rows in another order than a lone state's.
+            F = self.stages(times, np.add(y, Z, order="C"))
+            self.nfev += 3
+            if not np.isfinite(F).all():
+                break
+            f_real = F.T.dot(self.TI_REAL) - M_real * W[0]
+            f_complex = F.T.dot(self.TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+            dW_real = LU_real(f_real)
+            dW_complex = LU_complex(f_complex)
+            dW[0] = dW_real
+            dW[1] = dW_complex.real
+            dW[2] = dW_complex.imag
+            dW_norm = self._norm(dW / scale)
+            if dW_norm_old is not None:
+                rate = dW_norm / dW_norm_old
+            if rate is not None and (
+                rate >= 1 or rate ** (maxiter - k) / (1 - rate) * dW_norm > tol
+            ):
+                break
+            W += dW
+            Z = self.T.dot(W)
+            if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
+                converged = True
+                break
+            dW_norm_old = dW_norm
+        return converged, k + 1, Z, rate
+
+    def step(self):
+        """One accepted step, or ``status = "failed"`` once the step
+        would fall below 10 ulp(t)."""
+        t, y, f = self.t, self.y, self.f
+        min_step = 10 * math.ulp(t)
+        if self.h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        else:
+            h_abs, h_abs_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
+        J, LU_real, LU_complex = self.J, self.LU_real, self.LU_complex
+        current_jac = self.current_jac
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = min(t + h_abs, self.t_end)
+            h_abs = h = t_new - t
+            if self.Q is None:
+                Z0 = np.zeros((3, self.n))
+            else:
+                Z0 = self._interpolate(t + h * self.C).T - y
+            scale = self.atol + np.abs(y) * self.rtol
+            converged = False
+            while not converged:
+                if LU_real is None:
+                    LU_real, LU_complex = J(self.MU_REAL / h), J(self.MU_COMPLEX / h)
+                    self.nlu += 2
+                converged, n_iter, Z, rate = self._collocation(
+                    t, y, h, Z0, scale, LU_real, LU_complex
+                )
+                if not converged:
+                    if current_jac:
+                        break
+                    J = self.jac(t, y)
+                    self.njev += 1
+                    current_jac = True
+                    LU_real = LU_complex = None
+            if not converged:
+                h_abs *= 0.5
+                LU_real = LU_complex = None
+                self.rejected += 1
+                continue
+            y_new = y + Z[-1]
+            ZE = Z.T.dot(self.E) / h
+            error = LU_real(f + ZE)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._norm(error / scale)
+            safety = 0.9 * (2 * self.NEWTON_MAXITER + 1) / (2 * self.NEWTON_MAXITER + n_iter)
+            if rejected and error_norm > 1:
+                error = LU_real(self.rhs(t, y + error) + ZE)
+                self.nfev += 1
+                error_norm = self._norm(error / scale)
+            if error_norm > 1:  # so a NaN norm is accepted, as in scipy
+                factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+                h_abs *= max(0.2, safety * factor)
+                LU_real = LU_complex = None
+                rejected = True
+                self.rejected += 1
+            else:
+                break
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = min(10, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1
+        else:
+            LU_real = LU_complex = None
+        f_new = self.rhs(t_new, y_new)
+        self.nfev += 1
+        if recompute_jac:
+            J = self.jac(t_new, y_new)
+            self.njev += 1
+        current_jac = recompute_jac
+        self.h_abs_old, self.error_norm_old = self.h_abs, error_norm
+        self.h_abs = h_abs * factor
+        self.t_old, self.y_old, self.h = t, y, h
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.Q = np.dot(Z.T, self.P)
+        self.J, self.LU_real, self.LU_complex = J, LU_real, LU_complex
+        self.current_jac = current_jac
+
+    def _interpolate(self, times):
+        x = (times - self.t_old) / self.h
+        xx = x * x
+        y = np.dot(self.Q, np.array([x, xx, xx * x]))  # scipy's cumulative powers
+        y += self.y_old[:, None]
+        return y
+
+    def dense_output(self):
+        """The collocation cubic on the last accepted step, as a function
+        of an array of times."""
+        return self._interpolate
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    # scipy's predict_factor (Hairer-Wanner, IV.8): Gustafsson's
+    # two-step control once the last step's figures are known. A zero
+    # error norm gives scipy's infinite factor without its warning.
+    if error_norm == 0:
+        return math.inf
+    if error_norm_old is None or h_abs_old is None:
+        multiplier = 1
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1, multiplier) * error_norm ** -0.25
+
+
 def _integrate(solver, out_times, blowup_threshold=None, members=1):
-    """Step a ``_DormandPrince`` or a scipy ``Radau`` through every time
+    """Step a ``_DormandPrince`` or a ``_RadauIIA`` through every time
     in ``out_times``.
 
     Output times inside an accepted step are read from the step's dense
@@ -363,7 +603,7 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
                 norm_sq = float(y @ y)
             else:
                 rows = y.reshape(members, -1)
-                norm_sq = float(np.max(_row_dot(rows, rows)))
+                norm_sq = float(_row_dot(rows, rows).max())
             if norm_sq > blowup_threshold:
                 status, t_stop = BLEW_UP, t
                 break
@@ -379,10 +619,10 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
     if status != COMPLETED and times[-1] != t_stop:
         times = np.append(times, t_stop)
         samples = np.vstack([samples, solver.y])
-    if isinstance(solver, Radau):
+    if solver.method == "radau":
         stats = SolverStats(
-            "radau", solver.nfev, accepted, None, None, None, solver.njev, solver.nlu,
-            members,
+            "radau", solver.nfev, accepted, solver.rejected, None, None, solver.njev,
+            solver.nlu, members,
         )
     else:
         stats = SolverStats(
@@ -404,8 +644,8 @@ class _StiffnessTerm:
     block-diagonal, one block per row, and every attribute has a row
     per member.
 
-    K is kept as its parts and never assembled: the Newton solves need
-    only ``shifted_solver`` (see ``_closed_form_radau``).
+    K is kept as its parts and never assembled: the Newton solves of
+    ``_RadauIIA`` need only ``shifted_solver``.
     """
 
     def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale):
@@ -427,11 +667,17 @@ class _StiffnessTerm:
     def shifted_solver(self, shift):
         """Solver of (K + shift I) x = r, shift real or complex (a column
         of shifts for stacked members), by Sherman-Morrison: O(N) per
-        member to set up and per solve."""
+        member to set up and per solve. A member with kappa = 0 has a
+        diagonal K and no rank-one term, which would otherwise form
+        0 * inf once |lambda u|^2 overflows."""
         d = self.diag + shift
-        w, dot = self.w, self._dot
+        kappa, w, dot = self.kappa, self.w, self._dot
+        if not np.any(kappa):
+            return lambda r: r / d
+        if np.ndim(kappa) and not np.all(kappa):
+            w = np.where(kappa == 0.0, 0.0, w)
         dw = w / d
-        coef = self.kappa / (1.0 + self.kappa * dot(w, dw))
+        coef = kappa / (1.0 + kappa * dot(w, dw))
 
         def solve(r):
             x = r / d
@@ -460,53 +706,6 @@ def _second_order_newton(stiff: _StiffnessTerm, damp, c):
         return np.concatenate([x, c * x - r], axis=-1).ravel()
 
     return solve
-
-
-def _closed_form_radau(rhs, y0, t_end, linearise, factor, rtol, atol) -> Radau:
-    """scipy's Radau with closed-form Newton solves in place of dense LU.
-
-    ``linearise(t, y)`` records the Jacobian's parts at (t, y), and
-    ``factor(c)`` returns the solve with the Newton matrix c I - J of
-    the latest linearisation, c = MU/h real or complex, as a function
-    of the right-hand side. scipy's ``Radau.__init__`` makes one
-    validation call of ``jac``, answered with an empty sparse matrix so
-    that scipy's set-up allocates no dense identity, and assigns the
-    instance attributes that the stepper reads: ``jac``, ``J``, ``I``
-    and the hooks ``lu(A)`` and ``solve_lu(LU, b)``. The stepper forms
-    every Newton matrix as MU/h * I - J, so with I = 1.0 and J = 0.0 it
-    is the scalar c, which ``lu`` passes to ``factor``. The new ``jac``
-    and ``lu`` count ``njev`` and ``nlu`` as scipy's do. ``lu`` refuses
-    anything but a scalar, so a scipy that formed the matrix another way
-    fails loudly; TestNewtonHooks fails if scipy stops calling the hooks.
-    """
-
-    def validation_jac(t, y):
-        linearise(t, y)
-        return csc_matrix((y.size, y.size))
-
-    solver = Radau(rhs, 0.0, y0, t_end, jac=validation_jac, rtol=rtol, atol=atol)
-    _closed_form_newton(solver, linearise, factor)
-    return solver
-
-
-def _closed_form_newton(solver: Radau, linearise, factor) -> None:
-    """Install the scalar Newton matrix and the hooks of
-    ``_closed_form_radau`` on ``solver``."""
-
-    def jac(t, y, _f=None):
-        solver.njev += 1
-        linearise(t, y)
-        return 0.0
-
-    def lu(c):
-        if np.ndim(c) != 0:
-            raise TypeError("the closed-form Newton solves take the scalar c = MU/h, not a matrix")
-        solver.nlu += 1
-        return factor(c)
-
-    solver.I, solver.J, solver.jac = 1.0, 0.0, jac
-    solver.lu = lu
-    solver.solve_lu = lambda solve, rhs: solve(rhs)
 
 
 # A run goes to Radau when explicit DP5 would need more stability-bound
@@ -550,31 +749,25 @@ def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -
     return "radau" if lam_max * mu * t_end / dis.b(t_end) > _STIFF_STEPS else "dp5"
 
 
-def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1) -> Radau:
-    """scipy's Radau on the second-order system of ``members`` stacked
+def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1, stages=None) -> _RadauIIA:
+    """``_RadauIIA`` on the second-order system of ``members`` stacked
     members (``eps`` a float for one, a column for several), each state
     (u_i, u_i') in turn, with tolerances rel_tol / sqrt(members) and
-    abs_tol / sqrt(members) and closed-form Newton solves. The Jacobian
-    is block-diagonal with blocks [[0, I], [-K_i, -(b/eps_i) I]] (K_i
-    the stiffness term at u_i over eps_i).
-
-    The Jacobian is never assembled: the Newton matrix reaches the hooks
-    as the scalar c (``_closed_form_radau``), and each solve uses K and
-    b/eps of the latest linearisation."""
+    abs_tol / sqrt(members). The Jacobian is block-diagonal with blocks
+    [[0, I], [-K_i, -(b/eps_i) I]] (K_i the stiffness term at u_i over
+    eps_i); it is never assembled, and each Newton solve uses K and b/eps
+    of the latest linearisation (``_second_order_newton``)."""
     n = lam.size
-    stiff = damp = None  # K and b/eps at the latest linearisation point
 
-    def linearise(t, y):
-        nonlocal stiff, damp
+    def newton(t, y):
         u = y[:n] if members == 1 else y.reshape(members, 2 * n)[:, :n]
         stiff = _StiffnessTerm(nl, lam, u, eps)
-        damp = dis.b(t) / eps
+        return functools.partial(_second_order_newton, stiff, dis.b(t) / eps)
 
     root = math.sqrt(members)
-    return _closed_form_radau(
-        rhs, y0, settings.grid.t_end, linearise,
-        lambda c: _second_order_newton(stiff, damp, c),
-        settings.rel_tol / root, settings.abs_tol / root,
+    return _RadauIIA(
+        rhs, y0, settings.grid.t_end, settings.rel_tol / root, settings.abs_tol / root,
+        newton, stages,
     )
 
 
@@ -651,8 +844,8 @@ def solve_hyperbolic(
 
 def _max_shared(rel_tol: float, members: int) -> int:
     """Most of ``members`` members one shared run may hold (at least 1):
-    the run's rel_tol / sqrt(k) must stay at or above the floor below
-    which scipy raises it."""
+    the run's rel_tol / sqrt(k) must stay at or above the floor of
+    ``IntegratorSettings``."""
     most = max(members, 1)
     while most > 1 and rel_tol / math.sqrt(most) < _MIN_REL_TOL:
         most -= 1
@@ -694,7 +887,7 @@ def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
     overdamped at the horizon and no more than ``rel_tol`` allows, are
     stepped together in one Radau run: the members' states are stacked,
     each as its pair (u, u'), with ``rel_tol / sqrt(k)`` and ``abs_tol /
-    sqrt(k)`` for k members. scipy's error norm is the RMS over all
+    sqrt(k)`` for k members. The error norm is the RMS over all
     components, so an accepted step has sum_i RMS_i^2 <= 1 and every
     member meets its own tolerance on every step. The Newton matrix is
     block-diagonal, and each block is solved in closed form as in a lone
@@ -718,17 +911,24 @@ def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
     shape = (k, 2, n)
     eps_col = np.array(eps_values)[:, None]
 
+    def stages(times, y):
+        # The right-hand side at each time, of the rows of y, member by
+        # member. b is taken at each time as a scalar: numpy's array
+        # power can round differently.
+        pair = y.reshape((len(times),) + shape)
+        u, w = pair[:, :, 0], pair[:, :, 1]
+        m = nl.value(np.add.reduce(lam * (u * u), axis=2))[..., None]
+        b = np.array([dis.b(t) for t in times])[:, None, None]
+        out = np.empty(pair.shape)
+        out[:, :, 0] = w
+        out[:, :, 1] = -(b * w + m * (lam * u)) / eps_col
+        return out.reshape(len(times), -1)
+
     def rhs(t, y):
-        pair = y.reshape(shape)
-        u, w = pair[:, 0], pair[:, 1]
-        m = nl.value(np.add.reduce(lam * (u * u), axis=1))[:, None]
-        out = np.empty(shape)
-        out[:, 0] = w
-        out[:, 1] = -(dis.b(t) * w + m * (lam * u)) / eps_col
-        return out.ravel()
+        return stages((t,), y)[0]
 
     y0 = np.tile(np.concatenate([u0v, u1v]), k)
-    solver = _second_order_radau(rhs, y0, nl, lam, dis, eps_col, settings, k)
+    solver = _second_order_radau(rhs, y0, nl, lam, dis, eps_col, settings, k, stages)
     times, samples, status, t_stop, stats = _integrate(
         solver, settings.grid.times(), settings.blowup_threshold, members=k
     )
@@ -850,16 +1050,10 @@ def solve_parabolic_direct(
     if _direct_stepper(spec.lambda_max, nl.mu, dis, t_end) == "dp5":
         solver = _DormandPrince(rhs, u0v, settings)
     else:
-        stiff = None  # K at the latest linearisation point
-
-        def linearise(t, y):
-            nonlocal stiff
-            stiff = _StiffnessTerm(nl, lam, y, dis.b(t))
-
-        # The Newton matrix is K + c I.
-        solver = _closed_form_radau(
-            rhs, u0v, t_end, linearise, lambda c: stiff.shifted_solver(c),
-            settings.rel_tol, settings.abs_tol,
+        # The Newton matrix c I - J is K + c I.
+        solver = _RadauIIA(
+            rhs, u0v, t_end, settings.rel_tol, settings.abs_tol,
+            lambda t, y: _StiffnessTerm(nl, lam, y, dis.b(t)).shifted_solver,
         )
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])

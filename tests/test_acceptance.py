@@ -363,7 +363,7 @@ def test_sweep_over_seven_decades(tmp_path, shape, radau_from):
     for stats in bundle.manifest["solver_stats"].values():
         if stats["method"] == "radau":
             assert stats["jac_evals"] > 0 and stats["lu_decompositions"] > 0
-            assert stats["rejected"] is None
+            assert isinstance(stats["rejected"], int)  # Radau counts its rejections too
     assert bundle.manifest["solver_stats"]["parabolic"]["method"] == "dp5"
 
 

@@ -1,13 +1,14 @@
+import collections
 import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import radau
-from scipy.sparse import csc_matrix
 
 import kirchlab as kl
 from kirchlab import (
@@ -796,16 +797,17 @@ def _direct_args(cfg):
 
 
 def true_jacobian_lu(monkeypatch, jac):
-    """Hand every Radau run the true Jacobian ``jac(t, y)`` and scipy's
-    own LU, in place of the scalar Newton matrix and the closed-form
-    solves."""
+    """Step every Radau run with scipy's own Radau, handed the true
+    Jacobian ``jac(t, y)`` and its dense LU, in place of kirchlab's
+    stepper and its closed-form solves. scipy counts no rejected steps."""
 
-    class TrueJacobianRadau(radau.Radau):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **dict(kw, jac=jac))
+    class DenseLURadau(radau.Radau):
+        method, rejected = "radau", None
 
-    monkeypatch.setattr(kl.integrate, "Radau", TrueJacobianRadau)
-    monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda *args: None)
+        def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages=None):
+            super().__init__(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol, jac=jac)
+
+    monkeypatch.setattr(kl.integrate, "_RadauIIA", DenseLURadau)
 
 
 def hyperbolic_jacobian(spec, nl, dis, eps):
@@ -818,45 +820,6 @@ def hyperbolic_jacobian(spec, nl, dis, eps):
         return np.block([[np.zeros((n, n)), eye], [-K, -(dis.b(t) / eps) * eye]])
 
     return jac
-
-
-def refuse_scipy_lu(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy's LU called on a stiff run")
-
-    for name in ("lu_factor", "lu_solve", "splu"):
-        monkeypatch.setattr(radau, name, refuse)
-
-
-def record_newton_matrices(monkeypatch):
-    """A list that gets the shape of every Newton matrix reaching the
-    hook ``lu`` of a Radau run started afterwards."""
-    shapes = []
-    install = kl.integrate._closed_form_newton
-
-    def spy(solver, linearise, factor):
-        install(solver, linearise, factor)
-        lu = solver.lu
-
-        def recording_lu(A):
-            shapes.append(np.shape(A))
-            return lu(A)
-
-        solver.lu = recording_lu
-
-    monkeypatch.setattr(kl.integrate, "_closed_form_newton", spy)
-    return shapes
-
-
-def _stiff_runs(kind):
-    """A lone, direct or shared stiff run, as a list of trajectories."""
-    if kind == "lone":
-        spec, nl, dis, u0, u1 = KIRCHHOFF2_SHAPE
-        return [solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, settings(count=101, t_end=10.0))]
-    if kind == "direct":
-        return [solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))]
-    spec, nl, dis, u0, u1 = SWEEP_SHAPE
-    return _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, settings(count=101, t_end=10.0))
 
 
 # Radau runs at N = 1024 on short horizons (lambda_k = k, u0 ~ k^-2,
@@ -882,44 +845,9 @@ def _large_n_run(kind):
 
 
 class TestNewtonHooks:
-    """The closed-form Newton solves replace scipy's LU and agree with
-    it. scipy forms every Newton matrix MU/h I - J from I = 1 and J = 0,
-    so what reaches the hooks is the scalar c = MU/h."""
-
-    def test_scipy_lu_never_called(self, monkeypatch):
-        refuse_scipy_lu(monkeypatch)
-        for kind in ("lone", "direct", "shared"):
-            shapes = record_newton_matrices(monkeypatch)
-            trajs = _stiff_runs(kind)
-            assert len(trajs) == (3 if kind == "shared" else 1)
-            for traj in trajs:
-                assert traj.status == COMPLETED and traj.stats.method == "radau"
-                assert traj.stats.lu_decompositions > 0
-                assert traj.stats.members == len(trajs)
-            # Only scalars reach lu, one per counted factorisation.
-            assert shapes == [()] * trajs[0].stats.lu_decompositions
-
-    @pytest.mark.parametrize("kind", ["lone", "direct", "shared"])
-    def test_guard_fails_without_hooks(self, monkeypatch, kind):
-        # Negative control: with the hooks bypassed, the guard above fails.
-        refuse_scipy_lu(monkeypatch)
-        monkeypatch.setattr(kl.integrate, "_closed_form_newton", lambda *args: None)
-        with pytest.raises(AssertionError, match="scipy's LU"):
-            _stiff_runs(kind)
-
-    def test_lu_refuses_a_matrix(self):
-        # A scipy that formed c I - J as a matrix must fail loudly, not
-        # solve with its [0, 0] entry or a broadcast.
-        solver = kl.integrate._closed_form_radau(
-            lambda t, y: -y, np.ones(2), 1.0, lambda t, y: None,
-            lambda c: lambda r: r / (c + 1.0), 1e-6, 1e-8,
-        )
-        for A in (np.eye(2), np.array([2.0]), csc_matrix(np.eye(2))):
-            with pytest.raises(TypeError, match="scalar"):
-                solver.lu(A)
-        assert solver.nlu == 0
-        assert solver.solve_lu(solver.lu(2.0), np.array([3.0, 6.0])).tolist() == [1.0, 2.0]
-        assert solver.nlu == 1
+    """The closed-form Newton solves of ``_RadauIIA`` agree with dense
+    LU: solve by solve, and run by run with scipy's Radau stepped on the
+    true Jacobian."""
 
     @pytest.mark.parametrize(
         "kind, counts",
@@ -999,7 +927,7 @@ class TestNewtonHooks:
         fast = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
         true_jacobian_lu(monkeypatch, hyperbolic_jacobian(spec, nl, dis, eps))
         ref = solve_hyperbolic(spec, nl, dis, eps, u0, u1, s)
-        assert fast.stats.method == "radau" and fast.stats == ref.stats
+        assert fast.stats.method == "radau" and replace(fast.stats, rejected=None) == ref.stats
         got, want = np.hstack([fast.u, fast.uprime]), np.hstack([ref.u, ref.uprime])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -1028,6 +956,164 @@ class TestNewtonHooks:
         assert fast.stats.method == ref.stats.method == "radau"
         assert abs(fast.stats.rhs_evals - ref.stats.rhs_evals) <= 0.02 * ref.stats.rhs_evals
         assert np.max(np.abs(fast.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+
+
+def hooked_radau(rhs, y0, t_end, rtol, atol, newton):
+    """scipy's Radau with the Newton solves of ``newton(t, y)`` (see
+    ``_RadauIIA``) hooked in. scipy forms every Newton matrix as
+    MU/h I - J, so with I = 1 and J = 0 its ``lu`` receives the scalar
+    c = MU/h and returns the closed-form solve."""
+    latest = None
+
+    def validation_jac(t, y):
+        nonlocal latest
+        latest = newton(t, y)
+        return np.zeros((y.size, y.size))
+
+    ref = radau.Radau(rhs, 0.0, y0, t_end, jac=validation_jac, rtol=rtol, atol=atol)
+
+    def jac(t, y, _f=None):
+        nonlocal latest
+        ref.njev += 1
+        latest = newton(t, y)
+        return 0.0
+
+    def lu(c):
+        assert np.ndim(c) == 0
+        ref.nlu += 1
+        return latest(c)
+
+    ref.I, ref.J, ref.jac, ref.lu = 1.0, 0.0, jac, lu
+    ref.solve_lu = lambda solve, b: solve(b)
+    return ref
+
+
+class TwinRadau(kl.integrate._RadauIIA):
+    """kirchlab's Radau stepper with scipy's (``hooked_radau``) stepped
+    beside it on the same right-hand side and Newton solves. After every
+    step the two must agree bit for bit: time, state, the counts of rhs
+    evaluations, Jacobians and factorisations, and the dense output at
+    interior times.
+
+    ``branches`` counts scipy's Newton iterations that converged or
+    failed, and two calls at the start of a step: ``jac`` (a Jacobian
+    refreshed after a failed iteration) and the right-hand side (the
+    error estimate evaluated again after a rejection). Stage and step-end
+    calls are at later times."""
+
+    def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages=None, *, branches):
+        super().__init__(rhs, y0, t_end, rtol, atol, newton, stages)
+        self.ref = ref = hooked_radau(rhs, y0, t_end, rtol, atol, newton)
+        self.steps = 0
+        np.testing.assert_array_equal(self.h_abs, ref.h_abs)
+
+        def at_step_start(name, call):
+            def counted(t, y, *rest):
+                branches[name] += t == ref.t
+                return call(t, y, *rest)
+
+            return counted
+
+        ref.fun = at_step_start("reevaluated", ref.fun)
+        ref.jac = at_step_start("refreshed", ref.jac)
+
+    def step(self):
+        super().step()
+        ref = self.ref
+        ref.step()
+        assert self.status == "running" and ref.status != "failed"
+        self.steps += 1
+        assert self.t == ref.t and self.t_old == ref.t_old
+        np.testing.assert_array_equal(self.y, ref.y)
+        assert (self.nfev, self.njev, self.nlu) == (ref.nfev, ref.njev, ref.nlu)
+        inside = self.t_old + (self.t - self.t_old) * np.array([0.1, 0.5, 0.9])
+        np.testing.assert_array_equal(self.dense_output()(inside), ref.dense_output()(inside))
+
+
+def _twin_run(kind):
+    """The trajectories of one stiff run of each kind TestRadauIIA twins."""
+    s = settings(count=101, t_end=10.0)
+    if kind == "lone":
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        return [solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, s)]
+    if kind == "direct":
+        return [solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))]
+    if kind == "shared":
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        return _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
+    spec, nl, dis, u0, u1 = NONLINEAR_SHAPE  # "power": m = s, stages fused
+    return _shared_run(spec, nl, dis, (1e-3, 1e-4, 1e-5), u0, u1, s)
+
+
+class TestRadauIIA:
+    """``_RadauIIA`` is scipy's Radau, bit for bit, in each of its uses:
+    the lone second-order run, the direct limit run and the shared run
+    of a sweep, whose three collocation stages go to one call, with
+    m = 1 and with a power m."""
+
+    @pytest.fixture
+    def twin(self, monkeypatch):
+        made, branches = [], collections.Counter()
+        newton = radau.solve_collocation_system
+
+        def counted_newton(*args):
+            result = newton(*args)
+            branches["converged" if result[0] else "failed"] += 1
+            return result
+
+        def make(*args):
+            made.append(TwinRadau(*args, branches=branches))
+            return made[-1]
+
+        monkeypatch.setattr(radau, "solve_collocation_system", counted_newton)
+        monkeypatch.setattr(kl.integrate, "_RadauIIA", make)
+        return made, branches
+
+    @pytest.mark.parametrize(
+        "kind, hit",
+        [
+            # Branches each run takes (the other counts are 0): a Jacobian
+            # refreshed after Newton failed, a step halved after Newton
+            # failed with a fresh Jacobian, and the error re-evaluated
+            # after a rejection.
+            ("lone", {"reevaluated"}),
+            ("direct", {"refreshed", "halved", "reevaluated"}),
+            ("shared", {"reevaluated"}),
+            ("power", {"refreshed", "reevaluated"}),
+        ],
+    )
+    def test_twin(self, twin, kind, hit):
+        trajs = _twin_run(kind)
+        (stepper,), branches = twin
+        assert stepper.ref.status == "finished"
+        for traj in trajs:
+            assert traj.status == COMPLETED and traj.stats.method == "radau"
+            assert traj.stats.accepted == stepper.steps
+        branches["halved"] = branches["failed"] - branches["refreshed"]
+        assert {name for name in ("refreshed", "halved", "reevaluated") if branches[name]} == hit
+        # A rejected attempt either fails the error test (Newton converged
+        # but the step is not accepted) or is halved.
+        assert stepper.rejected == branches["converged"] - stepper.steps + branches["halved"]
+
+    def test_catches_a_rounding_change(self, monkeypatch, twin):
+        # Negative control: one ulp more on every error norm (the norms
+        # of 1-D arrays once the twin is built) must fail the comparison.
+        norm = TwinRadau._norm
+
+        def off_by_an_ulp(self, x):
+            value = norm(self, x)
+            return np.nextafter(value, np.inf) if x.ndim == 1 and hasattr(self, "ref") else value
+
+        monkeypatch.setattr(TwinRadau, "_norm", off_by_an_ulp)
+        with pytest.raises(AssertionError):
+            _twin_run("lone")
+
+    def test_tableau_is_scipys(self):
+        ours = kl.integrate._RadauIIA
+        for name in ("C", "E", "T", "TI", "TI_REAL", "TI_COMPLEX", "P"):
+            np.testing.assert_array_equal(getattr(ours, name), getattr(radau, name))
+        assert (ours.MU_REAL, ours.MU_COMPLEX) == (radau.MU_REAL, radau.MU_COMPLEX)
+        assert ours.NEWTON_MAXITER == radau.NEWTON_MAXITER
 
 
 class TestClosedFormP1:
@@ -1423,6 +1509,20 @@ class TestDirectStiffPath:
             plan.spectrum.lambda_max, plan.nl.mu, plan.dis, plan.settings.grid.t_end
         )
         assert got == method
+
+    def test_overflowing_data_with_flat_m_completes(self):
+        # |lambda u|^2 overflows where m' = 0 (kappa = 0): the Newton
+        # solves drop the rank-one term instead of forming 0 * inf, and
+        # the run completes. With NaN increments it crawled for minutes.
+        spec, nl = Spectrum([1.0, 3000.0]), LipschitzTable(((0.0, 1.0), (1.0, 2.0)))
+        u0 = np.array([1e160, 0.0])
+        with np.errstate(over="ignore"):
+            stiff = kl.integrate._StiffnessTerm(nl, spec.eigenvalues, u0, 1.0)
+            assert stiff.kappa == 0.0
+            assert np.all(np.isfinite(stiff.shifted_solver(5.0)(u0)))
+            traj = solve_parabolic_direct(spec, nl, P0, u0, settings(count=21, t_end=1.0))
+        assert traj.status == COMPLETED and traj.stats.method == "radau"
+        assert (traj.stats.accepted, traj.stats.rhs_evals) == (182, 1282)
 
     def test_stiff_limit_plan(self, tmp_path):
         bundle = kl.harness.run_plan(_plan(_FOUND_LIMIT), tmp_path)
