@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .energies import EnergySeries
 from .integrate import CorrectorTrajectory, Trajectory
@@ -137,6 +136,12 @@ def _masked(times, values, window):
     v = np.asarray(values, dtype=float)
     mask = (t >= window[0]) & (t <= window[1]) & np.isfinite(v) & (v > 0.0)
     return t[mask], v[mask]
+
+
+def _cumulative_trapezoid(v, t):
+    # scipy's cumulative_trapezoid(v, t, initial=0.0), operation for
+    # operation, so the sums are its bits.
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (v[1:] + v[:-1]) / 2.0)))
 
 
 def _log_fit(x, v, window) -> RateFit:
@@ -305,7 +310,7 @@ def _check(entry: BoundEntry, times, values, window):
     passed = margin >= 0.0
     if not passed:
         t, v = _masked(times, weighted, window)
-        cum = cumulative_trapezoid(v, t, initial=0.0)
+        cum = _cumulative_trapezoid(v, t)
         passed = cum[-1] > 0.0 and (cum[-1] - cum[t.size // 2]) <= 0.01 * cum[-1]
     return fit.exponent, margin, passed
 
@@ -383,8 +388,8 @@ def perturbation_errors(
 
     f1 = (1.0 + t) ** p * (ch["r_prime_sq"] + ch["half_rho_sq"])
     f2 = (1.0 + t) ** (2.0 * p + 1.0) * (ch["half_r_prime_sq"] + ch["one_rho_sq"])
-    ch["cum_int_p"] = cumulative_trapezoid(f1, t, initial=0.0)
-    ch["cum_int_2p1"] = cumulative_trapezoid(f2, t, initial=0.0)
+    ch["cum_int_p"] = _cumulative_trapezoid(f1, t)
+    ch["cum_int_2p1"] = _cumulative_trapezoid(f2, t)
     return EnergySeries(t.copy(), ch)
 
 

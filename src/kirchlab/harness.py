@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import analysis as ana
 from . import energies as en
@@ -770,6 +769,7 @@ def run_plan(
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     import orjson  # its version is recorded: the CSV bytes depend on it
+    import scipy  # its version is recorded: the corrector's quadrature is scipy's
 
     from . import __version__
 

@@ -12,11 +12,13 @@ work it took (``SolverStats``).
 - kirchlab's own DP5 stepper, ``_DormandPrince``: the Dormand-Prince
   5(4) pair (Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.5; samples
   are its quartic interpolants) with scipy's RK45 step control, bit for
-  bit, but without scipy's per-step wrappers. It runs the
-  reparametrized clock and every N-dimensional run that is not stiff,
-  and counts its rejected steps. Second-order steps are capped at a
-  fixed fraction of the fastest oscillation period of the current
-  state.
+  bit, but without scipy's per-step wrappers. Its tableau is a copy of
+  RK45's, literal for literal as scipy's ``rk.py`` writes it, so no
+  stepper imports scipy; only the corrector's quadrature does, on first
+  use. It runs the reparametrized clock and every N-dimensional run
+  that is not stiff, and counts its rejected steps. Second-order steps
+  are capped at a fixed fraction of the fastest oscillation period of
+  the current state.
 - kirchlab's own Radau IIA stepper of order 5, ``_RadauIIA``
   (Hairer-Wanner, Solving ODEs II, IV.8; samples are its collocation
   cubics) with scipy's Radau step control, bit for bit, but without
@@ -51,11 +53,9 @@ import functools
 import math
 import operator
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, quad
 
 from .model import Dissipation, Nonlinearity, compute_w0
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums, sigma_half
@@ -242,10 +242,36 @@ class _DormandPrince:
     """
 
     method = "dp5"
-    # (stage, its row of A, its node) for stages 1..5 of RK45's tableau.
-    _STAGES = tuple(
-        (s, a[:s], c) for s, (a, c) in enumerate(zip(RK45.A[1:], RK45.C[1:]), start=1)
-    )
+    # RK45's tableau as scipy's rk.py writes it; P is the quartic dense
+    # output at Shampine's optimum c_6 (Some Practical Runge-Kutta
+    # Formulas, Math. Comp. 46, 1986).
+    n_stages = 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    # (stage, its row of A, its node) for stages 1..5.
+    _STAGES = tuple((s, a[:s], c) for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1))
 
     def __init__(self, rhs, y0, settings: IntegratorSettings, step_cap=None):
         self.rhs, self.step_cap = rhs, step_cap
@@ -255,7 +281,7 @@ class _DormandPrince:
         self.t_old = self.y_old = None
         self.status = "running"  # or "failed", as scipy's solvers say it
         self.rejected = self.cap_limited = 0
-        self.K = np.empty((RK45.n_stages + 1, y0.size))
+        self.K = np.empty((self.n_stages + 1, y0.size))
         self._root_n = y0.size ** 0.5
         self.f = f0 = rhs(0.0, y0)
         # Hairer's initial step, as scipy's select_initial_step.
@@ -293,11 +319,11 @@ class _DormandPrince:
             K[0] = self.f
             for s, a, c in self._STAGES:
                 K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, RK45.B)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
             K[-1] = f_new = rhs(t + h, y_new)
             self.nfev += 6
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._norm(np.dot(K.T, RK45.E) * h / scale)
+            error_norm = self._norm(np.dot(K.T, self.E) * h / scale)
             if error_norm < 1:
                 break
             h_abs = h * max(0.2, 0.9 * error_norm ** -0.2)
@@ -316,11 +342,13 @@ class _DormandPrince:
         """RK45's quartic interpolant on the last accepted step, as a
         function of an array of times."""
         t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
-        Q = self.K.T.dot(RK45.P)
+        Q = self.K.T.dot(self.P)
 
         def interpolant(times):
-            x = np.cumprod(np.tile((times - t_old) / h, (Q.shape[1], 1)), axis=0)
-            y = h * np.dot(Q, x)
+            x = (times - t_old) / h
+            xx = x * x
+            xxx = xx * x
+            y = h * np.dot(Q, np.array([x, xx, xxx, xxx * x]))  # scipy's cumulative powers
             y += y_old[:, None]
             return y
 
@@ -978,6 +1006,8 @@ def solve_hyperbolic_sweep(
     # The fork start method launches every worker on the first submit.
     workers = min(jobs, len(groups))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(shared_run, groups))
     else:
@@ -1095,6 +1125,8 @@ def corrector(
         d = dis.b(0.0)
         integral = (eps / d) * (-np.expm1(-d * ts / eps))
     else:
+        from scipy.integrate import quad
+
         integrand = lambda s: math.exp(-dis.primitive(s) / eps)
         vals = [0.0]
         for a, b_ in zip(ts[:-1], ts[1:]):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 import kirchlab as kl
 from kirchlab import (
@@ -414,6 +415,31 @@ class TestPerturbationErrors:
         seg1 = 0.5 * (0.0 + 2.0 * 1.0) * 1.0
         seg2 = 0.5 * (2.0 * 1.0 + 4.0 * 1.0) * 2.0
         np.testing.assert_allclose(es.channels["cum_int_p"], [0.0, seg1, seg1 + seg2])
+
+
+def _trapezoid_inputs():
+    t = log_times(1e4, 801)
+    # exp(-t) passes through the subnormals to 0 well before t = 1e4.
+    falling = np.exp(-t) * (1.0 + t) ** 2
+    wavy = (1.0 + t) ** -1.3 * (1.5 + np.sin(t))
+    wavy[::7] = 0.0  # dropped by the mask, as a nonpositive value
+    wavy[::11] = np.nan  # dropped too
+    masked = kl.analysis._masked(t, wavy, kl.default_window(t))
+    return {
+        "log_grid_underflow": (t, falling),
+        "masked_window": masked,
+        "two_points": (np.array([0.0, 0.3]), np.array([1.0, 1.0 / 3.0])),
+        "one_point": (np.array([2.0]), np.array([5.0])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_trapezoid_inputs()))
+def test_cumulative_trapezoid_is_scipys(case):
+    t, v = _trapezoid_inputs()[case]
+    ours = kl.analysis._cumulative_trapezoid(v, t)
+    scipys = cumulative_trapezoid(v, t, initial=0.0)
+    np.testing.assert_array_equal(ours, scipys)
+    assert ours.dtype == scipys.dtype and ours.shape == scipys.shape == t.shape
 
 
 class TestHamiltonianFloor:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -489,7 +490,8 @@ class TestRunPlan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(ig, "ProcessPoolExecutor", RecordingPool)
+        # The sweep imports the pool class when it needs one, from here.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_plan(load_config(json.dumps(SWEEP_PLAN)), tmp_path, jobs=jobs)
         assert made == pools
 

@@ -388,6 +388,14 @@ class TestDormandPrince:
         assert traj.status == BLEW_UP and stepper.steps == traj.stats.accepted == 1
         assert traj.t_stop == 10 * math.ulp(0.0)
 
+    def test_tableau_is_scipys(self):
+        ours = kl.integrate._DormandPrince
+        assert ours.n_stages == RK45.n_stages
+        for name in ("C", "A", "B", "E", "P"):
+            mine, scipys = getattr(ours, name), getattr(RK45, name)
+            np.testing.assert_array_equal(mine, scipys)
+            assert mine.dtype == scipys.dtype == np.float64
+
 
 class TestParabolicReparam:
     def test_heat_semigroup(self):
