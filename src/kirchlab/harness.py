@@ -377,11 +377,16 @@ def _csv_rows(block: np.ndarray) -> bytes:
     # pay for loading orjson.
     import orjson
 
-    if not len(block):
-        return b""
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2] + b"\n"
-    # A shortest-form cell ends in ".0" only when it is a whole number.
-    text = text.replace(b"],[", b"\n").replace(b".0,", b",").replace(b".0\n", b"\n")
+    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in block]
+    # A shortest-form cell ends in ".0" only when it is a whole number, so
+    # only the rows that hold one are rewritten.
+    with np.errstate(invalid="ignore"):
+        whole = (block == np.trunc(block)).any(axis=1)
+    for i in np.flatnonzero(whole):
+        row = rows[i].replace(b".0,", b",")
+        rows[i] = row[:-2] if row.endswith(b".0") else row
+    rows.append(b"")
+    text = b"\n".join(rows)
     if np.isfinite(block).all():
         return text
     # orjson writes NaN and +-inf as null.

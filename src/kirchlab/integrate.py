@@ -1103,9 +1103,10 @@ def corrector(
 
     theta'(t) = w0 exp(-B(t)/eps) exactly, with B the closed-form
     primitive of b. theta itself is w0 times the integral of that decay
-    factor: closed form when b is constant, cumulative adaptive
-    quadrature (absolute tolerance 1e-12 of the factor, i.e. 1e-12|w0|
-    after scaling) otherwise.
+    factor: closed form when b is constant; otherwise one adaptive
+    ``quad`` per sample interval (absolute tolerance 1e-15 and relative
+    tolerance 1e-13 of the factor's integral, at most 200 subintervals),
+    summed from t = 0.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigurationError("eps must be positive")

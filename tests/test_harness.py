@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -649,6 +650,35 @@ def _assert_cells_exact(path, table):
                 assert not cell.endswith(".0")
 
 
+def _three_pass_rows(block):
+    """The CSV rows of a block as three whole-text rewrites made them: the
+    byte-for-byte oracle of ``harness._csv_rows``."""
+    if not len(block):
+        return b""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2] + b"\n"
+    text = text.replace(b"],[", b"\n").replace(b".0,", b",").replace(b".0\n", b"\n")
+    lines = [line.split(b",") for line in text.replace(b"null", b"").splitlines()]
+    for i, j in zip(*np.nonzero(np.isinf(block))):
+        lines[i][j] = b"inf" if block[i, j] > 0 else b"-inf"
+    return b"".join(b",".join(cells) + b"\n" for cells in lines)
+
+
+def _header(table):
+    return ",".join(f"c{j}" for j in range(table.shape[1])).encode() + b"\n"
+
+
+# Mostly whole numbers, which orjson writes with ".0", among subnormals,
+# arbitrary floats, NaN and +-inf.
+_WHOLE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e16, -1e22]), st.integers(-2**53, 2**53).map(float)
+)
+_CSV_CELLS = st.one_of(
+    _WHOLE_CELLS, _WHOLE_CELLS, _WHOLE_CELLS, st.floats(width=64),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
 def _write_table(path, table):
     # A 1-D first column next to a 2-D block, as the trajectory writers pass them.
     columns = [table[:, 0]] + ([table[:, 1:]] if table.shape[1] > 1 else [])
@@ -679,13 +709,61 @@ class TestCsvCells:
         _write_table(path, table)
         _assert_cells_exact(path, table)
 
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 40)),
+                      elements=_CSV_CELLS),
+           st.integers(1, 64))
+    def test_rows_match_three_pass_oracle(self, table, block_cells):
+        assert harness._csv_rows(table) == _three_pass_rows(table)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(harness, "_BLOCK_CELLS", block_cells):
+            path = Path(tmp) / "t.csv"
+            _write_table(path, table)
+            assert path.read_bytes() == _header(table) + _three_pass_rows(table)
+
+    def test_wide_trajectory_matches_three_pass_oracle(self, tmp_path):
+        # Laid out like an N=512 reparam trajectory (t, u, u', alpha) on 801
+        # log samples: u_k = u0_k exp(-k alpha) underflows to 0 and -0 in
+        # the later rows.
+        rng = np.random.default_rng(3)
+        k = np.arange(1.0, 513.0)
+        t = np.expm1(np.linspace(0.0, math.log1p(1e4), 801))
+        alpha = 0.75 * np.log1p(t)
+        u0 = rng.choice([-1.0, 1.0], k.size) * rng.uniform(0.5, 1.5, k.size) / k**2
+        u = u0 * np.exp(-np.outer(alpha, k))
+        up = -k * u * (0.75 / (1.0 + t))[:, None]
+        table = np.column_stack([t, u, up, alpha])
+        assert table.shape == (801, 1026) and 0.3 < np.mean(table == 0.0) < 0.6
+        assert np.signbit(table[table == 0.0]).any()
+        path = tmp_path / "t.csv"
+        harness._write_rows(path, [f"c{j}" for j in range(1026)], [t, u, up, alpha])
+        assert path.read_bytes() == _header(table) + _three_pass_rows(table)
+
     def test_pinned_row(self, tmp_path):
         path = tmp_path / "t.csv"
-        row = [0.0, -0.0, 1.0, 0.1, 1e-7, 5e-324, np.inf, -np.inf, np.nan]
-        _write_table(path, np.array([row]))
+        rows = [
+            [0.0, -0.0, 1.0, 0.1, 1e-7, 5e-324, np.inf, -np.inf, np.nan],
+            [0.1, -2.5, 1e-7, 5e-324, 123.456, 0.3, -1e-300, 7.25, 1.5e-5],  # no whole cell
+            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 3.0],  # the last cell alone
+            [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+            [2.0**53, 1e16, -(2.0**53), -1e16, 1e15, 1e22, -1e22, 2.0**52, 12.0],
+        ]
+        _write_table(path, np.array(rows))
         assert path.read_text() == (
-            "c0,c1,c2,c3,c4,c5,c6,c7,c8\n0,-0,1,0.1,1e-7,5e-324,inf,-inf,\n"
+            "c0,c1,c2,c3,c4,c5,c6,c7,c8\n"
+            "0,-0,1,0.1,1e-7,5e-324,inf,-inf,\n"
+            "0.1,-2.5,1e-7,5e-324,123.456,0.3,-1e-300,7.25,0.000015\n"
+            "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,3\n"
+            "0,-0,0,-0,0,-0,0,-0,0\n"
+            "9007199254740992,1e16,-9007199254740992,-1e16,1000000000000000,1e22,-1e22,"
+            "4503599627370496,12\n"
         )
+
+    def test_signalling_nan_does_not_warn(self):
+        table = np.array([[1.0, 2.5], [0.5, 3.0]])
+        table.view(np.uint64)[0, 1] = 0x7FF0000000000001
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert harness._csv_rows(table) == b"1,\n0.5,3\n"
 
     def test_import_does_not_load_orjson(self):
         # orjson is imported by the CSV writer, not by ``import kirchlab``.

@@ -547,6 +547,20 @@ class TestCorrector:
         np.testing.assert_allclose(corr.theta_prime[:, 0], 1.0 / (1.0 + times), rtol=1e-12)
         np.testing.assert_allclose(corr.theta[:, 0], np.log1p(times), atol=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_small_eps_closed_form(self, eps):
+        # p=1: theta' = w0 (1+t)^(-1/eps) and
+        # theta = w0 ((1+t)^(1-1/eps) - 1) / (1 - 1/eps), w0 = 1.
+        times = OutputGrid("log", 401, 10.0).times()
+        corr = corrector(
+            Spectrum([1.0]), PowerNonlinearity(1.0), PowerLawDissipation(1.0), eps,
+            [0.0], [1.0], times,
+        )
+        a = 1.0 - 1.0 / eps
+        np.testing.assert_allclose(
+            corr.theta[:, 0], np.expm1(a * np.log1p(times)) / a, rtol=1e-13, atol=0.0
+        )
+
     def test_initial_conditions(self):
         corr = corrector(
             Spectrum([1.0, 2.0]),
