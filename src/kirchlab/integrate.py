@@ -232,6 +232,13 @@ class _DormandPrince:
     0.9, step factors in [0.2, 10] with exponent -1/5, a smallest step
     of 10 ulp(t) and the quartic dense output.
 
+    ``rhs(t, y, out=None)`` fills and returns ``out`` when one is given,
+    and returns a fresh array otherwise, with the same bits either way;
+    it keeps no reference to ``y`` or ``out``. The stepper hands it the
+    stage rows of ``K`` (``K[-1]`` for the FSAL stage), whose views it
+    builds once per run, and copies the accepted derivative into ``f``
+    once per step; the launch probes take fresh arrays.
+
     ``step_cap()``, if given, sets ``max_step`` at launch and after each
     accepted step, right after the FSAL stage (the step's last ``rhs``
     call), so a cap built from values the right-hand side computes reads
@@ -270,8 +277,6 @@ class _DormandPrince:
          701980252875 / 199316789632],
         [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-    # (stage, its row of A, its node) for stages 1..5.
-    _STAGES = tuple((s, a[:s], c) for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1))
 
     def __init__(self, rhs, y0, settings: IntegratorSettings, step_cap=None):
         self.rhs, self.step_cap = rhs, step_cap
@@ -281,7 +286,13 @@ class _DormandPrince:
         self.t_old = self.y_old = None
         self.status = "running"  # or "failed", as scipy's solvers say it
         self.rejected = self.cap_limited = 0
-        self.K = np.empty((self.n_stages + 1, y0.size))
+        self.K = K = np.empty((self.n_stages + 1, y0.size))
+        # Stage plan, built once per run: (K[:s].T, row of A, node, K[s])
+        # for stages 1..5.
+        self._plan = tuple(
+            (K[:s].T, self.A[s, :s], self.C[s], K[s]) for s in range(1, self.n_stages)
+        )
+        self._KT_B, self._KT = K[:-1].T, K.T
         self._root_n = y0.size ** 0.5
         self.f = f0 = rhs(0.0, y0)
         # Hairer's initial step, as scipy's select_initial_step.
@@ -310,20 +321,20 @@ class _DormandPrince:
         min_step = 10 * math.ulp(t)
         h_abs = cap if self.h_abs > cap else max(self.h_abs, min_step)
         rejected = 0
+        K[0] = self.f
         while True:
             if h_abs < min_step:
                 self.status = "failed"
                 return
             t_new = min(t + h_abs, self.t_end)
             h = t_new - t
-            K[0] = self.f
-            for s, a, c in self._STAGES:
-                K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, self.B)
-            K[-1] = f_new = rhs(t + h, y_new)
+            for KsT, a, c, Ks in self._plan:
+                rhs(t + c * h, y + np.dot(KsT, a) * h, Ks)
+            y_new = y + h * np.dot(self._KT_B, self.B)
+            rhs(t + h, y_new, K[-1])
             self.nfev += 6
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._norm(np.dot(K.T, self.E) * h / scale)
+            error_norm = self._norm(np.dot(self._KT, self.E) * h / scale)
             if error_norm < 1:
                 break
             h_abs = h * max(0.2, 0.9 * error_norm ** -0.2)
@@ -334,7 +345,7 @@ class _DormandPrince:
         if h >= cap * (1.0 - 1e-12):
             self.cap_limited += 1
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f = t_new, y_new, K[-1].copy()
         if self.step_cap is not None:
             self.max_step = self.step_cap()
 
@@ -342,7 +353,7 @@ class _DormandPrince:
         """RK45's quartic interpolant on the last accepted step, as a
         function of an array of times."""
         t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
-        Q = self.K.T.dot(self.P)
+        Q = self._KT.dot(self.P)
 
         def interpolant(times):
             x = (times - t_old) / h
@@ -842,12 +853,22 @@ def solve_hyperbolic(
 
     m_now = _launch_stiffness(nl, lam, u0v, stacklevel=3)
 
-    def rhs(t, y):
+    bw = np.empty(n)
+
+    def rhs(t, y, out=None):
         nonlocal m_now
         u = y[:n]
         w = y[n:]
         m_now = nl.value(sigma_half(lam, u))
-        return np.concatenate((w, (dis.b(t) * w + m_now * (lam * u)) / -eps))
+        # (b w + m (lam u)) / -eps, operation for operation, into out.
+        out = np.empty(2 * n) if out is None else out
+        out[:n] = w
+        du = out[n:]
+        np.multiply(lam, u, out=du)
+        np.multiply(m_now, du, out=du)
+        np.add(np.multiply(dis.b(t), w, out=bw), du, out=du)
+        np.divide(du, -eps, out=du)
+        return out
 
     # m_now is m at the state of the latest rhs call: at launch, the launch
     # state, and after each accepted step, the new state (_DormandPrince).
@@ -1042,8 +1063,10 @@ def solve_parabolic_reparam(
         # sigma_half(lam, u0) bit for bit, as in the corrector's w0.
         return float(np.add.reduce(lam * (u0_sq * np.exp(rate * alpha))))
 
-    def rhs(t, y):
-        return np.array([nl.value(sigma_of_alpha(y[0])) / dis.b(t)])
+    def rhs(t, y, out=None):
+        out = np.empty(1) if out is None else out
+        out[0] = nl.value(sigma_of_alpha(y[0])) / dis.b(t)
+        return out
 
     solver = _DormandPrince(rhs, np.array([0.0]), settings)
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
@@ -1072,9 +1095,10 @@ def solve_parabolic_direct(
     u0v = as_modal(spec, u0, "u0")
     lam = spec.eigenvalues
 
-    def rhs(t, y):
+    def rhs(t, y, out=None):
         mval = nl.value(sigma_half(lam, y))
-        return -(mval / dis.b(t)) * (lam * y)
+        out = np.multiply(lam, y, out=out)
+        return np.multiply(-(mval / dis.b(t)), out, out=out)
 
     t_end = settings.grid.t_end
     if _direct_stepper(spec.lambda_max, nl.mu, dis, t_end) == "dp5":
@@ -1086,7 +1110,9 @@ def solve_parabolic_direct(
             lambda t, y: _StiffnessTerm(nl, lam, y, dis.b(t)).shifted_solver,
         )
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
-    uprime = np.array([rhs(t, y) for t, y in zip(times, samples)])
+    uprime = np.empty_like(samples)
+    for t, y, row in zip(times, samples, uprime):
+        rhs(t, y, row)
     return Trajectory(spec, times, samples, uprime, status, t_stop, stats=stats)
 
 

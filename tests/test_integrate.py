@@ -226,6 +226,30 @@ class CountingNonlinearity:
         return self.nl.value(sigma)
 
 
+# The hyperbolic-decay benchmark plans (N = 8, lambda = k^2, m = s,
+# b = (1+t)^-1/2, t_end 100, 801 log samples) at two seeds of their
+# initial data, and the (accepted, rhs_evals, cap_limited, rejected) of
+# their DP5 runs at eps 1e-1 and 1e-2.
+BENCH_DECAY_DATA = {
+    0: (
+        [0.3810768518473625, 0.12900518141739456, 0.06043958787507592, -0.04328130125982906,
+         0.08803408135207952, -0.07891917171620344, 0.05298749694956448, -0.05151148495609688],
+        [0.44708023235203875, -0.17078342274099956, 0.0874268647532129, 0.07565316820813967,
+         0.03465447968116992, 0.03412424538638802, 0.05484690723776424, -0.04703030403579657],
+    ),
+    7: (
+        [0.3575932900876643, -0.22204083781103778, -0.13515198091565503, -0.057623826768801664,
+         -0.050863967179981456, -0.0727602694215168, 0.022941479569603275, 0.052491369744895953],
+        [-0.4320591216281317, 0.18672894267028423, -0.10806813335361753, 0.10754240916446987,
+         0.04133140612222337, 0.0317898782319039, -0.04591706482279096, -0.01964351902668392],
+    ),
+}
+BENCH_DECAY_WORK = {
+    0: {1e-1: (911, 5474, 145, 1), 1e-2: (2626, 15764, 0, 1)},
+    7: {1e-1: (833, 5000, 151, 0), 1e-2: (2676, 16064, 0, 1)},
+}
+
+
 class TestStepCap:
     """The cap follows m at the current state: a fixed fraction of the
     fastest oscillation period, which shortens as |A^(1/2)u|^2 grows and
@@ -292,14 +316,30 @@ class TestStepCap:
             )
             assert np.all(H[1:] <= H[:-1] * (1.0 + 10.0 * s.rel_tol))
 
+    @pytest.mark.parametrize("seed", sorted(BENCH_DECAY_DATA))
+    def test_bench_decay_work(self, seed):
+        # Counts, not seconds: a change to the step control or the cap
+        # shows on any host. The work varies with the seed.
+        spec = Spectrum(np.arange(1, 9, dtype=float) ** 2)
+        u0, u1 = BENCH_DECAY_DATA[seed]
+        for eps, work in BENCH_DECAY_WORK[seed].items():
+            traj = solve_hyperbolic(
+                spec, PowerNonlinearity(1.0), PowerLawDissipation(0.5), eps, u0, u1,
+                settings(count=801),
+            )
+            stats = traj.stats
+            assert traj.status == COMPLETED and stats.method == "dp5"
+            assert (stats.accepted, stats.rhs_evals, stats.cap_limited, stats.rejected) == work
+
 
 class TwinStepper(kl.integrate._DormandPrince):
     """kirchlab's DP5 stepper with scipy's RK45 stepped beside it on the
     same right-hand side. After every step the two must agree bit for
-    bit: time, state, rhs count, rejected attempts and the dense output
-    at interior times. The cap is handed to RK45 after each step as
-    solve_hyperbolic hands it to its stepper; the right-hand side's
-    last call is then RK45's FSAL stage, at the same state as ours."""
+    bit: time, state, FSAL derivative, rhs count, rejected attempts and
+    the dense output at interior times. The cap is handed to RK45 after
+    each step as solve_hyperbolic hands it to its stepper; the
+    right-hand side's last call is then RK45's FSAL stage, at the same
+    state as ours."""
 
     def __init__(self, rhs, y0, s, step_cap=None):
         super().__init__(rhs, y0, s, step_cap)
@@ -317,6 +357,7 @@ class TwinStepper(kl.integrate._DormandPrince):
             ref.max_step = self.step_cap()
         assert self.t == ref.t and self.t_old == ref.t_old
         np.testing.assert_array_equal(self.y, ref.y)
+        assert self.f.tobytes() == ref.f.tobytes()
         assert self.nfev == ref.nfev
         # RK45 evaluates twice at launch and six times per attempt.
         assert self.rejected == (ref.nfev - 2) // 6 - self.steps
@@ -387,6 +428,57 @@ class TestDormandPrince:
         (stepper,) = twin
         assert traj.status == BLEW_UP and stepper.steps == traj.stats.accepted == 1
         assert traj.t_stop == 10 * math.ulp(0.0)
+
+    @pytest.fixture
+    def rhs_of(self, monkeypatch):
+        """The (rhs, y0) each solve hands to its DP5 stepper."""
+        made, real = [], kl.integrate._DormandPrince
+
+        def make(rhs, y0, *args):
+            made.append((rhs, y0))
+            return real(rhs, y0, *args)
+
+        monkeypatch.setattr(kl.integrate, "_DormandPrince", make)
+        return made
+
+    @staticmethod
+    def check_out_row(rhs, states):
+        # A row of a 2-D buffer, as the stepper's stage rows: the same bits
+        # as a fresh array, the row itself returned, its neighbours untouched.
+        for t, y in states:
+            fresh = rhs(t, y)
+            buf = np.full((3, y.size), np.nan)
+            row = buf[1]
+            assert rhs(t, y, row) is row
+            assert row.tobytes() == fresh.tobytes()
+            assert np.isnan(buf[::2]).all()
+
+    @pytest.mark.parametrize("n", [8, 512])
+    @pytest.mark.parametrize("solve", ["hyperbolic", "reparam", "direct"])
+    def test_rhs_out_row(self, rhs_of, solve, n):
+        spec = Spectrum(np.arange(1, n + 1, dtype=float))
+        rng = np.random.default_rng(n)
+        u0 = rng.uniform(-1.0, 1.0, n) / spec.eigenvalues
+        nl, dis, s = PowerNonlinearity(1.0), PowerLawDissipation(0.5), settings(count=2, t_end=1e-3)
+        if solve == "hyperbolic":
+            solve_hyperbolic(spec, nl, dis, 1e-1, u0, 0.1 * u0, s)
+        elif solve == "reparam":
+            solve_parabolic_reparam(spec, nl, dis, u0, s)
+        else:
+            solve_parabolic_direct(spec, nl, dis, u0, s)
+        (rhs, y0), = rhs_of
+        moved = y0 + 0.01 * rng.uniform(-1.0, 1.0, y0.size)
+        self.check_out_row(rhs, [(0.0, y0), (0.37, moved)])
+
+    def test_rhs_out_row_overflowing_launch(self, rhs_of):
+        # The launch of test_overflowing_launch_derivative.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            solve_hyperbolic(
+                Spectrum([1.0]), PowerNonlinearity(1.0), ConstantDissipation(1.0), 0.1,
+                [1e50], [0.0], settings(count=5, t_end=1.0),
+            )
+            (rhs, y0), = rhs_of
+            self.check_out_row(rhs, [(0.0, y0), (1e-300, np.array([1e300, -1e300]))])
 
     def test_tableau_is_scipys(self):
         ours = kl.integrate._DormandPrince
