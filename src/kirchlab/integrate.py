@@ -23,27 +23,27 @@ work it took (``SolverStats``).
   (Hairer-Wanner, Solving ODEs II, IV.8; samples are its collocation
   cubics) with scipy's Radau step control, bit for bit, but without
   scipy's per-step wrappers, and with an analytic Jacobian. It runs the
-  runs whose explicit steps would be stability-bound: overdamped
-  second-order runs at small eps, and direct first-order runs whose
-  decay rate lambda m / b outgrows the horizon, and counts its rejected
-  steps. Both Jacobians are a diagonal part plus one rank-one term, so
-  each Newton system is solved in closed form, by block elimination
-  and Sherman-Morrison (Golub-Van Loan, Matrix Computations, 2.1): O(N)
-  operations per factorisation and per solve, in place of a dense LU.
-  No matrix is formed: the Jacobian is kept as its diagonal and
-  rank-one parts (``_StiffnessTerm``), so work and memory are O(N) per
-  step at any N.
+  runs whose explicit steps would be stability-bound: small-eps
+  second-order runs with a long overdamped stretch, and direct
+  first-order runs whose decay rate lambda m / b outgrows the horizon,
+  and counts its rejected steps. Both Jacobians are a diagonal part plus
+  one rank-one term, so each Newton system is solved in closed form, by
+  block elimination and Sherman-Morrison (Golub-Van Loan, Matrix
+  Computations, 2.1): O(N) operations per factorisation and per solve,
+  in place of a dense LU. No matrix is formed: the Jacobian is kept as
+  its diagonal and rank-one parts (``_StiffnessTerm``), so work and
+  memory are O(N) per step at any N.
 
-An eps sweep is one call, ``solve_hyperbolic_sweep``. The overdamped
-members of a stiff sweep share one Radau run (``_sweep_runs``,
-``_shared_run``): their states are stacked, and the Newton matrix is
-block-diagonal with one block per member. Where a lone run and a
-shared run go through the same code (``_integrate``,
-``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its
-own branch: a flat modal vector and ``y @ y``. Row sums over a member
-axis add in another order and cost an extra numpy call, and the branch
-keeps every lone run bit-identical to a run without that axis. A shared
-run evaluates the three collocation stages of a Newton iteration in one
+An eps sweep is one call, ``solve_hyperbolic_sweep``. The members of a
+stiff sweep that are damped out before they can oscillate share one
+Radau run (``_sweep_runs``, ``_shared_run``): their states are stacked,
+and the Newton matrix is block-diagonal with one block per member. Where
+a lone run and a shared run go through the same code (``_integrate``,
+``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its own
+branch: a flat modal vector and ``y @ y``. Row sums over a member axis
+add in another order and cost an extra numpy call, and the branch keeps
+every lone run bit-identical to a run without that axis. A shared run
+evaluates the three collocation stages of a Newton iteration in one
 call, row by row; a lone run evaluates them one by one, on floats.
 """
 
@@ -748,31 +748,29 @@ def _second_order_newton(stiff: _StiffnessTerm, damp, c):
 
 
 # A run goes to Radau when explicit DP5 would need more stability-bound
-# steps than this. DP5's stable step under damping b/eps is a few eps/b,
-# so B(t_end)/eps (B the primitive of b) counts its steps up to a
-# constant. Radau takes ~10^4 rhs evaluations whatever eps is; below
-# this count DP5 is cheaper and stays the oracle.
+# steps than this. While a run is overdamped, DP5's stable step is a few
+# eps/b, so the stiff stretch (``_stiff_stretch``) counts those steps up
+# to a constant. Radau takes ~10^4 rhs evaluations whatever eps is;
+# below this count DP5 is cheaper and stays the oracle.
 _STIFF_STEPS = 2000.0
 
 
-def _overdamped(eps: float, lam_max: float, m0: float, dis: Dissipation, t_end: float) -> bool:
-    """Whether a second-order run is overdamped at the horizon,
-    b(t_end)^2 >= 4 eps lambda_max m0 with m0 the launch stiffness
-    coefficient: every mode then relaxes without oscillating, so
-    explicit steps are limited by stability, not accuracy."""
-    b_end = dis.b(t_end)
-    return b_end * b_end >= 4.0 * eps * lam_max * m0
+def _stiff_stretch(eps: float, lam_max: float, m0: float, dis: Dissipation, times) -> float:
+    """S = B(t_od)/eps, B the primitive of b, t_od the last of ``times``
+    with b(t)^2 >= 4 eps lambda_max m0 (overdamped; m0 the launch
+    stiffness coefficient), 0 if none. Overdamped modes relax without
+    oscillating, so explicit steps are stability-bound, and by t_od the
+    launch transient, damped at the rate b/eps, has decayed by exp(-S)."""
+    b = dis.b(times)
+    overdamped = np.flatnonzero(b * b >= 4.0 * eps * lam_max * m0)
+    return float(dis.primitive(times[overdamped[-1]])) / eps if overdamped.size else 0.0
 
 
-def _stepper(eps: float, lam_max: float, m0: float, dis: Dissipation, t_end: float) -> str:
-    """``"radau"`` for a stiff second-order run, else ``"dp5"``.
-
-    Stiff means overdamped at the horizon (``_overdamped``) and more
-    than ``_STIFF_STEPS`` stability-bound steps, B(t_end)/eps. A pure
-    function of the plan's data.
-    """
-    stiff = _overdamped(eps, lam_max, m0, dis, t_end) and dis.primitive(t_end) / eps > _STIFF_STEPS
-    return "radau" if stiff else "dp5"
+def _stepper(eps: float, lam_max: float, m0: float, dis: Dissipation, times) -> str:
+    """``"radau"`` when a second-order run's stiff stretch on the output
+    times ``times`` (``_stiff_stretch``) exceeds ``_STIFF_STEPS``, else
+    ``"dp5"``. A pure function of the plan's data."""
+    return "radau" if _stiff_stretch(eps, lam_max, m0, dis, times) > _STIFF_STEPS else "dp5"
 
 
 def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -> str:
@@ -878,14 +876,12 @@ def solve_hyperbolic(
         return factor * math.sqrt(eps / (lam_max * m_now + eps))
 
     y0 = np.concatenate([u0v, u1v])
-    t_end = settings.grid.t_end
-    if _stepper(eps, lam_max, m_now, dis, t_end) == "radau":
+    times = settings.grid.times()
+    if _stepper(eps, lam_max, m_now, dis, times) == "radau":
         solver = _second_order_radau(rhs, y0, nl, lam, dis, eps, settings)
     else:
         solver = _DormandPrince(rhs, y0, settings, step_cap)
-    times, samples, status, t_stop, stats = _integrate(
-        solver, settings.grid.times(), settings.blowup_threshold
-    )
+    times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold)
     return Trajectory(
         spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
     )
@@ -905,35 +901,34 @@ def _sweep_runs(spec, nl, dis, eps_values, u0, settings) -> list:
     """Stepper runs of an eps sweep, as tuples of indices into ``eps_values``.
 
     Once one member is stiff enough for a lone Radau run (``_stepper``),
-    every member that is overdamped at the horizon (``_overdamped``)
-    goes into one shared run (``_shared_run``), listed first because it
-    is the dearest; every other member is a lone DP5 run. Radau's work
-    barely depends on eps, so an overdamped member costs the shared run
-    less than its own stability-bound DP5 steps, even below the lone
-    threshold. An underdamped member's oscillation would set the shared
-    run's steps, and DP5's work grows like B(t_end)/eps, so a shared
-    explicit run would make its cheap members pay for the steps of the
-    dearest one. More shared members than ``rel_tol`` allows
-    (``_max_shared``) are split into several shared runs. The runs do
-    not depend on how many workers will take them, so neither do the
-    samples.
+    every member whose stiff stretch (``_stiff_stretch``) is at least
+    ln(1/rel_tol) goes into one shared run (``_shared_run``), listed
+    first because it is the dearest; every other member is a lone DP5
+    run. A joined member's launch transient has decayed below the
+    tolerance before it can oscillate, so it brings no live oscillation
+    into the shared run, and, as Radau's work barely depends on eps, it
+    costs the run less than its own DP5 steps. DP5's work grows like
+    1/eps, so a shared explicit run would make its cheap members pay for
+    the steps of the dearest one. More shared members than ``rel_tol``
+    allows (``_max_shared``) are split into several shared runs. The
+    runs do not depend on how many workers will take them, so neither do
+    the samples.
     """
     m0 = _launch_stiffness(nl, spec.eigenvalues, as_modal(spec, u0, "u0"), stacklevel=4)
-    lam_max, t_end = spec.lambda_max, settings.grid.t_end
-    joins = [_overdamped(eps, lam_max, m0, dis, t_end) for eps in eps_values]
-    if all(_stepper(eps, lam_max, m0, dis, t_end) == "dp5" for eps in eps_values):
-        joins = [False] * len(eps_values)
-    shared = [i for i, joined in enumerate(joins) if joined]
+    lam_max, times = spec.lambda_max, settings.grid.times()
+    stretch = [_stiff_stretch(eps, lam_max, m0, dis, times) for eps in eps_values]
+    join_at = -math.log(settings.rel_tol) if max(stretch, default=0.0) > _STIFF_STEPS else math.inf
+    shared = [i for i, s in enumerate(stretch) if s >= join_at]
     most = _max_shared(settings.rel_tol, len(shared))
     runs = [tuple(shared[lo:lo + most]) for lo in range(0, len(shared), most)]
-    return runs + [(i,) for i, joined in enumerate(joins) if not joined]
+    return runs + [(i,) for i, s in enumerate(stretch) if s < join_at]
 
 
 def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
     """One run of ``_sweep_runs``: one ``Trajectory`` per eps value.
 
     A single eps value is ``solve_hyperbolic``'s lone run. Several,
-    overdamped at the horizon and no more than ``rel_tol`` allows, are
+    joined by ``_sweep_runs`` and no more than ``rel_tol`` allows, are
     stepped together in one Radau run: the members' states are stacked,
     each as its pair (u, u'), with ``rel_tol / sqrt(k)`` and ``abs_tol /
     sqrt(k)`` for k members. The error norm is the RMS over all
@@ -1012,10 +1007,10 @@ def solve_hyperbolic_sweep(
     per eps value, in the order given.
 
     The members are grouped into stepper runs (``_sweep_runs``): the
-    overdamped members of a stiff sweep share Radau runs
-    (``_shared_run``), every other member is a lone run. The runs go to
-    up to ``jobs`` worker processes; the samples do not depend on how
-    many. Degenerate data (m vanishing at u0) warn once per sweep.
+    members of a stiff sweep with a long overdamped stretch share Radau
+    runs (``_shared_run``), every other member is a lone run. The runs
+    go to up to ``jobs`` worker processes; the samples do not depend on
+    how many. Degenerate data (m vanishing at u0) warn once per sweep.
     """
     eps_values = tuple(eps_values)
     for eps in eps_values:
@@ -1058,14 +1053,18 @@ def solve_parabolic_reparam(
     u0_sq = u0v * u0v
     rate = -2.0 * lam
 
-    def sigma_of_alpha(alpha: float) -> float:
-        # Summed as sigma_half sums, so at alpha = 0 this is
-        # sigma_half(lam, u0) bit for bit, as in the corrector's w0.
-        return float(np.add.reduce(lam * (u0_sq * np.exp(rate * alpha))))
+    def sigma_of_alpha(alpha):
+        # Summed as sigma_half sums (row by row for an array of clocks), so
+        # at alpha = 0 this is sigma_half(lam, u0) bit for bit, as in w0.
+        terms = np.multiply.outer(alpha, rate)
+        np.exp(terms, out=terms)
+        np.multiply(u0_sq, terms, out=terms)
+        np.multiply(lam, terms, out=terms)
+        return np.add.reduce(terms, axis=-1)
 
     def rhs(t, y, out=None):
         out = np.empty(1) if out is None else out
-        out[0] = nl.value(sigma_of_alpha(y[0])) / dis.b(t)
+        out[0] = nl.value(float(sigma_of_alpha(y[0]))) / dis.b(t)
         return out
 
     solver = _DormandPrince(rhs, np.array([0.0]), settings)
@@ -1073,7 +1072,7 @@ def solve_parabolic_reparam(
     alpha = samples[:, 0]
     u = u0v[None, :] * np.exp(-np.outer(alpha, lam))
     with np.errstate(over="ignore"):  # m saturates at inf, as in rhs
-        aprime = nl.value(np.array([sigma_of_alpha(a) for a in alpha])) / dis.b(times)
+        aprime = nl.value(sigma_of_alpha(alpha)) / dis.b(times)
     uprime = -aprime[:, None] * lam[None, :] * u
     return Trajectory(spec, times, u, uprime, status, t_stop, alpha=alpha, stats=stats)
 

@@ -549,6 +549,19 @@ class TestParabolicReparam:
         aprime0 = nl.value(sigma0) / dis.b(np.zeros(1))
         np.testing.assert_array_equal(traj.uprime[0], -aprime0 * lam * u0)
 
+    def test_velocity_matches_per_sample_loop(self):
+        # The velocity's sigma series is one array expression over all
+        # samples; it must give the bits of a sum taken sample by sample.
+        lam = np.arange(1.0, 513.0)
+        u0 = np.random.default_rng(3).uniform(0.5, 1.5, 512) / lam**2
+        nl, dis = PowerNonlinearity(1.0), PowerLawDissipation(0.5)
+        traj = solve_parabolic_reparam(Spectrum(lam), nl, dis, u0, settings(count=201, t_end=1e4))
+        sigma = np.array(
+            [float(np.add.reduce(lam * (u0 * u0 * np.exp(-2.0 * lam * a)))) for a in traj.alpha]
+        )
+        aprime = nl.value(sigma) / dis.b(traj.times)
+        np.testing.assert_array_equal(traj.uprime, -aprime[:, None] * lam[None, :] * traj.u)
+
     def test_alpha_nondecreasing_from_zero(self):
         traj = solve_parabolic_reparam(
             Spectrum([1.0]), PowerNonlinearity(0.5), PowerLawDissipation(0.5), [2.0],
@@ -859,22 +872,50 @@ class TestStiffPath:
     @pytest.mark.parametrize(
         "lam_max, m0, t_end, eps, method",
         [
-            # hyperbolic-decay benchmark plans: underdamped, B/eps 181 and 1810.
+            # hyperbolic-decay benchmark plans: never overdamped, stiff stretch 0.
             (64.0, 1.0, 100.0, 1e-1, "dp5"),
             (64.0, 1.0, 100.0, 1e-2, "dp5"),
-            # eps-sweep benchmark members: B/eps 463, 1543, 4633, 15433, 46330.
+            # eps-sweep benchmark members, alone: stiff stretch 299 (overdamped
+            # up to t = 5.25), then B(10)/eps 1544, 4633, 15444, 46332.
             (4.0, 1.0, 10.0, 1e-2, "dp5"),
             (4.0, 1.0, 10.0, 3e-3, "dp5"),
             (4.0, 1.0, 10.0, 1e-3, "radau"),
             (4.0, 1.0, 10.0, 3e-4, "radau"),
             (4.0, 1.0, 10.0, 1e-4, "radau"),
-            # Underdamped at the horizon although B/eps = 18100: oscillation,
-            # not stability, bounds the explicit steps.
+            # Overdamped only up to t = 2.9: stiff stretch 1944 although
+            # B(100)/eps = 18100; oscillation, not stability, bounds the
+            # explicit steps after that.
             (64.0, 1.0, 100.0, 1e-3, "dp5"),
         ],
     )
     def test_selector_routing(self, lam_max, m0, t_end, eps, method):
-        assert kl.integrate._stepper(eps, lam_max, m0, PowerLawDissipation(0.5), t_end) == method
+        times = OutputGrid(t_end=t_end).times()
+        assert kl.integrate._stepper(eps, lam_max, m0, PowerLawDissipation(0.5), times) == method
+
+    @pytest.mark.parametrize(
+        "nl",
+        [PowerNonlinearity(1.0), LipschitzTable(((0.0, 1.5), (1.0, 1.0)))],
+        ids=["m=s", "table"],
+    )
+    def test_large_n_overdamped_launch_goes_to_radau(self, nl):
+        # N = 1024, lambda = k, u0 ~ k^-2 with |A^(1/2)u0|^2 = 1, eps 1e-4,
+        # t_end 10: overdamped only up to t = 1.44, underdamped at the
+        # horizon, stiff stretch 11166. Radau takes 1,161 (m = s) and 1,389
+        # (table) steps there, DP5 19,395 and 78,507.
+        lam = np.arange(1.0, 1025.0)
+        u0 = lam**-2 / math.sqrt(lam @ lam**-4)
+        m0 = nl.value(sigma_half(lam, u0))
+        times = OutputGrid("log", 201, 10.0).times()
+        assert kl.integrate._stepper(1e-4, lam[-1], m0, PowerLawDissipation(0.5), times) == "radau"
+
+    def test_lone_run_routed_by_its_overdamped_stretch(self):
+        # SWEEP_SHAPE at eps 1e-3, t_end 1000: underdamped at the horizon,
+        # but overdamped up to t = 61.5 (stiff stretch 13352). DP5 took
+        # 130,639 steps when the horizon routed this run.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        traj = solve_hyperbolic(spec, nl, dis, 1e-3, u0, u1, settings(count=101, t_end=1000.0))
+        assert traj.status == COMPLETED
+        assert (traj.stats.method, traj.stats.accepted) == ("radau", 1448)
 
 
 # The stiff direct-path shape: N=3, a decreasing m table (kappa < 0),
@@ -1328,7 +1369,7 @@ BENCH_SWEEP_DATA = {
     0: ([0.33767335340815613, 0.12842965623064875], [0.08349429756518721, -0.05503364674538633]),
     7: ([-0.3822181739491623, -0.0920723458794332], [0.08808515941238794, -0.04733925106393432]),
 }
-BENCH_SWEEP_WORK = {0: (2125, 15325), 7: (2079, 15006)}
+BENCH_SWEEP_WORK = {0: (2299, 16474), 7: (2250, 16134)}
 
 
 @pytest.fixture(scope="module", params=sorted(BENCH_SWEEP_DATA))
@@ -1490,25 +1531,30 @@ class TestSharedRun:
         assert most == max(members, 1) or rel_tol / math.sqrt(most + 1) < floor
 
     def test_sweep_routing(self):
-        # The eps-sweep benchmark members: eps 3e-3 (B/eps 1543, below the
-        # lone threshold) is overdamped and joins the three Radau members;
-        # eps 1e-2 is underdamped and stays a lone DP5 run.
+        # The eps-sweep benchmark members: eps 3e-3 (stiff stretch 1544,
+        # below the lone threshold) and eps 1e-2 (299: overdamped up to
+        # t = 5.25, underdamped at the horizon) pass ln(1/rel_tol) = 23
+        # and join the three Radau members.
         spec, nl, dis, u0, _ = SWEEP_SHAPE
         eps_list = (1e-2, 3e-3) + STIFF_EPS
         runs = kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
-        assert runs == [(1, 2, 3, 4), (0,)]
+        assert runs == [(0, 1, 2, 3, 4)]
         assert kl.integrate._sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
             (0,), (1,)
         ]
 
     def test_no_lone_radau_member_stays_dp5(self):
         # Both members are overdamped at t_end 10, but neither passes the
-        # lone threshold (B/eps 926 and 1543), so there is no shared run.
+        # lone threshold (stiff stretch 926 and 1544), so there is no
+        # shared run.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_list = (5e-3, 3e-3)
         s = settings(count=101, t_end=10.0)
-        lam_max, m0 = spec.lambda_max, 1.0
-        assert all(kl.integrate._overdamped(e, lam_max, m0, dis, 10.0) for e in eps_list)
+        lam_max, m0, times = spec.lambda_max, 1.0, s.grid.times()
+        assert all(dis.b(10.0) ** 2 >= 4.0 * e * lam_max * m0 for e in eps_list)
+        assert all(
+            kl.integrate._stepper(e, lam_max, m0, dis, times) == "dp5" for e in eps_list
+        )
         assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0,), (1,)]
         assert all(
             solve_hyperbolic(spec, nl, dis, e, u0, u1, s).stats.method == "dp5" for e in eps_list
@@ -1529,14 +1575,13 @@ class TestSharedRun:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_returns_members_in_given_order(self, jobs):
-        # The bench members out of order: the shared run takes members
-        # 0, 2, 3 and 4 in that order, eps 1e-2 (member 1) is a lone DP5
-        # run, and each member is its run's trajectory.
+        # The bench members out of order: the shared run takes all five
+        # in the order given, and each member is its run's trajectory.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_list = (3e-4, 1e-2, 1e-4, 3e-3, 1e-3)
         s = settings(count=101, t_end=10.0)
         runs = kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s)
-        assert runs == [(0, 2, 3, 4), (1,)]
+        assert runs == [(0, 1, 2, 3, 4)]
         got = solve_hyperbolic_sweep(spec, nl, dis, eps_list, u0, u1, s, jobs)
         assert len(got) == len(eps_list)
         for run in runs:
@@ -1588,22 +1633,44 @@ class TestSharedRun:
     def test_bench_sweep_layout_and_work(self, bench_sweep):
         # Counts, not seconds: a routing change shows on any host.
         seed, runs, shared, _, _ = bench_sweep
-        assert runs == [(1, 2, 3, 4), (0,)]
+        assert runs == [(0, 1, 2, 3, 4)]
         stats = shared[0].stats
-        assert (stats.method, stats.members) == ("radau", 4)
+        assert (stats.method, stats.members) == ("radau", 5)
         assert (stats.accepted, stats.rhs_evals) == BENCH_SWEEP_WORK[seed]
 
     def test_joined_member_meets_reference(self, bench_sweep):
-        # eps 3e-3 joins below the lone threshold; it stays as close to
-        # an rtol 1e-13 reference as the lone-Radau members (1.0e-11 and
-        # 1.1e-11 of |(u0, u1)| measured; lone DP5 5.6e-11 and 4.0e-11).
+        # eps 1e-2 and 3e-3 join below the lone threshold; they stay as
+        # close to an rtol 1e-13 reference as the lone-Radau members
+        # (eps 1e-2: 1.3e-11 and 1.1e-11 of |(u0, u1)| measured at seeds 0
+        # and 7, against 4.3e-11 and 3.1e-11 on lone DP5; eps 3e-3: 7.9e-12
+        # and 4.0e-12, against 5.6e-11 and 4.0e-11).
         _, runs, shared, u0, u1 = bench_sweep
         spec, nl, dis = SWEEP_SHAPE[:3]
-        joined = shared[runs[0].index(1)]
-        assert joined.status == COMPLETED
-        ref = radau_reference(spec, nl, dis, BENCH_EPS[1], u0, u1, joined.times)
-        got = np.hstack([joined.u, joined.uprime])
-        assert np.max(np.abs(got - ref)) <= 1e-10 * math.sqrt(u0 @ u0 + u1 @ u1)
+        for member in (0, 1):
+            joined = shared[runs[0].index(member)]
+            assert joined.status == COMPLETED
+            ref = radau_reference(spec, nl, dis, BENCH_EPS[member], u0, u1, joined.times)
+            got = np.hstack([joined.u, joined.uprime])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * math.sqrt(u0 @ u0 + u1 @ u1)
+
+    def test_long_horizon_sweep_is_one_radau_run(self):
+        # t_end 1000: both members are underdamped at the horizon, so the
+        # horizon sent both to DP5. eps 1e-4 is overdamped up to t = 624
+        # (stiff stretch 4.8e5) and eps 1e-2 up to t = 5.25 (291), so
+        # they share one Radau run (2.3e-11 and 6.7e-12 of |(u0, u1)| from
+        # the reference measured).
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        eps_list = (1e-2, 1e-4)
+        s = settings(count=101, t_end=1000.0)
+        assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0, 1)]
+        scale = math.sqrt(u0 @ u0 + u1 @ u1)
+        for eps, traj in zip(eps_list, solve_hyperbolic_sweep(spec, nl, dis, eps_list, u0, u1, s)):
+            assert traj.status == COMPLETED
+            stats = traj.stats
+            assert (stats.method, stats.members, stats.accepted) == ("radau", 2, 1907)
+            ref = radau_reference(spec, nl, dis, eps, u0, u1, traj.times)
+            got = np.hstack([traj.u, traj.uprime])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
 
 class TestDirectStiffPath:
