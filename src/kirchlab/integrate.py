@@ -36,15 +36,11 @@ work it took (``SolverStats``).
 
 An eps sweep is one call, ``solve_hyperbolic_sweep``. The members of a
 stiff sweep that are damped out before they can oscillate share one
-Radau run (``_sweep_runs``, ``_shared_run``): their states are stacked,
-and the Newton matrix is block-diagonal with one block per member. Where
-a lone run and a shared run go through the same code (``_integrate``,
-``_StiffnessTerm``, ``_second_order_radau``), the lone run keeps its own
-branch: a flat modal vector and ``y @ y``. Row sums over a member axis
-add in another order and cost an extra numpy call, and the branch keeps
-every lone run bit-identical to a run without that axis. A shared run
-evaluates the three collocation stages of a Newton iteration in one
-call, row by row; a lone run evaluates them one by one, on floats.
+Radau run (``_sweep_runs``, ``_shared_run``). Every second-order Radau
+run, lone or shared, is a stack of k members (``_second_order_radau``),
+stored as [U; W]: all members' u, then all their u', two contiguous
+(k, N) blocks; one member is the lone state (u, u'). Every Radau run
+evaluates the three collocation stages of a Newton iteration in one call.
 """
 
 from __future__ import annotations
@@ -386,11 +382,12 @@ class _RadauIIA:
     ``factor(c)``, the solver of (c I - J) x = r for c = MU/h real or
     complex; ``njev`` and ``nlu`` count the calls of the two, where
     scipy counts its Jacobians and LU factorisations. ``stages(times,
-    Y)``, if given, evaluates the right-hand side at the three
-    collocation stages in one call, row i of the (3, n) array Y at
-    times[i]; each stage counts as one evaluation. The stepper counts
-    its rejected attempts: steps that fail the error test and steps
-    halved because Newton did not converge with a fresh Jacobian.
+    Y)`` evaluates the right-hand side at the three collocation stages
+    in one call, row i of the (3, n) array Y at times[i]; each stage
+    counts as one evaluation. ``rhs(t, y)`` evaluates it at one state.
+    The stepper counts its rejected attempts: steps that fail the error
+    test and steps halved because Newton did not converge with a fresh
+    Jacobian.
     """
 
     method = "radau"
@@ -416,8 +413,8 @@ class _RadauIIA:
         [1/3, -8/3, 10/3]])
     NEWTON_MAXITER = 6
 
-    def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages=None):
-        self.rhs, self.jac, self.stages = rhs, newton, stages or self._each_stage
+    def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages):
+        self.rhs, self.jac, self.stages = rhs, newton, stages
         self.t_end, self.rtol, self.atol = t_end, rtol, atol
         self.t, self.y, self.n = 0.0, y0, y0.size
         self.t_old = self.y_old = self.Q = None
@@ -448,12 +445,6 @@ class _RadauIIA:
         # the (3, n) Newton increment.
         x = x.ravel()
         return np.sqrt(x.dot(x)) / x.size ** 0.5
-
-    def _each_stage(self, times, Y):
-        F = np.empty(Y.shape)
-        for i in range(3):
-            F[i] = self.rhs(times[i], Y[i])
-        return F
 
     def _collocation(self, t, y, h, Z0, scale, LU_real, LU_complex):
         """scipy's solve_collocation_system: (converged, iterations, Z,
@@ -616,9 +607,9 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
     Returns (times, samples, status, t_stop, stats). Blow-up (squared
     state norm above the threshold) and a solver failure end the run
     with a status, not an exception; the returned arrays then end with
-    the state at the stopping time. A state of ``members`` stacked
+    the state at the stopping time. A [U; W] stack of ``members``
     members blows up when one member's squared norm is above the
-    threshold.
+    threshold (``_largest_member_norm_sq``).
     """
     samples = np.empty((out_times.size, solver.n))
     samples[0] = solver.y
@@ -641,8 +632,7 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
             if members == 1:
                 norm_sq = float(y @ y)
             else:
-                rows = y.reshape(members, -1)
-                norm_sq = float(_row_dot(rows, rows).max())
+                norm_sq = _largest_member_norm_sq(y, members, blowup_threshold)
             if norm_sq > blowup_threshold:
                 status, t_stop = BLEW_UP, t
                 break
@@ -671,6 +661,19 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
     return times, samples, status, t_stop, stats
 
 
+def _largest_member_norm_sq(y, members, threshold) -> float:
+    """Largest |(u_i, u_i')|^2 over the members of a [U; W] stack ``y``,
+    or y @ y where that is below ``threshold`` by more than 2 y.size eps
+    relative: no member's sum can pass it then, as each sum of squares is
+    within y.size eps / 2 of its exact value, relative, in any order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    total = float(y @ y)
+    if total <= threshold * (1.0 - 2.0 * y.size * _EPS):
+        return total
+    halves = y.reshape(2, members, -1)
+    return float(np.add.reduce(np.add.reduce(halves * halves, axis=2), axis=0).max())
+
+
 class _StiffnessTerm:
     """The linearisation K = diag(m(sigma) lambda / scale) + kappa w w^T
     of m(|A^(1/2)u|^2) A u / scale at u, with w = lambda u and
@@ -679,9 +682,8 @@ class _StiffnessTerm:
     gamma < 1 kink at sigma = 0).
 
     ``u`` is one modal vector (``scale`` a float) or a (members x N)
-    array with one row per member (``scale`` a column); K is then
-    block-diagonal, one block per row, and every attribute has a row
-    per member.
+    array with one row per member of a stack (``scale`` a column); K is
+    then block-diagonal, and every attribute has a row per member.
 
     K is kept as its parts and never assembled: the Newton solves of
     ``_RadauIIA`` need only ``shifted_solver``.
@@ -730,19 +732,18 @@ def _second_order_newton(stiff: _StiffnessTerm, damp, c):
     """Solver of A (x, y) = (r, s) for the Newton matrix A = c I - J of
     the second-order system, J = [[0, I], [-K, -damp I]]. A is
     [[c I, -I], [K, d I]] with d = c + damp, so y = c x - r and
-    (K + c d I) x = s + d r. For stacked members (``damp`` a column)
-    the state is member by member, (u_i, u_i') for each, so A is
-    block-diagonal and each member's block is eliminated on its row."""
+    (K + c d I) x = s + d r. For a stack of members (``damp`` a column)
+    the state is [U; W], all members' u, then all their u', so x, y, r
+    and s are contiguous (members x N) blocks, A is block-diagonal in
+    each member, and each member's block is eliminated on its row."""
     d = c + damp
     solve_x = stiff.shifted_solver(c * d)
-    n = stiff.w.shape[-1]
-    shape = stiff.w.shape[:-1] + (2 * n,)
+    shape = (2,) + stiff.w.shape
 
     def solve(rhs):
-        pair = rhs.reshape(shape)
-        r = pair[..., :n]
-        x = solve_x(pair[..., n:] + d * r)
-        return np.concatenate([x, c * x - r], axis=-1).ravel()
+        r, s = rhs.reshape(shape)
+        x = solve_x(s + d * r)
+        return np.concatenate([x, c * x - r]).ravel()
 
     return solve
 
@@ -786,28 +787,6 @@ def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -
     return "radau" if lam_max * mu * t_end / dis.b(t_end) > _STIFF_STEPS else "dp5"
 
 
-def _second_order_radau(rhs, y0, nl, lam, dis, eps, settings, members=1, stages=None) -> _RadauIIA:
-    """``_RadauIIA`` on the second-order system of ``members`` stacked
-    members (``eps`` a float for one, a column for several), each state
-    (u_i, u_i') in turn, with tolerances rel_tol / sqrt(members) and
-    abs_tol / sqrt(members). The Jacobian is block-diagonal with blocks
-    [[0, I], [-K_i, -(b/eps_i) I]] (K_i the stiffness term at u_i over
-    eps_i); it is never assembled, and each Newton solve uses K and b/eps
-    of the latest linearisation (``_second_order_newton``)."""
-    n = lam.size
-
-    def newton(t, y):
-        u = y[:n] if members == 1 else y.reshape(members, 2 * n)[:, :n]
-        stiff = _StiffnessTerm(nl, lam, u, eps)
-        return functools.partial(_second_order_newton, stiff, dis.b(t) / eps)
-
-    root = math.sqrt(members)
-    return _RadauIIA(
-        rhs, y0, settings.grid.t_end, settings.rel_tol / root, settings.abs_tol / root,
-        newton, stages,
-    )
-
-
 _DEGENERATE = "initial stiffness coefficient vanishes"
 
 
@@ -824,6 +803,60 @@ def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray, stackle
     return m0
 
 
+def _second_order_stages(nl: Nonlinearity, lam: np.ndarray, dis: Dissipation, eps_col):
+    """The second-order right-hand side on [U; W] stacks with eps
+    ``eps_col`` (a column), row i of Y at times[i]. Each member reads its
+    own rows of the two halves, in a lone state's operations and order;
+    b is a scalar per time, as numpy's array power can round otherwise."""
+    k, n = eps_col.shape[0], lam.size
+
+    def stages(times, y):
+        halves = y.reshape(len(times), 2, k, n)
+        u, w = halves[:, 0], halves[:, 1]
+        m = nl.value(np.add.reduce(lam * (u * u), axis=2))[..., None]
+        b = np.array([dis.b(t) for t in times])[:, None, None]
+        out = np.empty(halves.shape)
+        out[:, 0] = w
+        out[:, 1] = -(b * w + m * (lam * u)) / eps_col
+        return out.reshape(len(times), -1)
+
+    return stages
+
+
+def _second_order_radau(spec, nl, dis, eps_values, u0v, u1v, settings, times) -> list:
+    """One ``_RadauIIA`` run of the second-order system at the k
+    ``eps_values`` side by side: a ``Trajectory`` per member, with the
+    run's status, stopping time and ``SolverStats`` (``members = k``).
+
+    The state is the [U; W] stack (one member: the lone (u, u')), with
+    rel_tol / sqrt(k) and abs_tol / sqrt(k). The error norm is the RMS
+    over all components, so every member meets its own tolerance on
+    every accepted step. The Jacobian is block-diagonal with blocks
+    [[0, I], [-K_i, -(b/eps_i) I]], K_i the stiffness term at u_i over
+    eps_i; it is never assembled (``_second_order_newton``)."""
+    k, n, lam = len(eps_values), spec.size, spec.eigenvalues
+    eps_col = np.array(eps_values)[:, None]
+    stages = _second_order_stages(nl, lam, dis, eps_col)
+    # One member is linearised as one vector, so its solves take scalars.
+    shape, scale = ((n,), eps_values[0]) if k == 1 else ((k, n), eps_col)
+
+    def newton(t, y):
+        stiff = _StiffnessTerm(nl, lam, y[:k * n].reshape(shape), scale)
+        return functools.partial(_second_order_newton, stiff, dis.b(t) / scale)
+
+    root = math.sqrt(k)
+    solver = _RadauIIA(
+        lambda t, y: stages((t,), y)[0], np.concatenate([np.tile(u0v, k), np.tile(u1v, k)]),
+        settings.grid.t_end, settings.rel_tol / root, settings.abs_tol / root, newton, stages,
+    )
+    times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold, k)
+    halves = samples.reshape(times.size, 2, k, n)
+    return [
+        Trajectory(spec, times, halves[:, 0, i], halves[:, 1, i], status, t_stop, stats=stats)
+        for i in range(k)
+    ]
+
+
 def solve_hyperbolic(
     spec: Spectrum,
     nl: Nonlinearity,
@@ -836,7 +869,8 @@ def solve_hyperbolic(
     """Integrate eps u'' + b(t) u' + m(|A^(1/2)u|^2) A u = 0.
 
     The state is the first-order pair (u, u'). Stiff runs (see
-    ``_stepper``) use Radau IIA, all others DP5 (``_DormandPrince``).
+    ``_stepper``) use Radau IIA, as a stack of one member
+    (``_second_order_radau``), all others DP5 (``_DormandPrince``).
     Blow-up (squared state norm above the threshold) and step underflow
     are reported through the trajectory status, not raised. Coefficients
     whose initial data vanish stay exactly zero: the right-hand side is
@@ -850,6 +884,9 @@ def solve_hyperbolic(
     n = spec.size
 
     m_now = _launch_stiffness(nl, lam, u0v, stacklevel=3)
+    times = settings.grid.times()
+    if _stepper(eps, spec.lambda_max, m_now, dis, times) == "radau":
+        return _second_order_radau(spec, nl, dis, (eps,), u0v, u1v, settings, times)[0]
 
     bw = np.empty(n)
 
@@ -875,12 +912,7 @@ def solve_hyperbolic(
     def step_cap():
         return factor * math.sqrt(eps / (lam_max * m_now + eps))
 
-    y0 = np.concatenate([u0v, u1v])
-    times = settings.grid.times()
-    if _stepper(eps, lam_max, m_now, dis, times) == "radau":
-        solver = _second_order_radau(rhs, y0, nl, lam, dis, eps, settings)
-    else:
-        solver = _DormandPrince(rhs, y0, settings, step_cap)
+    solver = _DormandPrince(rhs, np.concatenate([u0v, u1v]), settings, step_cap)
     times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold)
     return Trajectory(
         spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
@@ -928,15 +960,8 @@ def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
     """One run of ``_sweep_runs``: one ``Trajectory`` per eps value.
 
     A single eps value is ``solve_hyperbolic``'s lone run. Several,
-    joined by ``_sweep_runs`` and no more than ``rel_tol`` allows, are
-    stepped together in one Radau run: the members' states are stacked,
-    each as its pair (u, u'), with ``rel_tol / sqrt(k)`` and ``abs_tol /
-    sqrt(k)`` for k members. The error norm is the RMS over all
-    components, so an accepted step has sum_i RMS_i^2 <= 1 and every
-    member meets its own tolerance on every step. The Newton matrix is
-    block-diagonal, and each block is solved in closed form as in a lone
-    run (``_second_order_newton``). Every member reports the shared
-    run's ``SolverStats`` (``members = k``).
+    joined by ``_sweep_runs`` and no more than ``rel_tol`` allows, share
+    one Radau run (``_second_order_radau``).
 
     A shared run that does not complete (one member blows up by its own
     norm, or the steps underflow) is rerun member by member, so
@@ -944,50 +969,13 @@ def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
     Lone runs do not repeat the degenerate-data warning, which
     ``solve_hyperbolic_sweep`` gives once for the whole sweep.
     """
-    k = len(eps_values)
-    if k == 1:
-        return _lone_runs(spec, nl, dis, eps_values, u0, u1, settings)
-
-    u0v = as_modal(spec, u0, "u0")
-    u1v = as_modal(spec, u1, "u1")
-    lam = spec.eigenvalues
-    n = spec.size
-    shape = (k, 2, n)
-    eps_col = np.array(eps_values)[:, None]
-
-    def stages(times, y):
-        # The right-hand side at each time, of the rows of y, member by
-        # member. b is taken at each time as a scalar: numpy's array
-        # power can round differently.
-        pair = y.reshape((len(times),) + shape)
-        u, w = pair[:, :, 0], pair[:, :, 1]
-        m = nl.value(np.add.reduce(lam * (u * u), axis=2))[..., None]
-        b = np.array([dis.b(t) for t in times])[:, None, None]
-        out = np.empty(pair.shape)
-        out[:, :, 0] = w
-        out[:, :, 1] = -(b * w + m * (lam * u)) / eps_col
-        return out.reshape(len(times), -1)
-
-    def rhs(t, y):
-        return stages((t,), y)[0]
-
-    y0 = np.tile(np.concatenate([u0v, u1v]), k)
-    solver = _second_order_radau(rhs, y0, nl, lam, dis, eps_col, settings, k, stages)
-    times, samples, status, t_stop, stats = _integrate(
-        solver, settings.grid.times(), settings.blowup_threshold, members=k
-    )
-    if status != COMPLETED:
-        return _lone_runs(spec, nl, dis, eps_values, u0, u1, settings)
-    samples = samples.reshape((times.size,) + shape)
-    return [
-        Trajectory(spec, times, samples[:, i, 0], samples[:, i, 1], status, stats=stats)
-        for i in range(k)
-    ]
-
-
-def _lone_runs(spec, nl, dis, eps_values, u0, u1, settings) -> list:
-    """``solve_hyperbolic`` at each eps value, without its degenerate-data
-    warning."""
+    if len(eps_values) > 1:
+        trajs = _second_order_radau(
+            spec, nl, dis, eps_values, as_modal(spec, u0, "u0"), as_modal(spec, u1, "u1"),
+            settings, settings.grid.times(),
+        )
+        if trajs[0].status == COMPLETED:
+            return trajs
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _DEGENERATE, UserWarning)
         return [solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings) for eps in eps_values]
@@ -1099,6 +1087,12 @@ def solve_parabolic_direct(
         out = np.multiply(lam, y, out=out)
         return np.multiply(-(mval / dis.b(t)), out, out=out)
 
+    def stages(times, Y):
+        # rhs of each row, in its operations and order.
+        m = nl.value(np.add.reduce(lam * (Y * Y), axis=1))[:, None]
+        b = np.array([dis.b(t) for t in times])[:, None]
+        return -(m / b) * (lam * Y)
+
     t_end = settings.grid.t_end
     if _direct_stepper(spec.lambda_max, nl.mu, dis, t_end) == "dp5":
         solver = _DormandPrince(rhs, u0v, settings)
@@ -1106,7 +1100,7 @@ def solve_parabolic_direct(
         # The Newton matrix c I - J is K + c I.
         solver = _RadauIIA(
             rhs, u0v, t_end, settings.rel_tol, settings.abs_tol,
-            lambda t, y: _StiffnessTerm(nl, lam, y, dis.b(t)).shifted_solver,
+            lambda t, y: _StiffnessTerm(nl, lam, y, dis.b(t)).shifted_solver, stages,
         )
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
     uprime = np.empty_like(samples)

@@ -154,9 +154,14 @@ class PowerLawDissipation:
         return (1.0 + t) ** (-self.p)
 
     def primitive(self, t):
-        if self.p == 1.0:
+        # ((1+t)^q - 1)/q, q = 1 - p, without its cancellation at small t;
+        # floats go through math, faster per call than numpy scalars.
+        q = 1.0 - self.p
+        if q == 0.0:
             return np.log1p(t)
-        return ((1.0 + t) ** (1.0 - self.p) - 1.0) / (1.0 - self.p)
+        if isinstance(t, np.ndarray):
+            return np.expm1(q * np.log1p(t)) / q
+        return math.expm1(q * math.log1p(t)) / q
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import radau
 
@@ -776,12 +779,13 @@ SHAPES = {"sweep": SWEEP_SHAPE, "nonlinear": NONLINEAR_SHAPE, "kirchhoff2": KIRC
 
 class HoledNonlinearity:
     """m = 1 for sigma >= 0.05 and NaN below: a right-hand side that
-    turns non-finite once the solution has decayed far enough."""
+    turns non-finite once the solution has decayed far enough. Like the
+    model's nonlinearities it takes a float or an array of sigma."""
 
     mu = 0.0
 
     def value(self, sigma):
-        return 1.0 if sigma >= 0.05 else math.nan
+        return np.where(sigma >= 0.05, 1.0, math.nan)
 
     def derivative(self, sigma):
         return 0.0
@@ -1414,20 +1418,61 @@ class TestSharedRun:
 
         stiff = kl.integrate._StiffnessTerm(nl, lam, u, eps)
         assert np.all(np.sign(stiff.kappa) == sign)
-        blocks = []
+        # The state is [U; W]: member i's u at rows i n ... (i+1) n - 1,
+        # its u' k n rows further on.
+        A = np.zeros((2 * k * n, 2 * k * n), dtype=complex)
         for i in range(k):
             K = stiffness_matrix(nl, lam, u[i], eps[i, 0])
             J = np.block([[np.zeros((n, n)), np.eye(n)], [-K, -(b / eps[i, 0]) * np.eye(n)]])
-            blocks.append(c * np.eye(2 * n) - J)
-        A = np.zeros((2 * k * n, 2 * k * n), dtype=complex)
-        for i, block in enumerate(blocks):
-            A[2 * n * i:2 * n * (i + 1), 2 * n * i:2 * n * (i + 1)] = block
+            rows = np.r_[i * n:(i + 1) * n, (k + i) * n:(k + i + 1) * n]
+            A[np.ix_(rows, rows)] = c * np.eye(2 * n) - J
         rhs = rng.standard_normal(2 * k * n)
         if shift == "complex":
             rhs = rhs + 1j * rng.standard_normal(2 * k * n)
         got = kl.integrate._second_order_newton(stiff, b / eps, c)(rhs)
         ref = np.linalg.solve(A, rhs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", ["sweep", "nonlinear"])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_stacked_stages_are_member_stages(self, shape, k):
+        # The [U; W] stack: each member reads only its own rows of the two
+        # halves, so its stages are those of a one-member stack (the lone
+        # state (u, u')) at the same (t, u, u'), bit for bit. With m = s a
+        # member that read another member's u would get another m.
+        spec, nl, dis = SHAPES[shape][:3]
+        lam, n = spec.eigenvalues, spec.size
+        rng = np.random.default_rng(k)
+        eps = np.logspace(-2, -5, k)[:, None]
+        times = np.array([0.1, 0.4, 0.7])
+        u, w = rng.uniform(-0.5, 0.5, (2, 3, k, n))
+        stages = kl.integrate._second_order_stages
+        stacked = stages(nl, lam, dis, eps)(times, np.hstack([u.reshape(3, -1), w.reshape(3, -1)]))
+        halves = stacked.reshape(3, 2, k, n)
+        for i in range(k):
+            one = stages(nl, lam, dis, eps[i:i + 1])(times, np.hstack([u[:, i], w[:, i]]))
+            np.testing.assert_array_equal(halves[:, :, i].reshape(3, 2 * n), one)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(2, 6), n=st.integers(1, 8), hot=st.data(), seed=st.integers(0, 2**32 - 1),
+        ulps=st.integers(-4, 4), others=st.sampled_from([0.0, 1e-200, 1e-20, 1e-9]),
+    )
+    def test_blowup_precheck_misses_no_member(self, k, n, hot, seed, ulps, others):
+        # One member's squared norm lies within a few ulps of the
+        # threshold, the others are 0 or tiny. Taking the stack's y @ y
+        # first must give the per-member decision, which the threshold 0
+        # always takes.
+        largest = kl.integrate._largest_member_norm_sq
+        rng = np.random.default_rng(seed)
+        halves = others * rng.uniform(-1.0, 1.0, (2, k, n))
+        j = hot.draw(st.integers(0, k - 1), label="hot member")
+        halves[:, j] = rng.uniform(-1.0, 1.0, (2, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        y = halves.ravel()
+        threshold = largest(y, k, 0.0)
+        for _ in range(abs(ulps)):
+            threshold = np.nextafter(threshold, math.copysign(math.inf, ulps))
+        assert (largest(y, k, threshold) > threshold) == (largest(y, k, 0.0) > threshold)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_one_member_is_the_lone_run(self, shape):
