@@ -34,13 +34,15 @@ work it took (``SolverStats``).
   its diagonal and rank-one parts (``_StiffnessTerm``), so work and
   memory are O(N) per step at any N.
 
-An eps sweep is one call, ``solve_hyperbolic_sweep``. The members of a
-stiff sweep that are damped out before they can oscillate share one
-Radau run (``_sweep_runs``, ``_shared_run``). Every second-order Radau
-run, lone or shared, is a stack of k members (``_second_order_radau``),
-stored as [U; W]: all members' u, then all their u', two contiguous
-(k, N) blocks; one member is the lone state (u, u'). Every Radau run
-evaluates the three collocation stages of a Newton iteration in one call.
+Every second-order solve is an eps sweep, ``solve_hyperbolic`` one of a
+single member, and one router, ``_sweep_runs``, gives each run its
+stepper, ``_second_order_dp5`` or ``_second_order_radau``. The members
+of a stiff sweep that are damped out before they can oscillate share
+one Radau run. Every second-order Radau run, lone or shared, is a stack
+of k members, stored as [U; W]: all members' u, then all their u', two
+contiguous (k, N) blocks; one member is the lone state (u, u'). Every
+Radau run evaluates the three collocation stages of a Newton iteration
+in one call.
 """
 
 from __future__ import annotations
@@ -217,6 +219,32 @@ def _row_dot(a, b):
     return np.add.reduce(a * b, axis=1, keepdims=True)
 
 
+def _rms(x):
+    # RMS norm as scipy's, of a state or of Radau's (3, n) Newton increment:
+    # np.linalg.norm takes the same square root of x.dot(x). It stays a
+    # numpy float, so an infinite norm divides as in scipy (0.0 / 0.0 is
+    # NaN with a warning, not ZeroDivisionError).
+    x = x.ravel()
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(rhs, y0, f0, t_end, rtol, atol, order):
+    """Hairer's initial step on [0, t_end] for an error estimate of order
+    ``order`` (Hairer-Norsett-Wanner, Solving ODEs I, II.4), as scipy's
+    ``select_initial_step`` without a step bound; f0 = rhs(0, y0), and
+    one more evaluation probes the step."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, t_end)
+
+
 class _DormandPrince:
     """Dormand-Prince 5(4) with scipy's RK45 step control (Hairer-Norsett-
     Wanner, Solving ODEs I, II.4-II.5), without scipy's per-step wrappers.
@@ -235,13 +263,14 @@ class _DormandPrince:
     builds once per run, and copies the accepted derivative into ``f``
     once per step; the launch probes take fresh arrays.
 
-    ``step_cap()``, if given, sets ``max_step`` at launch and after each
-    accepted step, right after the FSAL stage (the step's last ``rhs``
-    call), so a cap built from values the right-hand side computes reads
-    them at the accepted state at no extra evaluation. The stepper
-    counts its rejected attempts and, in ``cap_limited``, the accepted
-    steps at least cap * (1 - 1e-12) long (the tolerance absorbs the
-    rounding of t_new - t).
+    ``step_cap()``, if given, sets ``max_step`` right after the launch
+    derivative rhs(0, y0) and after each accepted step, right after the
+    FSAL stage (the step's last ``rhs`` call), so a cap built from values
+    the right-hand side computes reads them at the launch or accepted
+    state at no extra evaluation. The stepper counts its rejected
+    attempts and, in ``cap_limited``, the accepted steps at least
+    cap * (1 - 1e-12) long (the tolerance absorbs the rounding of
+    t_new - t).
     """
 
     method = "dp5"
@@ -276,7 +305,6 @@ class _DormandPrince:
 
     def __init__(self, rhs, y0, settings: IntegratorSettings, step_cap=None):
         self.rhs, self.step_cap = rhs, step_cap
-        self.max_step = math.inf if step_cap is None else step_cap()
         self.t_end, self.rtol, self.atol = settings.grid.t_end, settings.rel_tol, settings.abs_tol
         self.t, self.y, self.n = 0.0, y0, y0.size
         self.t_old = self.y_old = None
@@ -289,26 +317,10 @@ class _DormandPrince:
             (K[:s].T, self.A[s, :s], self.C[s], K[s]) for s in range(1, self.n_stages)
         )
         self._KT_B, self._KT = K[:-1].T, K.T
-        self._root_n = y0.size ** 0.5
         self.f = f0 = rhs(0.0, y0)
-        # Hairer's initial step, as scipy's select_initial_step.
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0, d1 = self._norm(y0 / scale), self._norm(f0 / scale)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, self.t_end)
-        d2 = self._norm((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-        self.h_abs = min(100 * h0, h1, self.t_end)
+        self.max_step = math.inf if step_cap is None else step_cap()
+        self.h_abs = _initial_step(rhs, y0, f0, self.t_end, self.rtol, self.atol, 4)
         self.nfev = 2
-
-    def _norm(self, x):
-        # RMS norm as scipy's: np.linalg.norm takes the same square root of
-        # x.dot(x). It stays a numpy float, so an infinite norm divides as
-        # in scipy (0.0 / 0.0 is NaN with a warning, not ZeroDivisionError).
-        return np.sqrt(x.dot(x)) / self._root_n
 
     def step(self):
         """One accepted step, or ``status = "failed"`` once the step
@@ -330,7 +342,7 @@ class _DormandPrince:
             rhs(t + h, y_new, K[-1])
             self.nfev += 6
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._norm(np.dot(self._KT, self.E) * h / scale)
+            error_norm = _rms(np.dot(self._KT, self.E) * h / scale)
             if error_norm < 1:
                 break
             h_abs = h * max(0.2, 0.9 * error_norm ** -0.2)
@@ -421,30 +433,13 @@ class _RadauIIA:
         self.status = "running"  # or "failed", as scipy's solvers say it
         self.rejected = 0
         self.f = f0 = rhs(0.0, y0)
-        # Hairer's initial step for an order-3 error estimate, as scipy's
-        # select_initial_step.
-        scale = atol + np.abs(y0) * rtol
-        d0, d1 = self._norm(y0 / scale), self._norm(f0 / scale)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, t_end)
-        d2 = self._norm((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.25
-        self.h_abs = min(100 * h0, h1, t_end)
+        self.h_abs = _initial_step(rhs, y0, f0, t_end, rtol, atol, 3)
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.J = newton(0.0, y0)
         self.nfev, self.njev, self.nlu = 2, 1, 0
         self.current_jac = True
         self.LU_real = self.LU_complex = None
-
-    def _norm(self, x):
-        # RMS norm as scipy's (see _DormandPrince._norm), of a state or of
-        # the (3, n) Newton increment.
-        x = x.ravel()
-        return np.sqrt(x.dot(x)) / x.size ** 0.5
 
     def _collocation(self, t, y, h, Z0, scale, LU_real, LU_complex):
         """scipy's solve_collocation_system: (converged, iterations, Z,
@@ -473,7 +468,7 @@ class _RadauIIA:
             dW[0] = dW_real
             dW[1] = dW_complex.real
             dW[2] = dW_complex.imag
-            dW_norm = self._norm(dW / scale)
+            dW_norm = _rms(dW / scale)
             if dW_norm_old is not None:
                 rate = dW_norm / dW_norm_old
             if rate is not None and (
@@ -535,12 +530,12 @@ class _RadauIIA:
             ZE = Z.T.dot(self.E) / h
             error = LU_real(f + ZE)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._norm(error / scale)
+            error_norm = _rms(error / scale)
             safety = 0.9 * (2 * self.NEWTON_MAXITER + 1) / (2 * self.NEWTON_MAXITER + n_iter)
             if rejected and error_norm > 1:
                 error = LU_real(self.rhs(t, y + error) + ZE)
                 self.nfev += 1
-                error_norm = self._norm(error / scale)
+                error_norm = _rms(error / scale)
             if error_norm > 1:  # so a NaN norm is accepted, as in scipy
                 factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
                 h_abs *= max(0.2, safety * factor)
@@ -767,13 +762,6 @@ def _stiff_stretch(eps: float, lam_max: float, m0: float, dis: Dissipation, time
     return float(dis.primitive(times[overdamped[-1]])) / eps if overdamped.size else 0.0
 
 
-def _stepper(eps: float, lam_max: float, m0: float, dis: Dissipation, times) -> str:
-    """``"radau"`` when a second-order run's stiff stretch on the output
-    times ``times`` (``_stiff_stretch``) exceeds ``_STIFF_STEPS``, else
-    ``"dp5"``. A pure function of the plan's data."""
-    return "radau" if _stiff_stretch(eps, lam_max, m0, dis, times) > _STIFF_STEPS else "dp5"
-
-
 def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -> str:
     """``"radau"`` for a stiff direct first-order run, else ``"dp5"``.
 
@@ -785,22 +773,6 @@ def _direct_stepper(lam_max: float, mu: float, dis: Dissipation, t_end: float) -
     DP5. A pure function of the plan's data.
     """
     return "radau" if lam_max * mu * t_end / dis.b(t_end) > _STIFF_STEPS else "dp5"
-
-
-_DEGENERATE = "initial stiffness coefficient vanishes"
-
-
-def _launch_stiffness(nl: Nonlinearity, lam: np.ndarray, u0: np.ndarray, stacklevel) -> float:
-    """m(|A^(1/2)u0|^2), with a warning where it vanishes. ``stacklevel``
-    counts the frames up to the public solver's caller, whose line the
-    warning names."""
-    m0 = nl.value(sigma_half(lam, u0))
-    if m0 == 0.0:
-        warnings.warn(
-            f"{_DEGENERATE} (really degenerate data); no existence theory applies",
-            stacklevel=stacklevel,
-        )
-    return m0
 
 
 def _second_order_stages(nl: Nonlinearity, lam: np.ndarray, dis: Dissipation, eps_col):
@@ -857,38 +829,17 @@ def _second_order_radau(spec, nl, dis, eps_values, u0v, u1v, settings, times) ->
     ]
 
 
-def solve_hyperbolic(
-    spec: Spectrum,
-    nl: Nonlinearity,
-    dis: Dissipation,
-    eps: float,
-    u0,
-    u1,
-    settings: IntegratorSettings = IntegratorSettings(),
-) -> Trajectory:
-    """Integrate eps u'' + b(t) u' + m(|A^(1/2)u|^2) A u = 0.
+def _second_order_dp5(spec, nl, dis, eps_values, u0v, u1v, settings, times) -> list:
+    """One ``_DormandPrince`` run of the second-order system at the one
+    eps in ``eps_values``: a one-member list of its ``Trajectory``.
 
-    The state is the first-order pair (u, u'). Stiff runs (see
-    ``_stepper``) use Radau IIA, as a stack of one member
-    (``_second_order_radau``), all others DP5 (``_DormandPrince``).
-    Blow-up (squared state norm above the threshold) and step underflow
-    are reported through the trajectory status, not raised. Coefficients
-    whose initial data vanish stay exactly zero: the right-hand side is
-    diagonal, and the Radau Jacobian couples such a mode to no other.
-    """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ConfigurationError("eps must be positive")
-    u0v = as_modal(spec, u0, "u0")
-    u1v = as_modal(spec, u1, "u1")
-    lam = spec.eigenvalues
-    n = spec.size
-
-    m_now = _launch_stiffness(nl, lam, u0v, stacklevel=3)
-    times = settings.grid.times()
-    if _stepper(eps, spec.lambda_max, m_now, dis, times) == "radau":
-        return _second_order_radau(spec, nl, dis, (eps,), u0v, u1v, settings, times)[0]
-
+    The state is (u, u'). Steps are capped at max_step_factor *
+    sqrt(eps / (lambda_max m + eps)), m the stiffness coefficient of the
+    latest right-hand side evaluation (``IntegratorSettings``)."""
+    (eps,) = eps_values
+    lam, n = spec.eigenvalues, spec.size
     bw = np.empty(n)
+    m_now = None
 
     def rhs(t, y, out=None):
         nonlocal m_now
@@ -914,9 +865,30 @@ def solve_hyperbolic(
 
     solver = _DormandPrince(rhs, np.concatenate([u0v, u1v]), settings, step_cap)
     times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold)
-    return Trajectory(
-        spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats
-    )
+    return [Trajectory(spec, times, samples[:, :n], samples[:, n:], status, t_stop, stats=stats)]
+
+
+def solve_hyperbolic(
+    spec: Spectrum,
+    nl: Nonlinearity,
+    dis: Dissipation,
+    eps: float,
+    u0,
+    u1,
+    settings: IntegratorSettings = IntegratorSettings(),
+) -> Trajectory:
+    """Integrate eps u'' + b(t) u' + m(|A^(1/2)u|^2) A u = 0.
+
+    The run is a sweep of one member (``solve_hyperbolic_sweep``): it
+    uses Radau IIA (``_second_order_radau``) when its stiff stretch
+    passes ``_STIFF_STEPS`` (``_sweep_runs``), DP5 (``_second_order_dp5``)
+    otherwise. Blow-up (squared state norm above the threshold) and step
+    underflow are reported through the trajectory status, not raised.
+    Coefficients whose initial data vanish stay exactly zero: the
+    right-hand side is diagonal, and the Radau Jacobian couples such a
+    mode to no other. Degenerate data (m vanishing at u0) warn.
+    """
+    return _solve_second_order(spec, nl, dis, (eps,), u0, u1, settings)[0]
 
 
 def _max_shared(rel_tol: float, members: int) -> int:
@@ -929,56 +901,55 @@ def _max_shared(rel_tol: float, members: int) -> int:
     return most
 
 
-def _sweep_runs(spec, nl, dis, eps_values, u0, settings) -> list:
-    """Stepper runs of an eps sweep, as tuples of indices into ``eps_values``.
+def _sweep_runs(eps_values, lam_max: float, m0: float, dis: Dissipation, times, rel_tol) -> list:
+    """Stepper runs of the second-order members at ``eps_values``, as
+    (stepper, indices into ``eps_values``) pairs; the stepper is
+    ``_second_order_radau`` or ``_second_order_dp5``. This is the one
+    router of second-order runs, a pure function of the plan's data: m0
+    is the launch stiffness coefficient, ``times`` the output times.
 
-    Once one member is stiff enough for a lone Radau run (``_stepper``),
-    every member whose stiff stretch (``_stiff_stretch``) is at least
-    ln(1/rel_tol) goes into one shared run (``_shared_run``), listed
-    first because it is the dearest; every other member is a lone DP5
-    run. A joined member's launch transient has decayed below the
-    tolerance before it can oscillate, so it brings no live oscillation
-    into the shared run, and, as Radau's work barely depends on eps, it
-    costs the run less than its own DP5 steps. DP5's work grows like
-    1/eps, so a shared explicit run would make its cheap members pay for
-    the steps of the dearest one. More shared members than ``rel_tol``
-    allows (``_max_shared``) are split into several shared runs. The
-    runs do not depend on how many workers will take them, so neither do
-    the samples.
+    Once one member's stiff stretch (``_stiff_stretch``) passes
+    ``_STIFF_STEPS``, every member whose stretch is at least
+    ln(1/rel_tol) goes into one shared Radau run, listed first because
+    it is the dearest; every other member is a lone DP5 run. So a sweep
+    of one member runs on Radau exactly when its stretch passes
+    ``_STIFF_STEPS``. A joined member's launch transient has decayed
+    below the tolerance before it can oscillate, so it brings no live
+    oscillation into the shared run, and, as Radau's work barely depends
+    on eps, it costs the run less than its own DP5 steps. DP5's work
+    grows like 1/eps, so a shared explicit run would make its cheap
+    members pay for the steps of the dearest one. More shared members
+    than ``rel_tol`` allows (``_max_shared``) are split into several
+    Radau runs. The runs do not depend on how many workers will take
+    them, so neither do the samples.
     """
-    m0 = _launch_stiffness(nl, spec.eigenvalues, as_modal(spec, u0, "u0"), stacklevel=4)
-    lam_max, times = spec.lambda_max, settings.grid.times()
     stretch = [_stiff_stretch(eps, lam_max, m0, dis, times) for eps in eps_values]
-    join_at = -math.log(settings.rel_tol) if max(stretch, default=0.0) > _STIFF_STEPS else math.inf
+    join_at = -math.log(rel_tol) if max(stretch, default=0.0) > _STIFF_STEPS else math.inf
     shared = [i for i, s in enumerate(stretch) if s >= join_at]
-    most = _max_shared(settings.rel_tol, len(shared))
-    runs = [tuple(shared[lo:lo + most]) for lo in range(0, len(shared), most)]
-    return runs + [(i,) for i, s in enumerate(stretch) if s < join_at]
+    most = _max_shared(rel_tol, len(shared))
+    runs = [(_second_order_radau, tuple(shared[lo:lo + most]))
+            for lo in range(0, len(shared), most)]
+    return runs + [(_second_order_dp5, (i,)) for i, s in enumerate(stretch) if s < join_at]
 
 
-def _shared_run(spec, nl, dis, eps_values, u0, u1, settings) -> list:
-    """One run of ``_sweep_runs``: one ``Trajectory`` per eps value.
-
-    A single eps value is ``solve_hyperbolic``'s lone run. Several,
-    joined by ``_sweep_runs`` and no more than ``rel_tol`` allows, share
-    one Radau run (``_second_order_radau``).
+def _second_order_run(spec, nl, dis, u0v, u1v, m0, settings, times, run) -> list:
+    """One run of ``_sweep_runs``, given as (stepper, eps values): one
+    ``Trajectory`` per eps value.
 
     A shared run that does not complete (one member blows up by its own
-    norm, or the steps underflow) is rerun member by member, so
-    statuses, stopping times and samples are then those of lone runs.
-    Lone runs do not repeat the degenerate-data warning, which
-    ``solve_hyperbolic_sweep`` gives once for the whole sweep.
+    norm, or the steps underflow) is rerun member by member, each routed
+    as a sweep of one, so statuses, stopping times and samples are then
+    those of lone runs.
     """
-    if len(eps_values) > 1:
-        trajs = _second_order_radau(
-            spec, nl, dis, eps_values, as_modal(spec, u0, "u0"), as_modal(spec, u1, "u1"),
-            settings, settings.grid.times(),
-        )
-        if trajs[0].status == COMPLETED:
-            return trajs
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _DEGENERATE, UserWarning)
-        return [solve_hyperbolic(spec, nl, dis, eps, u0, u1, settings) for eps in eps_values]
+    stepper, eps_values = run
+    trajs = stepper(spec, nl, dis, eps_values, u0v, u1v, settings, times)
+    if len(eps_values) == 1 or trajs[0].status == COMPLETED:
+        return trajs
+    lone = []
+    for eps in eps_values:
+        ((stepper, _),) = _sweep_runs((eps,), spec.lambda_max, m0, dis, times, settings.rel_tol)
+        lone += stepper(spec, nl, dis, (eps,), u0v, u1v, settings, times)
+    return lone
 
 
 def solve_hyperbolic_sweep(
@@ -996,27 +967,45 @@ def solve_hyperbolic_sweep(
 
     The members are grouped into stepper runs (``_sweep_runs``): the
     members of a stiff sweep with a long overdamped stretch share Radau
-    runs (``_shared_run``), every other member is a lone run. The runs
-    go to up to ``jobs`` worker processes; the samples do not depend on
-    how many. Degenerate data (m vanishing at u0) warn once per sweep.
+    runs, every other member is a lone run. The runs go to up to
+    ``jobs`` worker processes; the samples do not depend on how many.
+    Degenerate data (m vanishing at u0) warn once per sweep.
     """
-    eps_values = tuple(eps_values)
+    return _solve_second_order(spec, nl, dis, tuple(eps_values), u0, u1, settings, jobs)
+
+
+def _solve_second_order(spec, nl, dis, eps_values, u0, u1, settings, jobs=1) -> list:
+    """Every second-order solve, lone or swept: the data checked and m0
+    evaluated once, the runs of ``_sweep_runs`` on up to ``jobs`` worker
+    processes, one ``Trajectory`` per eps value in the order given. The
+    degenerate-data warning names the line that called the public
+    solver."""
     for eps in eps_values:
         if not (math.isfinite(eps) and eps > 0.0):
             raise ConfigurationError("eps must be positive")
-    runs = _sweep_runs(spec, nl, dis, eps_values, u0, settings)
-    groups = [tuple(eps_values[i] for i in run) for run in runs]
-    shared_run = functools.partial(_shared_run, spec, nl, dis, u0=u0, u1=u1, settings=settings)
+    u0v = as_modal(spec, u0, "u0")
+    u1v = as_modal(spec, u1, "u1")
+    m0 = nl.value(sigma_half(spec.eigenvalues, u0v))
+    if m0 == 0.0:
+        warnings.warn(
+            "initial stiffness coefficient vanishes (really degenerate data); "
+            "no existence theory applies",
+            stacklevel=3,
+        )
+    times = settings.grid.times()
+    runs = _sweep_runs(eps_values, spec.lambda_max, m0, dis, times, settings.rel_tol)
+    groups = [(stepper, tuple(eps_values[i] for i in indices)) for stepper, indices in runs]
+    run = functools.partial(_second_order_run, spec, nl, dis, u0v, u1v, m0, settings, times)
     # The fork start method launches every worker on the first submit.
     workers = min(jobs, len(groups))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(shared_run, groups))
+            results = list(pool.map(run, groups))
     else:
-        results = [shared_run(group) for group in groups]
-    members = dict(zip(sum(runs, ()), sum(results, [])))
+        results = [run(group) for group in groups]
+    members = dict(zip(sum((indices for _, indices in runs), ()), sum(results, [])))
     return [members[i] for i in range(len(eps_values))]
 
 

@@ -33,7 +33,6 @@ from kirchlab import (
     solve_parabolic_direct,
     solve_parabolic_reparam,
 )
-from kirchlab.integrate import _shared_run
 from kirchlab.spectral import sigma_half
 
 from helpers import bessel_p1, hamiltonian, stiffness_matrix
@@ -749,8 +748,32 @@ class TestResidual:
             residual_norm(traj, PowerNonlinearity(1.0), P0, 1.0)
 
 
+DP5, RADAU = kl.integrate._second_order_dp5, kl.integrate._second_order_radau
+STEPPERS = {"dp5": DP5, "radau": RADAU}
+
+
 def force_stepper(monkeypatch, method):
-    monkeypatch.setattr(kl.integrate, "_stepper", lambda *args: method)
+    """Route every second-order member to ``method``'s stepper, alone."""
+    monkeypatch.setattr(
+        kl.integrate, "_sweep_runs",
+        lambda eps_values, *args: [(STEPPERS[method], (i,)) for i in range(len(eps_values))],
+    )
+
+
+def sweep_runs(spec, nl, dis, eps_values, u0, s):
+    """The runs ``_sweep_runs`` gives a sweep with these data."""
+    m0 = nl.value(sigma_half(spec.eigenvalues, np.asarray(u0, dtype=float)))
+    return kl.integrate._sweep_runs(eps_values, spec.lambda_max, m0, dis, s.grid.times(), s.rel_tol)
+
+
+def shared_run(spec, nl, dis, eps_values, u0, u1, s):
+    """One Radau run of ``eps_values`` side by side (``_second_order_run``),
+    rerun member by member if it stops."""
+    u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+    m0 = nl.value(sigma_half(spec.eigenvalues, u0))
+    return kl.integrate._second_order_run(
+        spec, nl, dis, u0, u1, m0, s, s.grid.times(), (RADAU, tuple(eps_values))
+    )
 
 
 # Stiff-path shapes, all with b = (1+t)^-1/2 and |A^(1/2)u0|^2 = 0.18, so
@@ -894,7 +917,8 @@ class TestStiffPath:
     )
     def test_selector_routing(self, lam_max, m0, t_end, eps, method):
         times = OutputGrid(t_end=t_end).times()
-        assert kl.integrate._stepper(eps, lam_max, m0, PowerLawDissipation(0.5), times) == method
+        runs = kl.integrate._sweep_runs((eps,), lam_max, m0, PowerLawDissipation(0.5), times, 1e-10)
+        assert runs == [(STEPPERS[method], (0,))]
 
     @pytest.mark.parametrize(
         "nl",
@@ -910,7 +934,8 @@ class TestStiffPath:
         u0 = lam**-2 / math.sqrt(lam @ lam**-4)
         m0 = nl.value(sigma_half(lam, u0))
         times = OutputGrid("log", 201, 10.0).times()
-        assert kl.integrate._stepper(1e-4, lam[-1], m0, PowerLawDissipation(0.5), times) == "radau"
+        dis = PowerLawDissipation(0.5)
+        assert kl.integrate._sweep_runs((1e-4,), lam[-1], m0, dis, times, 1e-10) == [(RADAU, (0,))]
 
     def test_lone_run_routed_by_its_overdamped_stretch(self):
         # SWEEP_SHAPE at eps 1e-3, t_end 1000: underdamped at the horizon,
@@ -1000,7 +1025,7 @@ def _large_n_run(kind):
     if kind == "direct":
         table = LipschitzTable(((0.0, 1.5), (1.0, 1.0)))
         return [solve_parabolic_direct(spec, table, PowerLawDissipation(1.5), 1.0 / _LAM**2, s)]
-    return _shared_run(spec, nl, dis, (3e-5, 1e-5, 3e-6), u0, np.zeros(_N), s)
+    return shared_run(spec, nl, dis, (3e-5, 1e-5, 3e-6), u0, np.zeros(_N), s)
 
 
 class TestNewtonHooks:
@@ -1199,9 +1224,9 @@ def _twin_run(kind):
         return [solve_parabolic_direct(*_direct_args(_FOUND_LIMIT))]
     if kind == "shared":
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
-        return _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        return shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
     spec, nl, dis, u0, u1 = NONLINEAR_SHAPE  # "power": m = s, stages fused
-    return _shared_run(spec, nl, dis, (1e-3, 1e-4, 1e-5), u0, u1, s)
+    return shared_run(spec, nl, dis, (1e-3, 1e-4, 1e-5), u0, u1, s)
 
 
 class TestRadauIIA:
@@ -1257,13 +1282,14 @@ class TestRadauIIA:
     def test_catches_a_rounding_change(self, monkeypatch, twin):
         # Negative control: one ulp more on every error norm (the norms
         # of 1-D arrays once the twin is built) must fail the comparison.
-        norm = TwinRadau._norm
+        made, _ = twin
+        norm = kl.integrate._rms
 
-        def off_by_an_ulp(self, x):
-            value = norm(self, x)
-            return np.nextafter(value, np.inf) if x.ndim == 1 and hasattr(self, "ref") else value
+        def off_by_an_ulp(x):
+            value = norm(x)
+            return np.nextafter(value, np.inf) if x.ndim == 1 and made else value
 
-        monkeypatch.setattr(TwinRadau, "_norm", off_by_an_ulp)
+        monkeypatch.setattr(kl.integrate, "_rms", off_by_an_ulp)
         with pytest.raises(AssertionError):
             _twin_run("lone")
 
@@ -1309,7 +1335,7 @@ class TestClosedFormP1:
 
     def test_shared_run(self):
         js = (1, 2, 5)
-        trajs = _shared_run(
+        trajs = shared_run(
             self.SPEC, M_ONE, self.DIS, [1.0 / (2 * j) for j in js], self.U0, self.U1,
             self.SETTINGS,
         )
@@ -1360,7 +1386,7 @@ def sweep_runs_t10():
     """(shared, lone) runs of the STIFF_EPS members, t_end 10, 401 samples."""
     spec, nl, dis, u0, u1 = SWEEP_SHAPE
     s = settings(count=401, t_end=10.0)
-    shared = _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
+    shared = shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
     lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
     return shared, lone
 
@@ -1383,8 +1409,8 @@ def bench_sweep(request):
     spec, nl, dis = SWEEP_SHAPE[:3]
     u0, u1 = (np.array(v) for v in BENCH_SWEEP_DATA[request.param])
     s = settings(count=401, t_end=10.0)
-    runs = kl.integrate._sweep_runs(spec, nl, dis, BENCH_EPS, u0, s)
-    shared = _shared_run(spec, nl, dis, [BENCH_EPS[i] for i in runs[0]], u0, u1, s)
+    runs = sweep_runs(spec, nl, dis, BENCH_EPS, u0, s)
+    shared = shared_run(spec, nl, dis, [BENCH_EPS[i] for i in runs[0][1]], u0, u1, s)
     return request.param, runs, shared, u0, u1
 
 
@@ -1478,7 +1504,7 @@ class TestSharedRun:
     def test_one_member_is_the_lone_run(self, shape):
         spec, nl, dis, u0, u1 = SHAPES[shape]
         s = settings(count=201, t_end=10.0)
-        (got,) = _shared_run(spec, nl, dis, [1e-4], u0, u1, s)
+        (got,) = shared_run(spec, nl, dis, [1e-4], u0, u1, s)
         assert_same_run(got, solve_hyperbolic(spec, nl, dis, 1e-4, u0, u1, s))
         assert got.stats.method == "radau" and got.stats.members == 1
 
@@ -1528,7 +1554,7 @@ class TestSharedRun:
             for eps in STIFF_EPS
         )
         s = settings(count=101, t_end=10.0, blowup_threshold=1.0)
-        shared = _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        shared = shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
         stacked = sum(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1) for t in shared)
         assert np.max(stacked) > s.blowup_threshold
         for traj in shared:
@@ -1539,7 +1565,7 @@ class TestSharedRun:
         # only the two smaller eps cross 0.55, so the shared run stops.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         s = settings(count=101, t_end=10.0, blowup_threshold=0.55)
-        shared = _shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
+        shared = shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
         lone = [solve_hyperbolic(spec, nl, dis, eps, u0, u1, s) for eps in STIFF_EPS]
         assert [t.status for t in lone] == [COMPLETED, BLEW_UP, BLEW_UP]
         for got, want in zip(shared, lone):
@@ -1547,7 +1573,11 @@ class TestSharedRun:
             assert got.stats.members == 1
 
     @pytest.mark.parametrize(
-        "rel_tol, runs", [(3e-14, [(0,), (1,), (2,)]), (3.5e-14, [(0, 1), (2,)])]
+        "rel_tol, runs",
+        [
+            (3e-14, [(RADAU, (0,)), (RADAU, (1,)), (RADAU, (2,))]),
+            (3.5e-14, [(RADAU, (0, 1)), (RADAU, (2,))]),
+        ],
     )
     def test_tolerance_floor_splits_the_run(self, rel_tol, runs):
         # rel_tol / sqrt(k) must not fall below 100 machine epsilons,
@@ -1556,15 +1586,43 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_values = (3e-4, 1e-4, 3e-5)
         s = settings(count=51, t_end=1.0, rel_tol=rel_tol)
-        assert kl.integrate._sweep_runs(spec, nl, dis, eps_values, u0, s) == runs
+        assert sweep_runs(spec, nl, dis, eps_values, u0, s) == runs
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            for run in runs:
-                shared = _shared_run(
+            for _, run in runs:
+                shared = shared_run(
                     spec, nl, dis, [eps_values[i] for i in run], u0, u1, s
                 )
                 for traj in shared:
                     assert traj.status == COMPLETED and traj.stats.members == len(run)
+
+    @pytest.mark.parametrize("eps, method", [(3e-3, "dp5"), (1e-3, "radau")])
+    def test_lone_run_is_a_sweep_of_one(self, eps, method):
+        # The eps-sweep shape at t_end 10: stiff stretch 1544 at eps 3e-3
+        # and 4633 at 1e-3, on either side of _STIFF_STEPS.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        s = settings(count=401, t_end=10.0)
+        (got,) = solve_hyperbolic_sweep(spec, nl, dis, (eps,), u0, u1, s)
+        assert (got.stats.method, got.stats.members) == (method, 1)
+        assert_same_run(solve_hyperbolic(spec, nl, dis, eps, u0, u1, s), got)
+
+    def test_empty_sweep(self):
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        assert solve_hyperbolic_sweep(spec, nl, dis, (), u0, u1, settings(t_end=1.0)) == []
+
+    def test_floor_leftover_runs_on_radau_as_routed(self):
+        # test_tolerance_floor_splits_the_run's setting with eps 3e-3 last:
+        # its stiff stretch (276) passes ln(1/rel_tol) = 31 but not
+        # _STIFF_STEPS, so alone it runs on DP5. In the sweep it is the
+        # one-member leftover of the split shared run, and runs on Radau.
+        spec, nl, dis, u0, u1 = SWEEP_SHAPE
+        eps_values = (3e-4, 1e-4, 3e-3)
+        s = settings(count=51, t_end=1.0, rel_tol=3.5e-14)
+        assert sweep_runs(spec, nl, dis, eps_values, u0, s) == [(RADAU, (0, 1)), (RADAU, (2,))]
+        got = solve_hyperbolic_sweep(spec, nl, dis, eps_values, u0, u1, s)[2]
+        assert (got.status, got.stats.method, got.stats.members) == (COMPLETED, "radau", 1)
+        assert_same_run(got, shared_run(spec, nl, dis, [3e-3], u0, u1, s)[0])
+        assert solve_hyperbolic(spec, nl, dis, 3e-3, u0, u1, s).stats.method == "dp5"
 
     @pytest.mark.parametrize("rel_tol", [2.3e-14, 3e-14, 3.5e-14, 5e-14, 1e-13, 1e-10, 1e-2, 0.1])
     @pytest.mark.parametrize("members", [0, 1, 3, 8])
@@ -1582,10 +1640,10 @@ class TestSharedRun:
         # and join the three Radau members.
         spec, nl, dis, u0, _ = SWEEP_SHAPE
         eps_list = (1e-2, 3e-3) + STIFF_EPS
-        runs = kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
-        assert runs == [(0, 1, 2, 3, 4)]
-        assert kl.integrate._sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
-            (0,), (1,)
+        runs = sweep_runs(spec, nl, dis, eps_list, u0, settings(t_end=10.0))
+        assert runs == [(RADAU, (0, 1, 2, 3, 4))]
+        assert sweep_runs(spec, nl, dis, (1e-2, 3e-3), u0, settings(t_end=10.0)) == [
+            (DP5, (0,)), (DP5, (1,))
         ]
 
     def test_no_lone_radau_member_stays_dp5(self):
@@ -1598,9 +1656,10 @@ class TestSharedRun:
         lam_max, m0, times = spec.lambda_max, 1.0, s.grid.times()
         assert all(dis.b(10.0) ** 2 >= 4.0 * e * lam_max * m0 for e in eps_list)
         assert all(
-            kl.integrate._stepper(e, lam_max, m0, dis, times) == "dp5" for e in eps_list
+            kl.integrate._sweep_runs((e,), lam_max, m0, dis, times, s.rel_tol) == [(DP5, (0,))]
+            for e in eps_list
         )
-        assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0,), (1,)]
+        assert sweep_runs(spec, nl, dis, eps_list, u0, s) == [(DP5, (0,)), (DP5, (1,))]
         assert all(
             solve_hyperbolic(spec, nl, dis, e, u0, u1, s).stats.method == "dp5" for e in eps_list
         )
@@ -1613,9 +1672,9 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = NONLINEAR_SHAPE
         eps_list = (1e-1, 1e-3, 1e-4)
         s = settings(count=101, t_end=10.0)
-        assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(1, 2), (0,)]
-        shared = _shared_run(spec, nl, dis, eps_list[1:], u0, u1, s)
-        forced = _shared_run(spec, nl, dis, eps_list, u0, u1, s)
+        assert sweep_runs(spec, nl, dis, eps_list, u0, s) == [(RADAU, (1, 2)), (DP5, (0,))]
+        shared = shared_run(spec, nl, dis, eps_list[1:], u0, u1, s)
+        forced = shared_run(spec, nl, dis, eps_list, u0, u1, s)
         assert shared[0].stats.accepted < forced[0].stats.accepted
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1625,12 +1684,12 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_list = (3e-4, 1e-2, 1e-4, 3e-3, 1e-3)
         s = settings(count=101, t_end=10.0)
-        runs = kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s)
-        assert runs == [(0, 1, 2, 3, 4)]
+        runs = sweep_runs(spec, nl, dis, eps_list, u0, s)
+        assert runs == [(RADAU, (0, 1, 2, 3, 4))]
         got = solve_hyperbolic_sweep(spec, nl, dis, eps_list, u0, u1, s, jobs)
         assert len(got) == len(eps_list)
-        for run in runs:
-            want = _shared_run(spec, nl, dis, tuple(eps_list[i] for i in run), u0, u1, s)
+        for _, run in runs:
+            want = shared_run(spec, nl, dis, tuple(eps_list[i] for i in run), u0, u1, s)
             for i, traj in zip(run, want):
                 assert_same_run(got[i], traj)
                 assert got[i].stats.members == len(run)
@@ -1651,14 +1710,12 @@ class TestSharedRun:
 
     def test_degenerate_sweep_warns_once_at_the_callers_line(self):
         # Every member is a lone DP5 run (B/eps at most 1000): the sweep
-        # warns, its lone runs through solve_hyperbolic do not. A lone
-        # solve_hyperbolic call warns at its caller's line too.
+        # warns once, not once per run. A lone solve_hyperbolic call warns
+        # at its caller's line too.
         spec, nl, u0, u1 = Spectrum([1.0, 4.0]), PowerNonlinearity(1.0), [0.0, 0.0], [0.3, -0.2]
         s = settings(count=11, t_end=1.0)
         eps_list = (1e-1, 1e-2, 1e-3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert kl.integrate._sweep_runs(spec, nl, P0, eps_list, u0, s) == [(0,), (1,), (2,)]
+        assert sweep_runs(spec, nl, P0, eps_list, u0, s) == [(DP5, (0,)), (DP5, (1,)), (DP5, (2,))]
         for solve in (
             lambda: solve_hyperbolic_sweep(spec, nl, P0, eps_list, u0, u1, s),
             lambda: solve_hyperbolic(spec, nl, P0, 1e-1, u0, u1, s),
@@ -1678,7 +1735,7 @@ class TestSharedRun:
     def test_bench_sweep_layout_and_work(self, bench_sweep):
         # Counts, not seconds: a routing change shows on any host.
         seed, runs, shared, _, _ = bench_sweep
-        assert runs == [(0, 1, 2, 3, 4)]
+        assert runs == [(RADAU, (0, 1, 2, 3, 4))]
         stats = shared[0].stats
         assert (stats.method, stats.members) == ("radau", 5)
         assert (stats.accepted, stats.rhs_evals) == BENCH_SWEEP_WORK[seed]
@@ -1692,7 +1749,7 @@ class TestSharedRun:
         _, runs, shared, u0, u1 = bench_sweep
         spec, nl, dis = SWEEP_SHAPE[:3]
         for member in (0, 1):
-            joined = shared[runs[0].index(member)]
+            joined = shared[runs[0][1].index(member)]
             assert joined.status == COMPLETED
             ref = radau_reference(spec, nl, dis, BENCH_EPS[member], u0, u1, joined.times)
             got = np.hstack([joined.u, joined.uprime])
@@ -1707,7 +1764,7 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_list = (1e-2, 1e-4)
         s = settings(count=101, t_end=1000.0)
-        assert kl.integrate._sweep_runs(spec, nl, dis, eps_list, u0, s) == [(0, 1)]
+        assert sweep_runs(spec, nl, dis, eps_list, u0, s) == [(RADAU, (0, 1))]
         scale = math.sqrt(u0 @ u0 + u1 @ u1)
         for eps, traj in zip(eps_list, solve_hyperbolic_sweep(spec, nl, dis, eps_list, u0, u1, s)):
             assert traj.status == COMPLETED
