@@ -31,8 +31,8 @@ work it took (``SolverStats``).
   block elimination and Sherman-Morrison (Golub-Van Loan, Matrix
   Computations, 2.1): O(N) operations per factorisation and per solve,
   in place of a dense LU. No matrix is formed: the Jacobian is kept as
-  its diagonal and rank-one parts (``_StiffnessTerm``), so work and
-  memory are O(N) per step at any N.
+  its diagonal and rank-one parts (``_StiffnessTerm``, of a modal vector
+  or a stack's rows), so work and memory are O(N) per step at any N.
 
 Every second-order solve is an eps sweep, ``solve_hyperbolic`` one of a
 single member, and one router, ``_sweep_runs``, gives each run its
@@ -40,16 +40,16 @@ stepper, ``_second_order_dp5`` or ``_second_order_radau``. The members
 of a stiff sweep that are damped out before they can oscillate share
 one Radau run. Every second-order Radau run, lone or shared, is a stack
 of k members, stored as [U; W]: all members' u, then all their u', two
-contiguous (k, N) blocks; one member is the lone state (u, u'). Every
-Radau run evaluates the three collocation stages of a Newton iteration
-in one call.
+contiguous (k, N) blocks; one member is the lone state (u, u'). Radau
+is built from its stage function alone, which evaluates the three
+collocation stages of a Newton iteration in one call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -87,7 +87,8 @@ _MIN_REL_TOL = 100.0 * _EPS
 class OutputGrid:
     """Sampling grid on [0, t_end]. Log grids are uniform in log(1+t),
     which matches decay laws that are polynomial in (1+t). The default
-    count is about 400 samples per decade of (1+t)."""
+    count is about 400 samples per decade of (1+t); a given count must
+    be an integer of at least 2."""
 
     kind: str = "log"
     count: int | None = None
@@ -101,6 +102,8 @@ class OutputGrid:
         if self.count is None:
             count = max(2, int(round(400.0 * math.log10(1.0 + self.t_end))) + 1)
             object.__setattr__(self, "count", count)
+        if not isinstance(self.count, numbers.Integral):
+            raise ConfigurationError(f"settings.grid.count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ConfigurationError("settings.grid.count must be at least 2")
 
@@ -212,11 +215,6 @@ class CorrectorTrajectory:
     theta_prime: np.ndarray
     status: str = COMPLETED
     stats: None = None  # no stepper runs
-
-
-def _row_dot(a, b):
-    # Row-wise dot products of two (members x N) arrays, as a column.
-    return np.add.reduce(a * b, axis=1, keepdims=True)
 
 
 def _rms(x):
@@ -394,12 +392,12 @@ class _RadauIIA:
     ``factor(c)``, the solver of (c I - J) x = r for c = MU/h real or
     complex; ``njev`` and ``nlu`` count the calls of the two, where
     scipy counts its Jacobians and LU factorisations. ``stages(times,
-    Y)`` evaluates the right-hand side at the three collocation stages
-    in one call, row i of the (3, n) array Y at times[i]; each stage
-    counts as one evaluation. ``rhs(t, y)`` evaluates it at one state.
-    The stepper counts its rejected attempts: steps that fail the error
-    test and steps halved because Newton did not converge with a fresh
-    Jacobian.
+    Y)`` is the right-hand side, row i of the (len(times), n) array Y
+    at times[i]: the stepper calls it on the three collocation stages
+    at once (three evaluations), and ``rhs(t, y)``, the derivative at
+    one state, is its call on one row (one evaluation). The stepper
+    counts its rejected attempts: steps that fail the error test and
+    steps halved because Newton did not converge with a fresh Jacobian.
     """
 
     method = "radau"
@@ -425,15 +423,16 @@ class _RadauIIA:
         [1/3, -8/3, 10/3]])
     NEWTON_MAXITER = 6
 
-    def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages):
-        self.rhs, self.jac, self.stages = rhs, newton, stages
+    def __init__(self, y0, t_end, rtol, atol, newton, stages):
+        self.jac, self.stages = newton, stages
+        self.rhs = lambda t, y: stages((t,), y[None])[0]
         self.t_end, self.rtol, self.atol = t_end, rtol, atol
         self.t, self.y, self.n = 0.0, y0, y0.size
         self.t_old = self.y_old = self.Q = None
         self.status = "running"  # or "failed", as scipy's solvers say it
         self.rejected = 0
-        self.f = f0 = rhs(0.0, y0)
-        self.h_abs = _initial_step(rhs, y0, f0, t_end, rtol, atol, 3)
+        self.f = f0 = self.rhs(0.0, y0)
+        self.h_abs = _initial_step(self.rhs, y0, f0, t_end, rtol, atol, 3)
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.J = newton(0.0, y0)
@@ -676,27 +675,21 @@ class _StiffnessTerm:
     converging when m varies; kappa is 0 only where m' is infinite (the
     gamma < 1 kink at sigma = 0).
 
-    ``u`` is one modal vector (``scale`` a float) or a (members x N)
-    array with one row per member of a stack (``scale`` a column); K is
-    then block-diagonal, and every attribute has a row per member.
+    ``u`` is one modal vector or a (members x N) stack, one row per
+    member (``scale`` a float or a column); K is then block-diagonal.
+    Sums and dot products run over the last axis and keep it, so a
+    one-row stack gets its vector's solves bit for bit.
 
     K is kept as its parts and never assembled: the Newton solves of
     ``_RadauIIA`` need only ``shifted_solver``.
     """
 
     def __init__(self, nl: Nonlinearity, lam: np.ndarray, u: np.ndarray, scale):
-        if u.ndim == 1:
-            sigma = sigma_half(lam, u)
+        # Summed as sigma_half sums, row by row.
+        sigma = np.add.reduce(lam * (u * u), axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", over="ignore"):  # m' saturates at inf
             dm = nl.derivative(sigma)
-            self.kappa = 2.0 * dm / scale if math.isfinite(dm) else 0.0
-            self._dot = operator.matmul
-        else:
-            # Summed as sigma_half sums, row by row.
-            sigma = np.add.reduce(lam * (u * u), axis=1)[:, None]
-            with np.errstate(divide="ignore", over="ignore"):  # m' saturates at inf
-                dm = nl.derivative(sigma)
             self.kappa = np.where(np.isfinite(dm), 2.0 * dm / scale, 0.0)
-            self._dot = _row_dot
         self.diag = (nl.value(sigma) / scale) * lam
         self.w = lam * u
 
@@ -705,19 +698,20 @@ class _StiffnessTerm:
         of shifts for stacked members), by Sherman-Morrison: O(N) per
         member to set up and per solve. A member with kappa = 0 has a
         diagonal K and no rank-one term, which would otherwise form
-        0 * inf once |lambda u|^2 overflows."""
+        0 * inf once |lambda u|^2 overflows. The dot products conjugate
+        their first factor, the real w, which leaves it unchanged."""
         d = self.diag + shift
-        kappa, w, dot = self.kappa, self.w, self._dot
+        kappa, w = self.kappa, self.w
         if not np.any(kappa):
             return lambda r: r / d
-        if np.ndim(kappa) and not np.all(kappa):
+        if not np.all(kappa):
             w = np.where(kappa == 0.0, 0.0, w)
         dw = w / d
-        coef = kappa / (1.0 + kappa * dot(w, dw))
+        coef = kappa / (1.0 + kappa * np.vecdot(w, dw, keepdims=True))
 
         def solve(r):
             x = r / d
-            x -= dw * (coef * dot(w, x))
+            x -= dw * (coef * np.vecdot(w, x, keepdims=True))
             return x
 
         return solve
@@ -818,8 +812,8 @@ def _second_order_radau(spec, nl, dis, eps_values, u0v, u1v, settings, times) ->
 
     root = math.sqrt(k)
     solver = _RadauIIA(
-        lambda t, y: stages((t,), y)[0], np.concatenate([np.tile(u0v, k), np.tile(u1v, k)]),
-        settings.grid.t_end, settings.rel_tol / root, settings.abs_tol / root, newton, stages,
+        np.concatenate([np.tile(u0v, k), np.tile(u1v, k)]), settings.grid.t_end,
+        settings.rel_tol / root, settings.abs_tol / root, newton, stages,
     )
     times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold, k)
     halves = samples.reshape(times.size, 2, k, n)
@@ -1066,7 +1060,8 @@ def solve_parabolic_direct(
     Cross-validation oracle for the reparametrized solver: same
     adaptive driver, but the full coefficient vector is the state.
     Stiff runs (see ``_direct_stepper``) use Radau IIA with the
-    Jacobian -K, K the stiffness term over b(t); all others DP5.
+    Jacobian -K, K the stiffness term over b(t); all others DP5. u' is
+    the stage function at all samples at once.
     """
     u0v = as_modal(spec, u0, "u0")
     lam = spec.eigenvalues
@@ -1088,14 +1083,11 @@ def solve_parabolic_direct(
     else:
         # The Newton matrix c I - J is K + c I.
         solver = _RadauIIA(
-            rhs, u0v, t_end, settings.rel_tol, settings.abs_tol,
+            u0v, t_end, settings.rel_tol, settings.abs_tol,
             lambda t, y: _StiffnessTerm(nl, lam, y, dis.b(t)).shifted_solver, stages,
         )
     times, samples, status, t_stop, stats = _integrate(solver, settings.grid.times())
-    uprime = np.empty_like(samples)
-    for t, y, row in zip(times, samples, uprime):
-        rhs(t, y, row)
-    return Trajectory(spec, times, samples, uprime, status, t_stop, stats=stats)
+    return Trajectory(spec, times, samples, stages(times, samples), status, t_stop, stats=stats)
 
 
 def corrector(

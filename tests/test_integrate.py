@@ -60,6 +60,11 @@ class TestOutputGrid:
             OutputGrid("log", 1, 1.0)
         with pytest.raises(kl.ConfigurationError):
             OutputGrid("weird", 10, 1.0)
+        # A count that is not an integer fails here, not later in times().
+        for count in (3.0, 2.5, math.nan):
+            with pytest.raises(kl.ConfigurationError, match="must be an integer"):
+                OutputGrid("log", count, 1.0)
+        assert OutputGrid("linear", np.int64(3), 1.0).times().size == 3
 
 
 class TestHyperbolic:
@@ -597,6 +602,34 @@ class TestParabolicDirect:
             ref.step()
         np.testing.assert_array_equal(traj.u[-1], ref.y)
 
+    @pytest.mark.parametrize(
+        "nl, ulps",
+        [
+            (PowerNonlinearity(1.0), 0),
+            (LipschitzTable(((0.0, 1.5), (1.0, 1.0))), 0),
+            # numpy's array power can round otherwise than the float power.
+            (PowerNonlinearity(1.5), 4),
+            (PowerNonlinearity(0.5), 4),
+        ],
+        ids=["s", "table", "s^1.5", "s^0.5"],
+    )
+    def test_velocity_matches_per_sample_loop(self, nl, ulps):
+        # The velocity series is one stage evaluation over all samples; it
+        # must give the right-hand side taken sample by sample. The table
+        # runs on Radau, the powers (mu = 0) on DP5.
+        lam = np.arange(1.0, 65.0)
+        dis = PowerLawDissipation(0.5)
+        s = settings(count=51, t_end=100.0)
+        traj = solve_parabolic_direct(Spectrum(lam), nl, dis, 0.5 / lam, s)
+        want = np.array([
+            -(nl.value(sigma_half(lam, y)) / dis.b(t)) * (lam * y)
+            for t, y in zip(traj.times, traj.u)
+        ])
+        if ulps:
+            np.testing.assert_allclose(traj.uprime, want, rtol=ulps * np.finfo(float).eps, atol=0)
+        else:
+            assert traj.uprime.tobytes() == want.tobytes()
+
     def test_zero_data(self):
         traj = solve_parabolic_direct(
             Spectrum([1.0, 2.0]), PowerNonlinearity(1.0), P0, [0.0, 0.0], settings(t_end=5.0)
@@ -988,7 +1021,8 @@ def true_jacobian_lu(monkeypatch, jac):
     class DenseLURadau(radau.Radau):
         method, rejected = "radau", None
 
-        def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages=None):
+        def __init__(self, y0, t_end, rtol, atol, newton, stages):
+            rhs = lambda t, y: stages((t,), y[None])[0]
             super().__init__(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol, jac=jac)
 
     monkeypatch.setattr(kl.integrate, "_RadauIIA", DenseLURadau)
@@ -1103,6 +1137,32 @@ class TestNewtonHooks:
         ref = np.linalg.solve(c * eye + stiffness_matrix(nl, lam, u, b), rhs[:n])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n", [2, 8, 64, 512])
+    @pytest.mark.parametrize("shift", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "nl",
+        [PowerNonlinearity(1.0), PowerNonlinearity(1.5), LipschitzTable(((0.0, 1.5), (1.0, 1.0)))],
+        ids=["s", "s^1.5", "table"],
+    )
+    def test_one_row_stack_solves_as_its_vector(self, n, shift, nl):
+        # A lone run linearises one modal vector, a shared run the rows of
+        # a stack: a member must get the same Newton solves either way.
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            lam = np.sort(rng.uniform(0.5, 60.0, n))
+            u = rng.uniform(-1.0, 1.0, n)
+            u *= math.sqrt(rng.uniform(0.1, 2.0) / float(lam @ (u * u)))
+            s = rng.uniform(1e-5, 1.0)
+            mu = radau.MU_REAL if shift == "real" else radau.MU_COMPLEX
+            c = mu / rng.uniform(1e-4, 1e-1)
+            r = rng.standard_normal(n)
+            if shift == "complex":
+                r = r + 1j * rng.standard_normal(n)
+            vector = kl.integrate._StiffnessTerm(nl, lam, u, s).shifted_solver(c)(r)
+            stack = kl.integrate._StiffnessTerm(nl, lam, u[None], np.array([[s]]))
+            row = stack.shifted_solver(c)(r[None])
+            assert row.shape == (1, n) and row[0].tobytes() == vector.tobytes()
+
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("eps", [1e-4, 1e-6])
     def test_hyperbolic_matches_dense_lu(self, monkeypatch, shape, eps):
@@ -1185,9 +1245,9 @@ class TwinRadau(kl.integrate._RadauIIA):
     error estimate evaluated again after a rejection). Stage and step-end
     calls are at later times."""
 
-    def __init__(self, rhs, y0, t_end, rtol, atol, newton, stages=None, *, branches):
-        super().__init__(rhs, y0, t_end, rtol, atol, newton, stages)
-        self.ref = ref = hooked_radau(rhs, y0, t_end, rtol, atol, newton)
+    def __init__(self, y0, t_end, rtol, atol, newton, stages, *, branches):
+        super().__init__(y0, t_end, rtol, atol, newton, stages)
+        self.ref = ref = hooked_radau(self.rhs, y0, t_end, rtol, atol, newton)
         self.steps = 0
         np.testing.assert_array_equal(self.h_abs, ref.h_abs)
 
