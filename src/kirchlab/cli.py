@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         return 3 if exc.code else 0
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     try:

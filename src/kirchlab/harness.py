@@ -308,6 +308,8 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError("config nests too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
 
@@ -733,13 +735,18 @@ def run_plan(
 ) -> ArtifactBundle:
     """Execute a plan into out_dir/<config hash>/ and write the manifest.
 
-    A ``ConfigurationError`` raised by the runner removes the half-written
-    bundle directory before it propagates. So does a ``MemoryError``: a
-    plan too large for memory is reported as a configuration error.
+    An ``out_dir`` under which that directory cannot be made (a file,
+    say) is a ``ConfigurationError``. A ``ConfigurationError`` raised by
+    the runner removes the half-written bundle directory before it
+    propagates. So does a ``MemoryError``: a plan too large for memory
+    is reported as a configuration error.
     """
     start = time.perf_counter()
     outdir = Path(out_dir) / plan_hash(plan)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make a bundle directory under {out_dir}: {exc}") from None
     for stale in outdir.iterdir():
         if stale.is_file():
             stale.unlink()

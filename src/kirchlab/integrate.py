@@ -38,11 +38,14 @@ Every second-order solve is an eps sweep, ``solve_hyperbolic`` one of a
 single member, and one router, ``_sweep_runs``, gives each run its
 stepper, ``_second_order_dp5`` or ``_second_order_radau``. The members
 of a stiff sweep that are damped out before they can oscillate share
-one Radau run. Every second-order Radau run, lone or shared, is a stack
-of k members, stored as [U; W]: all members' u, then all their u', two
-contiguous (k, N) blocks; one member is the lone state (u, u'). Radau
-is built from its stage function alone, which evaluates the three
-collocation stages of a Newton iteration in one call.
+one Radau run, if the tolerance floor can hold them all. Every
+second-order Radau run, lone or shared, is a stack of k members, stored
+as [U; W]: all members' u, then all their u', two contiguous (k, N)
+blocks; one member is the lone state (u, u'). Radau is built from its
+stage function alone, which evaluates the three collocation stages of a
+Newton iteration in one call. Every run has one blow-up test, on its
+whole state's squared norm; a shared run that stops is rerun member by
+member, so every stop is a lone run's.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,7 +178,7 @@ class SolverStats:
     method: str
     rhs_evals: int
     accepted: int
-    rejected: int | None
+    rejected: int
     cap_limited: int | None
     error_limited: int | None
     jac_evals: int = 0
@@ -591,7 +594,7 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-def _integrate(solver, out_times, blowup_threshold=None, members=1):
+def _integrate(solver, out_times, blowup_threshold=None):
     """Step a ``_DormandPrince`` or a ``_RadauIIA`` through every time
     in ``out_times``.
 
@@ -599,11 +602,10 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
     output; one that is the step end takes the state.
 
     Returns (times, samples, status, t_stop, stats). Blow-up (squared
-    state norm above the threshold) and a solver failure end the run
-    with a status, not an exception; the returned arrays then end with
-    the state at the stopping time. A [U; W] stack of ``members``
-    members blows up when one member's squared norm is above the
-    threshold (``_largest_member_norm_sq``).
+    state norm y @ y above the threshold) and a solver failure end the
+    run with a status, not an exception; the returned arrays then end
+    with the state at the stopping time. The test reads the whole state,
+    so a shared run's stack blows up on the sum of its members' norms.
     """
     samples = np.empty((out_times.size, solver.n))
     samples[0] = solver.y
@@ -622,14 +624,9 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
             break
         accepted += 1
         t, y = solver.t, solver.y
-        if blowup_threshold is not None:
-            if members == 1:
-                norm_sq = float(y @ y)
-            else:
-                norm_sq = _largest_member_norm_sq(y, members, blowup_threshold)
-            if norm_sq > blowup_threshold:
-                status, t_stop = BLEW_UP, t
-                break
+        if blowup_threshold is not None and float(y @ y) > blowup_threshold:
+            status, t_stop = BLEW_UP, t
+            break
         if t >= out_times[i_out]:  # most steps reach no output time
             j = int(np.searchsorted(out_times, t, side="right"))
             samples[i_out:j] = solver.dense_output()(out_times[i_out:j]).T
@@ -645,7 +642,7 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
     if solver.method == "radau":
         stats = SolverStats(
             "radau", solver.nfev, accepted, solver.rejected, None, None, solver.njev,
-            solver.nlu, members,
+            solver.nlu,
         )
     else:
         stats = SolverStats(
@@ -653,19 +650,6 @@ def _integrate(solver, out_times, blowup_threshold=None, members=1):
             accepted - solver.cap_limited,
         )
     return times, samples, status, t_stop, stats
-
-
-def _largest_member_norm_sq(y, members, threshold) -> float:
-    """Largest |(u_i, u_i')|^2 over the members of a [U; W] stack ``y``,
-    or y @ y where that is below ``threshold`` by more than 2 y.size eps
-    relative: no member's sum can pass it then, as each sum of squares is
-    within y.size eps / 2 of its exact value, relative, in any order
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
-    total = float(y @ y)
-    if total <= threshold * (1.0 - 2.0 * y.size * _EPS):
-        return total
-    halves = y.reshape(2, members, -1)
-    return float(np.add.reduce(np.add.reduce(halves * halves, axis=2), axis=0).max())
 
 
 class _StiffnessTerm:
@@ -815,7 +799,8 @@ def _second_order_radau(spec, nl, dis, eps_values, u0v, u1v, settings, times) ->
         np.concatenate([np.tile(u0v, k), np.tile(u1v, k)]), settings.grid.t_end,
         settings.rel_tol / root, settings.abs_tol / root, newton, stages,
     )
-    times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold, k)
+    times, samples, status, t_stop, stats = _integrate(solver, times, settings.blowup_threshold)
+    stats = replace(stats, members=k)
     halves = samples.reshape(times.size, 2, k, n)
     return [
         Trajectory(spec, times, halves[:, 0, i], halves[:, 1, i], status, t_stop, stats=stats)
@@ -885,16 +870,6 @@ def solve_hyperbolic(
     return _solve_second_order(spec, nl, dis, (eps,), u0, u1, settings)[0]
 
 
-def _max_shared(rel_tol: float, members: int) -> int:
-    """Most of ``members`` members one shared run may hold (at least 1):
-    the run's rel_tol / sqrt(k) must stay at or above the floor of
-    ``IntegratorSettings``."""
-    most = max(members, 1)
-    while most > 1 and rel_tol / math.sqrt(most) < _MIN_REL_TOL:
-        most -= 1
-    return most
-
-
 def _sweep_runs(eps_values, lam_max: float, m0: float, dis: Dissipation, times, rel_tol) -> list:
     """Stepper runs of the second-order members at ``eps_values``, as
     (stepper, indices into ``eps_values``) pairs; the stepper is
@@ -912,17 +887,20 @@ def _sweep_runs(eps_values, lam_max: float, m0: float, dis: Dissipation, times, 
     oscillation into the shared run, and, as Radau's work barely depends
     on eps, it costs the run less than its own DP5 steps. DP5's work
     grows like 1/eps, so a shared explicit run would make its cheap
-    members pay for the steps of the dearest one. More shared members
-    than ``rel_tol`` allows (``_max_shared``) are split into several
-    Radau runs. The runs do not depend on how many workers will take
-    them, so neither do the samples.
+    members pay for the steps of the dearest one. A sweep has at most
+    one shared run: if its k members would take the run's rel_tol /
+    sqrt(k) below the floor of ``IntegratorSettings``, there is none,
+    and every member is routed as a sweep of one. The runs do not
+    depend on how many workers will take them, so neither do the
+    samples.
     """
     stretch = [_stiff_stretch(eps, lam_max, m0, dis, times) for eps in eps_values]
     join_at = -math.log(rel_tol) if max(stretch, default=0.0) > _STIFF_STEPS else math.inf
-    shared = [i for i, s in enumerate(stretch) if s >= join_at]
-    most = _max_shared(rel_tol, len(shared))
-    runs = [(_second_order_radau, tuple(shared[lo:lo + most]))
-            for lo in range(0, len(shared), most)]
+    shared = tuple(i for i, s in enumerate(stretch) if s >= join_at)
+    if rel_tol / math.sqrt(len(shared) or 1) < _MIN_REL_TOL:
+        return [(_second_order_radau if s > _STIFF_STEPS else _second_order_dp5, (i,))
+                for i, s in enumerate(stretch)]
+    runs = [(_second_order_radau, shared)] if shared else []
     return runs + [(_second_order_dp5, (i,)) for i, s in enumerate(stretch) if s < join_at]
 
 
@@ -930,10 +908,12 @@ def _second_order_run(spec, nl, dis, u0v, u1v, m0, settings, times, run) -> list
     """One run of ``_sweep_runs``, given as (stepper, eps values): one
     ``Trajectory`` per eps value.
 
-    A shared run that does not complete (one member blows up by its own
-    norm, or the steps underflow) is rerun member by member, each routed
-    as a sweep of one, so statuses, stopping times and samples are then
-    those of lone runs.
+    A shared run that does not complete (its stack's norm passes the
+    blow-up threshold, or the steps underflow) is rerun member by
+    member, each routed as a sweep of one. So every stop is a lone
+    run's: a member that blows up or underflows has its own status,
+    stopping time and samples, and a shared run's samples go only to
+    members that all complete.
     """
     stepper, eps_values = run
     trajs = stepper(spec, nl, dis, eps_values, u0v, u1v, settings, times)
@@ -960,8 +940,8 @@ def solve_hyperbolic_sweep(
     per eps value, in the order given.
 
     The members are grouped into stepper runs (``_sweep_runs``): the
-    members of a stiff sweep with a long overdamped stretch share Radau
-    runs, every other member is a lone run. The runs go to up to
+    members of a stiff sweep with a long overdamped stretch share one
+    Radau run, every other member is a lone run. The runs go to up to
     ``jobs`` worker processes; the samples do not depend on how many.
     Degenerate data (m vanishing at u0) warn once per sweep.
     """

@@ -283,6 +283,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="wild"):
             load_config(json.dumps(cfg))
 
+    def test_deep_nesting_is_a_configuration_error(self):
+        # json.loads raises RecursionError on these.
+        for text in ("[" * 1100, "{\"a\": " * 1100):
+            with pytest.raises(ConfigurationError, match="nests too deeply"):
+                load_config(text)
+
     def test_kind_mismatch(self):
         with pytest.raises(ConfigurationError, match="expects"):
             load_config(json.dumps(simulate_config()), expected_kind="limit")
@@ -877,6 +883,30 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["grid", "--config", str(tmp_path / "nope.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{", b"[" * 1100, b"[" * 1100 + b"]" * 1100],
+        ids=["not-utf-8", "deep-open", "deep-closed"],
+    )
+    def test_unreadable_config_exit_3(self, tmp_path, capsys, content):
+        # Bytes that are not UTF-8, and arrays nested past json's recursion
+        # limit: "config error:" and exit 3, not a traceback and exit 1.
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_bytes(content)
+        out = tmp_path / "runs"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_out_is_a_file_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(simulate_config()))
+        out = tmp_path / "runs"
+        out.write_text("not a directory")
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+        assert out.read_text() == "not a directory"
 
     def test_subcommand_kind_check(self, tmp_path, capsys):
         cfg_path = tmp_path / "plan.json"

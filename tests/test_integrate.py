@@ -5,11 +5,8 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
-import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import radau
 
@@ -1539,27 +1536,6 @@ class TestSharedRun:
             one = stages(nl, lam, dis, eps[i:i + 1])(times, np.hstack([u[:, i], w[:, i]]))
             np.testing.assert_array_equal(halves[:, :, i].reshape(3, 2 * n), one)
 
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @given(
-        k=st.integers(2, 6), n=st.integers(1, 8), hot=st.data(), seed=st.integers(0, 2**32 - 1),
-        ulps=st.integers(-4, 4), others=st.sampled_from([0.0, 1e-200, 1e-20, 1e-9]),
-    )
-    def test_blowup_precheck_misses_no_member(self, k, n, hot, seed, ulps, others):
-        # One member's squared norm lies within a few ulps of the
-        # threshold, the others are 0 or tiny. Taking the stack's y @ y
-        # first must give the per-member decision, which the threshold 0
-        # always takes.
-        largest = kl.integrate._largest_member_norm_sq
-        rng = np.random.default_rng(seed)
-        halves = others * rng.uniform(-1.0, 1.0, (2, k, n))
-        j = hot.draw(st.integers(0, k - 1), label="hot member")
-        halves[:, j] = rng.uniform(-1.0, 1.0, (2, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        y = halves.ravel()
-        threshold = largest(y, k, 0.0)
-        for _ in range(abs(ulps)):
-            threshold = np.nextafter(threshold, math.copysign(math.inf, ulps))
-        assert (largest(y, k, threshold) > threshold) == (largest(y, k, 0.0) > threshold)
-
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_one_member_is_the_lone_run(self, shape):
         spec, nl, dis, u0, u1 = SHAPES[shape]
@@ -1606,7 +1582,8 @@ class TestSharedRun:
     def test_blowup_measured_per_member(self):
         # Alone, each member completes under a threshold of 0.6, so it
         # stays within 0.6 of a threshold of 1; the stacked norm y @ y
-        # passes 1, and the shared run must still complete.
+        # passes 1, so the shared run stops, and each member is its lone
+        # run, which completes.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         s = settings(count=101, t_end=10.0, blowup_threshold=0.6)
         assert all(
@@ -1617,8 +1594,9 @@ class TestSharedRun:
         shared = shared_run(spec, nl, dis, STIFF_EPS, u0, u1, s)
         stacked = sum(np.sum(t.u**2, 1) + np.sum(t.uprime**2, 1) for t in shared)
         assert np.max(stacked) > s.blowup_threshold
-        for traj in shared:
-            assert traj.status == COMPLETED and traj.stats.members == 3
+        for eps, traj in zip(STIFF_EPS, shared):
+            assert traj.status == COMPLETED and traj.stats.members == 1
+            assert_same_run(traj, solve_hyperbolic(spec, nl, dis, eps, u0, u1, s))
 
     def test_stop_gives_lone_runs(self):
         # The initial layer's peak of |(u, u')|^2 grows as eps falls, and
@@ -1632,17 +1610,40 @@ class TestSharedRun:
             assert_same_run(got, want)
             assert got.stats.members == 1
 
+    def test_underflow_gives_lone_runs(self):
+        # m turns NaN once sigma falls below 0.05: the shared run's steps
+        # underflow at t = 0.833437, and each member is its lone run, which
+        # underflows at its own time (0.833461, 0.833442 and 0.833437).
+        spec, _, dis, u0, u1 = SWEEP_SHAPE
+        nl, u0 = HoledNonlinearity(), 2.0 * u0
+        s = settings(count=101, t_end=10.0)
+        m0 = nl.value(sigma_half(spec.eigenvalues, u0))
+        bare = RADAU(spec, nl, dis, STIFF_EPS, u0, u1, s, s.grid.times())
+        assert bare[0].status == STEP_UNDERFLOW
+        assert bare[0].t_stop == pytest.approx(0.83344, abs=1e-5)
+        shared = kl.integrate._second_order_run(
+            spec, nl, dis, u0, u1, m0, s, s.grid.times(), (RADAU, STIFF_EPS)
+        )
+        stops = set()
+        for eps, got in zip(STIFF_EPS, shared):
+            assert got.status == STEP_UNDERFLOW and got.stats.members == 1
+            assert_same_run(got, solve_hyperbolic(spec, nl, dis, eps, u0, u1, s))
+            stops.add(got.t_stop)
+        assert len(stops) == len(STIFF_EPS)
+
     @pytest.mark.parametrize(
         "rel_tol, runs",
         [
             (3e-14, [(RADAU, (0,)), (RADAU, (1,)), (RADAU, (2,))]),
-            (3.5e-14, [(RADAU, (0, 1)), (RADAU, (2,))]),
+            (3.5e-14, [(RADAU, (0,)), (RADAU, (1,)), (RADAU, (2,))]),
+            (5e-14, [(RADAU, (0, 1, 2))]),
         ],
     )
     def test_tolerance_floor_splits_the_run(self, rel_tol, runs):
         # rel_tol / sqrt(k) must not fall below 100 machine epsilons,
         # where scipy raises the tolerance with a UserWarning. At t_end 1
-        # these three members go to Radau.
+        # these three members go to Radau: in one shared run if the floor
+        # holds all three, else each alone.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_values = (3e-4, 1e-4, 3e-5)
         s = settings(count=51, t_end=1.0, rel_tol=rel_tol)
@@ -1670,28 +1671,41 @@ class TestSharedRun:
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         assert solve_hyperbolic_sweep(spec, nl, dis, (), u0, u1, settings(t_end=1.0)) == []
 
-    def test_floor_leftover_runs_on_radau_as_routed(self):
+    def test_floor_member_runs_as_routed_alone(self):
         # test_tolerance_floor_splits_the_run's setting with eps 3e-3 last:
         # its stiff stretch (276) passes ln(1/rel_tol) = 31 but not
-        # _STIFF_STEPS, so alone it runs on DP5. In the sweep it is the
-        # one-member leftover of the split shared run, and runs on Radau.
+        # _STIFF_STEPS. The floor cannot hold a shared run of three, so
+        # every member runs as a sweep of one, and eps 3e-3 on DP5.
         spec, nl, dis, u0, u1 = SWEEP_SHAPE
         eps_values = (3e-4, 1e-4, 3e-3)
         s = settings(count=51, t_end=1.0, rel_tol=3.5e-14)
-        assert sweep_runs(spec, nl, dis, eps_values, u0, s) == [(RADAU, (0, 1)), (RADAU, (2,))]
-        got = solve_hyperbolic_sweep(spec, nl, dis, eps_values, u0, u1, s)[2]
-        assert (got.status, got.stats.method, got.stats.members) == (COMPLETED, "radau", 1)
-        assert_same_run(got, shared_run(spec, nl, dis, [3e-3], u0, u1, s)[0])
-        assert solve_hyperbolic(spec, nl, dis, 3e-3, u0, u1, s).stats.method == "dp5"
+        assert sweep_runs(spec, nl, dis, eps_values, u0, s) == [
+            (RADAU, (0,)), (RADAU, (1,)), (DP5, (2,))
+        ]
+        got = solve_hyperbolic_sweep(spec, nl, dis, eps_values, u0, u1, s)
+        for eps, traj in zip(eps_values, got):
+            assert traj.status == COMPLETED and traj.stats.members == 1
+            assert_same_run(traj, solve_hyperbolic(spec, nl, dis, eps, u0, u1, s))
+        assert got[2].stats.method == "dp5"
 
     @pytest.mark.parametrize("rel_tol", [2.3e-14, 3e-14, 3.5e-14, 5e-14, 1e-13, 1e-10, 1e-2, 0.1])
     @pytest.mark.parametrize("members", [0, 1, 3, 8])
     def test_most_members_keep_the_floor(self, rel_tol, members):
-        most = kl.integrate._max_shared(rel_tol, members)
+        # ``members`` stiff members (eps 1e-4 ... 1e-5 on the eps-sweep
+        # shape at t_end 10): one shared run that keeps the floor, or lone
+        # runs only, each on Radau as a sweep of one.
+        spec, nl, dis, u0, _ = SWEEP_SHAPE
+        eps_values = tuple(np.geomspace(1e-4, 1e-5, members))
+        s = settings(t_end=10.0, rel_tol=rel_tol)
+        runs = sweep_runs(spec, nl, dis, eps_values, u0, s)
         floor = kl.integrate._MIN_REL_TOL
-        assert 1 <= most <= max(members, 1)
-        assert most == 1 or rel_tol / math.sqrt(most) >= floor
-        assert most == max(members, 1) or rel_tol / math.sqrt(most + 1) < floor
+        if len(runs) == 1 and members > 1:
+            ((stepper, shared),) = runs
+            assert stepper is RADAU and shared == tuple(range(members))
+            assert rel_tol / math.sqrt(members) >= floor
+        else:
+            assert runs == [(RADAU, (i,)) for i in range(members)]
+            assert members <= 1 or rel_tol / math.sqrt(members) < floor
 
     def test_sweep_routing(self):
         # The eps-sweep benchmark members: eps 3e-3 (stiff stretch 1544,
