@@ -95,9 +95,6 @@ class VerificationEntry:
     verdict: str
     margin: float
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "margin": None if math.isnan(self.margin) else self.margin}
-
 
 @dataclass
 class VerificationReport:
@@ -119,7 +116,7 @@ class VerificationReport:
             "window": list(self.window),
             "regime": self.regime.tag,
             "worst": self.worst,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 

@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Energy orders, fit window and coercivity flag read by the runners."""
+    """Energy orders, fit window and coercivity flag read by the compute steps."""
 
     ks: tuple = (0.0, 1.0)
     window: tuple | None = None
@@ -91,16 +91,15 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class PlanKind:
     """A plan kind: its subcommand, the top-level keys besides ``kind``
-    and the analysis keys it reads, and ``runner(plan, outdir, jobs,
-    stage)``, which writes the payload files, its report among them, and
-    returns (verdicts, trajectories) for the manifest; ``jobs`` bounds
-    the worker processes of a sweep, and ``with stage("solve" | "csv" |
-    "json_svg"):`` times the runner's solves and file writes for the
-    manifest's ``timings``."""
+    and the analysis keys it reads, and ``compute(plan, jobs, stage)``,
+    which writes nothing and returns (verdicts, trajectories, files):
+    ``files`` maps each payload file's name to its content, in writing
+    order, for ``_write_files``. ``jobs`` bounds the worker processes of
+    a sweep, and ``with stage("solve"):`` times its solves."""
 
     subcommand: str
     help: str
-    runner: Callable
+    compute: Callable
     required: frozenset
     optional: frozenset = frozenset()
     analysis: frozenset = frozenset()
@@ -366,7 +365,7 @@ def load_config(text: str, expected_kind: str | None = None) -> ExperimentPlan:
 # ----------------------------------------------------------------------
 # Serialization helpers. CSV cell contract: the shortest decimal that
 # reads back as the same double, a whole number without ".0", NaN as an
-# empty cell, +-inf as inf / -inf.
+# empty cell, +-inf as inf / -inf. JSON is strict: NaN and +-inf are null.
 
 # Cells per orjson call: large enough to amortize the call, small enough
 # that the writer holds no copy of a whole table.
@@ -417,32 +416,57 @@ def _write_rows(path: Path, header: list, columns: list) -> None:
             fh.write(_csv_rows(np.column_stack([c[lo:lo + step] for c in columns])))
 
 
-def write_trajectory_csv(path: Path, traj: ig.Trajectory) -> None:
+def _finite(obj):
+    """``obj`` with every non-finite float as None, so its JSON is strict."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_files(outdir: Path, files: dict, stage) -> None:
+    """Write each of a compute step's ``files``, a ``(header, columns)`` table, a
+    dict, a chart or bytes, timed under "csv" or "json_svg" by its suffix."""
+    for name, content in files.items():
+        path = outdir / name
+        with stage("csv" if name.endswith(".csv") else "json_svg"):
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            elif isinstance(content, tuple):
+                _write_rows(path, *content)
+            elif isinstance(content, dict):
+                _write_json(path, content)
+            else:
+                content.write(path)
+
+
+def trajectory_table(traj: ig.Trajectory) -> tuple:
     k = range(1, traj.spectrum.size + 1)
     header = ["t"] + [f"u_{i}" for i in k] + [f"up_{i}" for i in k]
     cols = [traj.times, traj.u, traj.uprime]
     if traj.alpha is not None:
         header.append("alpha")
         cols.append(traj.alpha)
-    _write_rows(path, header, cols)
+    return header, cols
 
 
-def write_series_csv(path: Path, series) -> None:
+def series_table(series) -> tuple:
     """One column per channel of an energy or error series, after ``t``."""
     names = list(series.channels)
-    _write_rows(path, ["t"] + names, [series.times] + [series.channels[k] for k in names])
+    return ["t"] + names, [series.times] + [series.channels[k] for k in names]
 
 
-def write_corrector_csv(path: Path, corr: ig.CorrectorTrajectory) -> None:
+def corrector_table(corr: ig.CorrectorTrajectory) -> tuple:
     k = range(1, corr.theta.shape[1] + 1)
     header = ["t"] + [f"theta_{i}" for i in k] + [f"thetap_{i}" for i in k]
-    _write_rows(path, header, [corr.times, corr.theta, corr.theta_prime])
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return header, [corr.times, corr.theta, corr.theta_prime]
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
@@ -452,9 +476,10 @@ def plan_hash(plan: ExperimentPlan) -> str:
 
 
 # ----------------------------------------------------------------------
-# Plan runners
+# Compute steps: the solves, diagnostics and verdicts of a plan, and its
+# payload files as contents for ``_write_files``.
 
-def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+def _compute_simulate(plan: ExperimentPlan, jobs: int, stage) -> tuple:
     with stage("solve"):
         traj = ig.solve_hyperbolic(
             plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1, plan.settings
@@ -462,12 +487,6 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple
     series = en.energy_suite(traj, plan.nl, plan.eps, plan.analysis.ks)
     margins = en.apriori_margin(traj, plan.nl, plan.dis, plan.eps)
     floor = ana.hamiltonian_floor(series, plan.dis, plan.eps)
-
-    with stage("csv"):
-        write_trajectory_csv(outdir / "trajectory.csv", traj)
-        write_series_csv(outdir / "energies.csv", series)
-        write_series_csv(outdir / "apriori.csv", margins)
-        write_series_csv(outdir / "hamiltonian_floor.csv", floor)
 
     H = floor["H"]
     slack = 10.0 * plan.settings.rel_tol
@@ -494,23 +513,23 @@ def _run_simulate(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple
         chart.add_line(1.0 + traj.times, series["E_1"], "|A^1/2 u|^2")
     chart.add_line(1.0 + traj.times, series["v"], "|u'|^2")
     chart.add_line(1.0 + floor.times, H, "H")
-    with stage("json_svg"):
-        _write_json(outdir / "simulate_report.json", report)
-        chart.write(outdir / "simulate.svg")
-
+    files = {
+        "trajectory.csv": trajectory_table(traj),
+        "energies.csv": series_table(series),
+        "apriori.csv": series_table(margins),
+        "hamiltonian_floor.csv": series_table(floor),
+        "simulate_report.json": report,
+        "simulate.svg": chart,
+    }
     verdicts = {"hamiltonian_monotone": "pass" if monotone else "fail"}
-    return verdicts, {"hyperbolic": traj}
+    return verdicts, {"hyperbolic": traj}, files
 
 
-def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+def _compute_limit(plan: ExperimentPlan, jobs: int, stage) -> tuple:
     with stage("solve"):
         t_r = ig.solve_parabolic_reparam(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
         t_d = ig.solve_parabolic_direct(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
     series = en.energy_suite(t_r, plan.nl, 0.0, plan.analysis.ks)
-    with stage("csv"):
-        write_trajectory_csv(outdir / "parabolic_reparam.csv", t_r)
-        write_trajectory_csv(outdir / "parabolic_direct.csv", t_d)
-        write_series_csv(outdir / "energies.csv", series)
 
     scale = math.sqrt(float(plan.u0 @ plan.u0))
     shared = min(t_r.times.size, t_d.times.size)
@@ -529,39 +548,32 @@ def _run_limit(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     )
     if "E_1" in series:
         chart.add_line(1.0 + t_r.times, series["E_1"], "reparametrized")
-    with stage("json_svg"):
-        _write_json(outdir / "limit_report.json", report)
-        chart.write(outdir / "limit.svg")
-    return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}
+    files = {
+        "parabolic_reparam.csv": trajectory_table(t_r),
+        "parabolic_direct.csv": trajectory_table(t_d),
+        "energies.csv": series_table(series),
+        "limit_report.json": report,
+        "limit.svg": chart,
+    }
+    return {"oracle_equivalence": report["verdict"]}, {"reparam": t_r, "direct": t_d}, files
 
 
-def _run_corrector(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+def _compute_corrector(plan: ExperimentPlan, jobs: int, stage) -> tuple:
     with stage("solve"):
         corr = ig.corrector(
             plan.spectrum, plan.nl, plan.dis, plan.eps, plan.u0, plan.u1,
             plan.settings.grid.times(),
         )
-    with stage("csv"):
-        write_corrector_csv(outdir / "corrector.csv", corr)
-    chart = svgplot.LineChart(
-        title="corrector", xlabel="t", ylabel="|theta'|", logy=True
-    )
+    chart = svgplot.LineChart(title="corrector", xlabel="t", ylabel="|theta'|", logy=True)
     norm = np.sqrt(np.sum(corr.theta_prime**2, axis=1))
     chart.add_line(corr.times, norm, "|theta'|")
-    with stage("json_svg"):
-        chart.write(outdir / "corrector.svg")
-    return {}, {"corrector": corr}
+    files = {"corrector.csv": corrector_table(corr), "corrector.svg": chart}
+    return {}, {"corrector": corr}, files
 
 
-def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+def _compute_sweep(plan: ExperimentPlan, jobs: int, stage) -> tuple:
     with stage("solve"):
-        par = ig.solve_parabolic_reparam(
-            plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings
-        )
-    with stage("csv"):
-        write_trajectory_csv(outdir / "parabolic.csv", par)
-
-    with stage("solve"):
+        par = ig.solve_parabolic_reparam(plan.spectrum, plan.nl, plan.dis, plan.u0, plan.settings)
         trajs = ig.solve_hyperbolic_sweep(
             plan.spectrum, plan.nl, plan.dis, plan.eps_list, plan.u0, plan.u1, plan.settings,
             jobs,
@@ -572,20 +584,19 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
             for eps in plan.eps_list
         ]
 
+    files = {"parabolic.csv": trajectory_table(par)}
     trajectories = {}
     per_eps = []
     for i, (eps, traj, corr) in enumerate(zip(plan.eps_list, trajs, corrs)):
         trajectories[f"hyperbolic_{i}"] = traj
-        with stage("csv"):
-            write_trajectory_csv(outdir / f"hyperbolic_{i}.csv", traj)
-            write_corrector_csv(outdir / f"corrector_{i}.csv", corr)
+        files[f"hyperbolic_{i}.csv"] = trajectory_table(traj)
+        files[f"corrector_{i}.csv"] = corrector_table(corr)
         if corr.status != ig.COMPLETED:
             trajectories[f"corrector_{i}"] = corr
         if traj.status != ig.COMPLETED or corr.status != ig.COMPLETED:
             continue
         errors = ana.perturbation_errors(traj, par, corr, plan.dis)
-        with stage("csv"):
-            write_series_csv(outdir / f"errors_{i}.csv", errors)
+        files[f"errors_{i}.csv"] = series_table(errors)
         sups = {
             f"sup_{name}": float(np.max(errors[name]))
             for name in ("rho_sq", "r_prime_sq", "half_rho_sq_weighted")
@@ -601,7 +612,6 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
         sup_rho = [row["sup_rho_sq"] for row in per_eps]
         sup_rp = [row["sup_r_prime_sq"] for row in per_eps]
         ratios = np.array([row["sup_half_rho_sq_weighted"] for row in per_eps]) / eps_arr**2
-        ratio = float(ratios.max() / ratios.min()) if np.all(ratios > 0.0) else math.inf
         # Sweeps too short to fit an order still report sups and the ratio.
         for name, sup in (("rho_sq", sup_rho), ("r_prime_sq", sup_rp)):
             fit = ana.fit_eps_order(eps_arr, sup)
@@ -612,7 +622,12 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
                 ok = abs(fit.exponent - ana.SLOPE_TARGET) <= ana.SLOPE_TOL
                 verdicts[f"slope_{name}"] = "pass" if ok else "fail"
                 report[f"slope_{name}"] = fit.exponent
-        verdicts["weighted_ratio"] = "pass" if ratio <= ana.RATIO_BOUND else "fail"
+        if np.all(ratios == 0.0):  # every member is exact: no ratio to bound
+            ratio = None
+            verdicts["weighted_ratio"] = "skipped"
+        else:
+            ratio = float(ratios.max() / ratios.min()) if np.all(ratios > 0.0) else math.inf
+            verdicts["weighted_ratio"] = "pass" if ratio <= ana.RATIO_BOUND else "fail"
         report["weighted_sup_over_eps_sq_ratio"] = ratio
         report["slope_target"] = ana.SLOPE_TARGET
         report["slope_tol"] = ana.SLOPE_TOL
@@ -624,26 +639,23 @@ def _run_sweep(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
         )
         chart.add_line(eps_arr, sup_rho, "sup |rho|^2")
         chart.add_line(eps_arr, sup_rp, "sup |r'|^2")
-        with stage("json_svg"):
-            chart.write(outdir / "sweep.svg")
-    with stage("json_svg"):
-        _write_json(outdir / "sweep_report.json", report)
-    return verdicts, trajectories
+        files["sweep.svg"] = chart
+    files["sweep_report.json"] = report
+    return verdicts, trajectories, files
 
 
-def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+def _compute_grid(plan: ExperimentPlan, jobs: int, stage) -> tuple:
     rows = []
     for g in plan.grid_gammas:
         for p in plan.grid_ps:
             nl = PowerNonlinearity(g)
             regime = classify_regime(nl, PowerLawDissipation(p), plan.coercive_flag())
             rows.append((g, p, regime.tag, regime.threshold))
-    with stage("csv"), open(outdir / "regime_grid.csv", "wb") as fh:
-        fh.write(b"gamma,p,tag,p_gamma\n")
-        numeric = _csv_rows(np.array([(g, p, thr) for g, p, _, thr in rows], dtype=np.float64))
-        for line, (_, _, tag, _) in zip(numeric.splitlines(), rows):
-            g, p, thr = line.split(b",")
-            fh.write(b",".join((g, p, tag.encode(), thr)) + b"\n")
+    table = [b"gamma,p,tag,p_gamma\n"]
+    numeric = _csv_rows(np.array([(g, p, thr) for g, p, _, thr in rows], dtype=np.float64))
+    for line, (_, _, tag, _) in zip(numeric.splitlines(), rows):
+        g, p, thr = line.split(b",")
+        table.append(b",".join((g, p, tag.encode(), thr)) + b"\n")
 
     chart = svgplot.LineChart(title="regime map", xlabel="gamma", ylabel="p")
     g_lo, g_hi = min(plan.grid_gammas), max(plan.grid_gammas)
@@ -661,13 +673,12 @@ def _run_grid(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
         if pts:
             chart.add_points([g for g, _ in pts], [p for _, p in pts], tag, color)
     report = {"cells": [{"gamma": g, "p": p, "tag": t} for g, p, t, _ in rows]}
-    with stage("json_svg"):
-        chart.write(outdir / "regime_grid.svg")
-        _write_json(outdir / "grid_report.json", report)
-    return {}, {}
+    files = {"regime_grid.csv": b"".join(table), "regime_grid.svg": chart,
+             "grid_report.json": report}
+    return {}, {}, files
 
 
-def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
+def _compute_verify(plan: ExperimentPlan, jobs: int, stage) -> tuple:
     coercive = plan.coercive_flag()
     ks = tuple(sorted(set(plan.analysis.ks) | {1.0, 2.0}))
     hyperbolic = plan.eps is not None
@@ -685,45 +696,41 @@ def _run_verify(plan: ExperimentPlan, outdir: Path, jobs: int, stage) -> tuple:
     status_key = "hyperbolic" if hyperbolic else "parabolic"
 
     report = ana.verify_bounds(series, bounds, plan.analysis.window)
-    with stage("csv"):
-        write_trajectory_csv(outdir / "trajectory.csv", traj)
-        write_series_csv(outdir / "energies.csv", series)
-    payload = {"config": plan.raw, **report.to_dict()}
-
     chart = svgplot.LineChart(
         title="decay channels", xlabel="1+t", ylabel="value", logx=True, logy=True
     )
     chart.add_line(1.0 + series.times, series["E_1"], "E_half")
     chart.add_line(1.0 + series.times, series["E_2"], "E_one")
     chart.add_line(1.0 + series.times, series["v"], "V")
-    with stage("json_svg"):
-        _write_json(outdir / "verify_report.json", payload)
-        chart.write(outdir / "verify.svg")
-
-    verdicts = {
-        f"{e.quantity}:{e.kind}": e.verdict for e in report.entries
+    files = {
+        "trajectory.csv": trajectory_table(traj),
+        "energies.csv": series_table(series),
+        "verify_report.json": {"config": plan.raw, **report.to_dict()},
+        "verify.svg": chart,
     }
+
+    verdicts = {f"{e.quantity}:{e.kind}": e.verdict for e in report.entries}
     verdicts["overall"] = report.worst
-    return verdicts, {status_key: traj}
+    return verdicts, {status_key: traj}, files
 
 
 _MODEL = frozenset({"spectrum", "m", "b", "u0"})
 _RUN = frozenset({"settings", "analysis"})
-# kind -> subcommand, help, runner, required keys, optional keys, analysis keys
+# kind -> subcommand, help, compute step, required keys, optional keys, analysis keys
 PLAN_KINDS = {
     "simulate": PlanKind("simulate", "second-order run with energies and floor diagnostics",
-                         _run_simulate, _MODEL | {"eps", "u1"}, _RUN, frozenset({"ks"})),
+                         _compute_simulate, _MODEL | {"eps", "u1"}, _RUN, frozenset({"ks"})),
     "limit": PlanKind("limit", "both first-order solvers plus the equivalence report",
-                      _run_limit, _MODEL, _RUN, frozenset({"ks"})),
+                      _compute_limit, _MODEL, _RUN, frozenset({"ks"})),
     "corrector": PlanKind("corrector", "boundary-layer corrector samples",
-                          _run_corrector, _MODEL | {"eps", "u1"}, frozenset({"settings"})),
+                          _compute_corrector, _MODEL | {"eps", "u1"}, frozenset({"settings"})),
     "sweep_eps": PlanKind("sweep", "eps sweep with error series and order fits",
-                          _run_sweep, _MODEL | {"eps_list", "u1"}, frozenset({"settings"})),
+                          _compute_sweep, _MODEL | {"eps_list", "u1"}, frozenset({"settings"})),
     "regime_grid": PlanKind("grid", "regime classification over a (gamma, p) lattice",
-                            _run_grid, frozenset({"grid_gammas", "grid_ps"}),
+                            _compute_grid, frozenset({"grid_gammas", "grid_ps"}),
                             frozenset({"analysis"}), frozenset({"coercive"})),
     "verify": PlanKind("verify", "decay-rate verification against predicted bounds",
-                       _run_verify, _MODEL, _RUN | {"eps", "u1"},
+                       _compute_verify, _MODEL, _RUN | {"eps", "u1"},
                        frozenset({"ks", "window", "coercive"})),
 }
 
@@ -737,9 +744,9 @@ def run_plan(
 
     An ``out_dir`` under which that directory cannot be made (a file,
     say) is a ``ConfigurationError``. A ``ConfigurationError`` raised by
-    the runner removes the half-written bundle directory before it
-    propagates. So does a ``MemoryError``: a plan too large for memory
-    is reported as a configuration error.
+    the compute step or the writer removes the half-written bundle
+    directory before it propagates. So does a ``MemoryError``: a plan too
+    large for memory is reported as a configuration error.
     """
     start = time.perf_counter()
     outdir = Path(out_dir) / plan_hash(plan)
@@ -751,7 +758,7 @@ def run_plan(
         if stale.is_file():
             stale.unlink()
 
-    # Wall seconds per stage; "diagnostics" is the runner's untimed rest.
+    # Wall seconds per stage; "diagnostics" is the compute step's unmarked rest.
     timings = dict.fromkeys(("solve", "diagnostics", "csv", "json_svg", "hashing"), 0.0)
 
     @contextmanager
@@ -760,25 +767,26 @@ def run_plan(
         yield
         timings[name] += time.perf_counter() - lap
 
-    runner = PLAN_KINDS[plan.kind].runner
-    runner_start = time.perf_counter()
+    compute = PLAN_KINDS[plan.kind].compute
+    compute_start = time.perf_counter()
     try:
-        verdicts, trajectories = runner(plan, outdir, jobs or os.cpu_count() or 1, stage)
+        verdicts, trajectories, files = compute(plan, jobs or os.cpu_count() or 1, stage)
+        timings["diagnostics"] = time.perf_counter() - compute_start - timings["solve"]
+        _write_files(outdir, files, stage)
     except (ConfigurationError, MemoryError) as exc:
         shutil.rmtree(outdir, ignore_errors=True)
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"plan too large for memory: {exc}") from exc
-    timings["diagnostics"] = time.perf_counter() - runner_start - sum(timings.values())
     statuses = {key: tr.status for key, tr in trajectories.items()}
     stats = {key: tr.stats and asdict(tr.stats) for key, tr in trajectories.items()}
-    del trajectories  # free the samples before the payload files are hashed
+    del trajectories, files  # free the samples before the payload files are hashed
 
-    files = {}
+    digests = {}
     with stage("hashing"):
         for path in sorted(outdir.iterdir()):
             if path.is_file() and path.name != "manifest.json":
-                files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     import orjson  # its version is recorded: the CSV bytes depend on it
     import scipy  # its version is recorded: the corrector's quadrature is scipy's
@@ -802,7 +810,7 @@ def run_plan(
         "verdicts": verdicts,
         "solver_status": statuses,
         "solver_stats": stats,
-        "files": files,
+        "files": digests,
     }
     _write_json(outdir / "manifest.json", manifest)
     return ArtifactBundle(outdir, manifest)

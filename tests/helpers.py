@@ -101,3 +101,18 @@ def bessel_p1(lam, u0, u1, j, t):
     b = (fj * u1 - dfj * u0) / det
     fj, fy, dfj, dfy = basis(1.0 + np.asarray(t, dtype=float))
     return a * fj + b * fy, a * dfj + b * dfy
+
+
+# An eps sweep that starts at an equilibrium: u0 lies in the kernel of A
+# and u1 = 0, so every member is exact and every error sup is 0. It warns
+# that the data are degenerate (m vanishes at sigma = 0).
+EXACT_SWEEP_PLAN = {
+    "kind": "sweep_eps",
+    "spectrum": {"kind": "explicit", "values": [0.0, 4.0]},
+    "m": {"kind": "power", "gamma": 1.0},
+    "b": {"kind": "power", "p": 0.5},
+    "u0": [1.0, 0.0],
+    "u1": [0.0, 0.0],
+    "eps_list": [0.1, 0.05, 0.01],
+    "settings": {"grid": {"kind": "log", "count": 21, "t_end": 1.0}},
+}

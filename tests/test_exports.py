@@ -6,11 +6,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
+import orjson
 import pytest
 
 import kirchlab
+
+from helpers import EXACT_SWEEP_PLAN
 
 MODULES = ["kirchlab"] + [
     f"kirchlab.{info.name}" for info in pkgutil.iter_modules(kirchlab.__path__)
@@ -125,3 +130,66 @@ def test_runs_import_only_what_they_use(tmp_path):
     seen = json.loads(out.stdout)
     assert seen["load_config"] == seen["run_plan"] == []
     assert "scipy.integrate" in seen["sweep"]  # which loads concurrent.futures itself
+
+
+def _plan(kind):
+    return kirchlab.load_config(json.dumps({"kind": kind, **_PLANS[kind]}))
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANS))
+def test_compute_steps_write_nothing(kind, tmp_path, monkeypatch):
+    # A compute step only marks its solves and hands its files to
+    # run_plan, whose one writer writes exactly those.
+    harness = kirchlab.harness
+    stages = []
+
+    @contextmanager
+    def stage(name):
+        stages.append(name)
+        yield
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compute step wrote a file")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_write_rows", refuse)
+        patch.setattr(harness, "_write_json", refuse)
+        patch.setattr(kirchlab.svgplot.LineChart, "write", refuse)
+        patch.chdir(tmp_path)
+        verdicts, _, files = harness.PLAN_KINDS[kind].compute(_plan(kind), 1, stage)
+    assert list(tmp_path.iterdir()) == []
+    assert set(stages) <= {"solve"}
+    bundle = kirchlab.run_plan(_plan(kind), tmp_path, jobs=1)
+    assert list(bundle.manifest["files"]) == sorted(files)
+    assert bundle.manifest["verdicts"] == verdicts
+
+
+@pytest.mark.parametrize("kind", [*sorted(_PLANS), "exact_sweep"])
+def test_every_bundle_json_is_strict(kind, tmp_path):
+    # NaN and +-inf are not JSON, so the writer writes them as null; the
+    # exact sweep's ratio was written as Infinity.
+    exact = kind == "exact_sweep"
+    plan = kirchlab.load_config(json.dumps(EXACT_SWEEP_PLAN)) if exact else _plan(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the exact sweep's degenerate data
+        bundle = kirchlab.run_plan(plan, tmp_path, jobs=1)
+    names = sorted(path.name for path in bundle.directory.glob("*.json"))
+    assert "manifest.json" in names
+    for name in names:
+        orjson.loads((bundle.directory / name).read_bytes())
+
+
+def test_bench_trace_sees_every_layer(tmp_path, monkeypatch):
+    # --trace 1 sees a layer only through the module attributes that
+    # bench/spans.py wraps: a call that bypasses one (a writer bound at
+    # import, say) drops its span without an error.
+    spans = _bench_module("spans", monkeypatch)
+    tracer = spans.Tracer()
+    with spans.traced(tracer, kirchlab):
+        for kind in _PLANS:
+            kirchlab.run_plan(_plan(kind), tmp_path, jobs=1)
+    closed = {span["name"] for span in tracer.spans if span["end"] is not None}
+    assert {
+        "integrate.solve", "integrate.corrector", "energies.suite", "analysis.verify",
+        "harness.csv", "harness.json", "svgplot.write",
+    } <= closed

@@ -24,6 +24,8 @@ import kirchlab.integrate as ig
 from kirchlab import ConfigurationError, load_config, run_plan
 from kirchlab.harness import ArtifactBundle
 
+from helpers import EXACT_SWEEP_PLAN
+
 
 def simulate_config(**overrides):
     cfg = {
@@ -531,6 +533,57 @@ class TestRunPlan:
         assert statuses["corrector_0"] == statuses["corrector_1"] == ig.STEP_UNDERFLOW
         assert bundle.exit_code == 2
 
+    def test_exact_sweep_skips_every_verdict(self, tmp_path):
+        # Nothing to fit and no ratio to bound: the ratio is null, not inf.
+        with pytest.warns(UserWarning, match="degenerate data"):
+            bundle = run_plan(load_config(json.dumps(EXACT_SWEEP_PLAN)), tmp_path, jobs=1)
+        report = orjson.loads((bundle.directory / "sweep_report.json").read_bytes())
+        assert {v for row in report["per_eps"] for k, v in row.items() if k != "eps"} == {0.0}
+        assert report["weighted_sup_over_eps_sq_ratio"] is None
+        assert set(bundle.manifest["verdicts"].values()) == {"skipped"}
+        assert bundle.exit_code == 0
+
+    def test_sweep_with_one_exact_member_fails_ratio(self, tmp_path, monkeypatch):
+        # A vanishing weighted sup beside a positive one leaves the ratio
+        # unbounded: the verdict stays fail, and the report writes null.
+        errors = harness.ana.perturbation_errors
+        calls = []
+
+        def first_exact(*args):
+            series = errors(*args)
+            if not calls:
+                series.channels["half_rho_sq_weighted"] = np.zeros_like(series.times)
+            calls.append(args)
+            return series
+
+        monkeypatch.setattr(harness.ana, "perturbation_errors", first_exact)
+        bundle = run_plan(load_config(json.dumps(SWEEP_PLAN)), tmp_path, jobs=1)
+        report = orjson.loads((bundle.directory / "sweep_report.json").read_bytes())
+        sups = [row["sup_half_rho_sq_weighted"] for row in report["per_eps"]]
+        assert sups[0] == 0.0 and sups[1] > 0.0
+        assert report["weighted_sup_over_eps_sq_ratio"] is None
+        assert bundle.manifest["verdicts"]["weighted_ratio"] == "fail"
+        assert bundle.exit_code == 1
+
+    def test_skipped_entry_margin_is_null(self, tmp_path):
+        # A window too short to fit skips every entry; its NaN margin is
+        # written as null.
+        cfg = {
+            "kind": "verify",
+            "spectrum": {"kind": "explicit", "values": [1.0, 4.0]},
+            "m": {"kind": "power", "gamma": 1.0},
+            "b": {"kind": "power", "p": 0.5},
+            "u0": [0.4, 0.2],
+            "analysis": {"window": [0.5, 0.55]},
+            "settings": {"grid": {"kind": "log", "count": 21, "t_end": 1.0}},
+        }
+        bundle = run_plan(load_config(json.dumps(cfg)), tmp_path)
+        report = orjson.loads((bundle.directory / "verify_report.json").read_bytes())
+        assert report["entries"]
+        for entry in report["entries"]:
+            assert entry["verdict"] == "skipped"
+            assert entry["fitted_exponent"] is None and entry["margin"] is None
+
     @pytest.mark.parametrize("coercive,tag", [(True, "parabolic"), (False, "no_mans_land")])
     def test_regime_grid_reads_analysis_coercive(self, tmp_path, coercive, tag):
         cfg = {
@@ -813,11 +866,10 @@ class TestCli:
     def test_config_error_while_running_exit_3_without_bundle(
         self, tmp_path, capsys, monkeypatch
     ):
-        def runner(plan, outdir, jobs, stage):
-            (outdir / "trajectory.csv").write_text("t\n")
+        def compute(plan, jobs, stage):
             raise ConfigurationError("data rejected mid-run")
 
-        entry = dataclasses.replace(harness.PLAN_KINDS["simulate"], runner=runner)
+        entry = dataclasses.replace(harness.PLAN_KINDS["simulate"], compute=compute)
         monkeypatch.setitem(harness.PLAN_KINDS, "simulate", entry)
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(json.dumps(simulate_config()))
@@ -826,6 +878,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: data rejected mid-run" in err
         assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_memory_error_while_writing_exit_3_without_bundle(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The writer fails after the first payload file: the half-written
+        # bundle goes, as when the compute step fails.
+        class Unwritable:
+            def write(self, path):
+                raise MemoryError("chart too large")
+
+        def compute(plan, jobs, stage):
+            return {}, {}, {"trajectory.csv": (["t"], [[0.0]]), "simulate.svg": Unwritable()}
+
+        entry = dataclasses.replace(harness.PLAN_KINDS["simulate"], compute=compute)
+        monkeypatch.setitem(harness.PLAN_KINDS, "simulate", entry)
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(simulate_config()))
+        out = tmp_path / "runs"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "config error: plan too large for memory" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["simulate", "limit", "corrector"])
