@@ -789,7 +789,6 @@ def run_plan(
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     import orjson  # its version is recorded: the CSV bytes depend on it
-    import scipy  # its version is recorded: the corrector's quadrature is scipy's
 
     from . import __version__
 
@@ -801,7 +800,6 @@ def run_plan(
             "kirchlab": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "orjson": orjson.__version__,
         },
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -13,12 +13,11 @@ work it took (``SolverStats``).
   5(4) pair (Hairer-Norsett-Wanner, Solving ODEs I, II.4-II.5; samples
   are its quartic interpolants) with scipy's RK45 step control, bit for
   bit, but without scipy's per-step wrappers. Its tableau is a copy of
-  RK45's, literal for literal as scipy's ``rk.py`` writes it, so no
-  stepper imports scipy; only the corrector's quadrature does, on first
-  use. It runs the reparametrized clock and every N-dimensional run
-  that is not stiff, and counts its rejected steps. Second-order steps
-  are capped at a fixed fraction of the fastest oscillation period of
-  the current state.
+  RK45's, literal for literal as scipy's ``rk.py`` writes it. It runs
+  the reparametrized clock and every N-dimensional run that is not
+  stiff, and counts its rejected steps. Second-order steps are capped at
+  a fixed fraction of the fastest oscillation period of the current
+  state.
 - kirchlab's own Radau IIA stepper of order 5, ``_RadauIIA``
   (Hairer-Wanner, Solving ODEs II, IV.8; samples are its collocation
   cubics) with scipy's Radau step control, bit for bit, but without
@@ -46,6 +45,9 @@ stage function alone, which evaluates the three collocation stages of a
 Newton iteration in one call. Every run has one blow-up test, on its
 whole state's squared norm; a shared run that stops is rerun member by
 member, so every stop is a lone run's.
+
+The corrector's decay integral is kirchlab's own too
+(``quadrature.decay_integrals``), so no module imports scipy.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import Dissipation, Nonlinearity, compute_w0
+from .quadrature import decay_integrals
 from .spectral import ConfigurationError, Spectrum, as_modal, modal_sums, sigma_half
 
 __all__ = [
@@ -1083,16 +1086,17 @@ def corrector(
 
     theta'(t) = w0 exp(-B(t)/eps) exactly, with B the closed-form
     primitive of b. theta itself is w0 times the integral of that decay
-    factor: closed form when b is constant; otherwise one adaptive
-    ``quad`` per sample interval (absolute tolerance 1e-15 and relative
-    tolerance 1e-13 of the factor's integral, at most 200 subintervals),
-    summed from t = 0.
+    factor: closed form when b is constant; otherwise the factor's
+    integral over each sample interval (``quadrature.decay_integrals``),
+    summed from t = 0. ``times`` start at 0 and do not decrease.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigurationError("eps must be positive")
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or ts[0] != 0.0:
         raise ConfigurationError("times must start at 0")
+    if not np.all(np.diff(ts) >= 0.0):
+        raise ConfigurationError("times must not decrease")
     w0 = compute_w0(spec, nl, dis, u0, u1)
     if not np.all(np.isfinite(w0)):
         # m(sigma0) A u0 / b0 overflows; the solvers stop on such data too.
@@ -1106,14 +1110,7 @@ def corrector(
         d = dis.b(0.0)
         integral = (eps / d) * (-np.expm1(-d * ts / eps))
     else:
-        from scipy.integrate import quad
-
-        integrand = lambda s: math.exp(-dis.primitive(s) / eps)
-        vals = [0.0]
-        for a, b_ in zip(ts[:-1], ts[1:]):
-            seg, _ = quad(integrand, a, b_, epsabs=1e-15, epsrel=1e-13, limit=200)
-            vals.append(vals[-1] + seg)
-        integral = np.array(vals)
+        integral = np.concatenate([[0.0], np.cumsum(decay_integrals(dis, eps, ts))])
     theta = w0[None, :] * integral[:, None]
     return CorrectorTrajectory(ts, theta, theta_prime)
 

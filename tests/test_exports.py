@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -96,40 +97,57 @@ _PLANS = {
 }
 
 # Run in a fresh process: prints which of the ``heavy`` modules are
-# loaded after load_config of every plan, after run_plan of a simulate
-# and a limit plan, and after run_plan of an eps sweep.
+# loaded after load_config of every plan, then after run_plan of each
+# plan in turn, with jobs=1.
 _IMPORT_SCRIPT = """
 import json, sys
 import kirchlab
 
 out, plans = sys.argv[1], json.loads(sys.argv[2])
-heavy = ("scipy.integrate", "concurrent.futures")
+heavy = ("scipy", "concurrent.futures")
 loaded = lambda: [name for name in heavy if name in sys.modules]
 parsed = {kind: kirchlab.load_config(json.dumps({"kind": kind, **cfg}))
           for kind, cfg in plans.items()}
 seen = {"load_config": loaded()}
-kirchlab.run_plan(parsed["simulate"], out)
-kirchlab.run_plan(parsed["limit"], out)
-seen["run_plan"] = loaded()
-kirchlab.run_plan(parsed["sweep_eps"], out, jobs=1)
-seen["sweep"] = loaded()
+for kind, plan in parsed.items():
+    kirchlab.run_plan(plan, out, jobs=1)
+    seen[kind] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_runs_import_only_what_they_use(tmp_path):
-    # ``import kirchlab`` and load_config load numpy and the standard
-    # library; scipy's quadrature comes in with the first corrector that
-    # needs it (p > 0), the process pool only with a parallel sweep.
+    # ``import kirchlab``, load_config and every plan run with jobs=1
+    # load numpy and the standard library only: no run loads scipy, not
+    # even the p = 0.5 corrector and sweep, whose decay integrals are
+    # kirchlab's own quadrature; the process pool comes in only with a
+    # parallel sweep.
     assert set(_PLANS) == set(kirchlab.harness.PLAN_KINDS)
+    assert _PLANS["corrector"]["b"] == {"kind": "power", "p": 0.5}
     src = str(Path(kirchlab.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_SCRIPT, str(tmp_path), json.dumps(_PLANS)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
     )
-    seen = json.loads(out.stdout)
-    assert seen["load_config"] == seen["run_plan"] == []
-    assert "scipy.integrate" in seen["sweep"]  # which loads concurrent.futures itself
+    assert json.loads(out.stdout) == dict.fromkeys(["load_config", *_PLANS], [])
+
+
+def test_no_module_imports_scipy():
+    # Nor numpy.polynomial, which is heavier to import than the two
+    # Gauss-Legendre tables the corrector needs from it.
+    banned = ("scipy", "numpy.polynomial")
+    found = []
+    for path in sorted(Path(kirchlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert found == []
 
 
 def _plan(kind):

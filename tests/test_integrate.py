@@ -647,6 +647,24 @@ class TestParabolicDirect:
             assert np.max(np.abs(tr.u - td.u)) / scale < 1e-6
 
 
+def _mp_decay_integrals(p, eps, times):
+    """Integral of exp(-B(s)/eps) from 0 to each of ``times`` (ascending),
+    B the primitive of (1+s)^-p with p != 1, by mpmath at 25 digits."""
+    import mpmath
+
+    with mpmath.workdps(25):
+        q, e = 1 - mpmath.mpf(p), mpmath.mpf(eps)
+        f = lambda s: mpmath.exp(-mpmath.expm1(q * mpmath.log1p(s)) / (q * e))
+        times = [float(t) for t in times]
+        scales = [eps * 2.0**k for k in range(-4, 60) if eps * 2.0**k < times[-1]]
+        edges = sorted({0.0, *scales, *times})
+        total, at = mpmath.mpf(0), {}
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += mpmath.quad(f, [a, b])
+            at[b] = float(total)
+        return [at[t] for t in times]
+
+
 class TestCorrector:
     def test_constant_b_closed_form(self):
         # b == delta, eps=0.1, w0=(1): theta' = e^{-delta t/eps} and
@@ -684,10 +702,13 @@ class TestCorrector:
         np.testing.assert_allclose(corr.theta_prime[:, 0], 1.0 / (1.0 + times), rtol=1e-12)
         np.testing.assert_allclose(corr.theta[:, 0], np.log1p(times), atol=1e-12)
 
-    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_small_eps_closed_form(self, eps):
         # p=1: theta' = w0 (1+t)^(-1/eps) and
-        # theta = w0 ((1+t)^(1-1/eps) - 1) / (1 - 1/eps), w0 = 1.
+        # theta = w0 ((1+t)^(1-1/eps) - 1) / (1 - 1/eps), w0 = 1. At
+        # eps 1e-8 the decay factor underflows at every node of the first
+        # sample interval: only the breakpoints at eps 2^k keep both
+        # rules from agreeing on 0.
         times = OutputGrid("log", 401, 10.0).times()
         corr = corrector(
             Spectrum([1.0]), PowerNonlinearity(1.0), PowerLawDissipation(1.0), eps,
@@ -697,6 +718,56 @@ class TestCorrector:
         np.testing.assert_allclose(
             corr.theta[:, 0], np.expm1(a * np.log1p(times)) / a, rtol=1e-13, atol=0.0
         )
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.9, 1.5, 3.0])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+    def test_quadrature_against_mpmath(self, p, eps):
+        times = OutputGrid("log", 201, 1e4).times()
+        corr = corrector(
+            Spectrum([1.0]), PowerNonlinearity(1.0), PowerLawDissipation(p), eps,
+            [0.0], [1.0], times,
+        )
+        picks = [1, 60, 200]
+        want = _mp_decay_integrals(p, eps, times[picks])
+        np.testing.assert_allclose(corr.theta[picks, 0], want, rtol=1e-13, atol=0.0)
+
+    def test_gauss_legendre_tables_are_numpys(self):
+        from numpy.polynomial.legendre import leggauss
+
+        for n, rule in ((20, kl.quadrature._GL20), (10, kl.quadrature._GL10)):
+            for mine, numpys in zip(rule, leggauss(n)):
+                np.testing.assert_array_equal(mine, numpys)
+                assert mine.dtype == numpys.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "p, eps, t_end",
+        [(0.5, 1e-300, 10.0), (0.5, 0.1, 1e300), (3.0, 0.1, 10.0), (3.0, 1e-300, 1e300),
+         (1.01, 10.0, 1e300)],  # the last reaches the round cap on two samples
+    )
+    def test_quadrature_work_is_bounded(self, p, eps, t_end):
+        sizes = []
+
+        class Counted(PowerLawDissipation):
+            def primitive(self, t):
+                if np.ndim(t) == 2:  # a round of the quadrature
+                    sizes.append(t.size)
+                return super().primitive(t)
+
+        for times in (np.array([0.0, t_end]), OutputGrid("log", 101, t_end).times()):
+            sizes.clear()
+            corr = corrector(
+                Spectrum([1.0]), PowerNonlinearity(1.0), Counted(p), eps, [0.0], [1.0], times
+            )
+            assert 1 <= len(sizes) <= kl.quadrature._QUAD_ROUNDS and sum(sizes) < 200_000
+            theta = corr.theta[:, 0]
+            assert np.all(np.isfinite(theta)) and np.all(np.diff(theta) >= 0.0) and theta[-1] > 0.0
+
+    def test_times_must_not_decrease(self):
+        args = (Spectrum([1.0]), PowerNonlinearity(1.0), PowerLawDissipation(0.5), 0.1, [0.0], [1.0])
+        with pytest.raises(kl.ConfigurationError, match="decrease"):
+            corrector(*args, [0.0, 2.0, 1.0])
+        corr = corrector(*args, [0.0, 1.0, 1.0, 2.0])  # a repeated time is an empty interval
+        assert corr.theta[1, 0] == corr.theta[2, 0] > 0.0
 
     def test_initial_conditions(self):
         corr = corrector(
